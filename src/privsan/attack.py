@@ -4,17 +4,19 @@ The attacker sees sanitized tuples and knows which mechanism produced
 them, including the entry distribution of the projection matrices, but
 never the per-tuple matrix itself.  Reconstruction is matrix based:
 
-* ``attack_random_inverse``: pseudo-inverse of one fresh matrix drawn
-  from the known family;
-* ``expected_inverse_map`` / ``attack_linear``: Monte-Carlo estimate of
-  the expected pseudo-inverse, a fixed map applied to every tuple, i.e.
-  the attacker's best guess at the average inverse of the family;
-* ``attack_known_matrix``: white-box baseline for mechanisms whose
-  matrix is fixed and public, optionally re-adding a known mean;
-* ``attack_naive_multiply``: left-multiplication by a raw family draw,
-  kept as an ablation of the pseudo-inverse step;
-* ``attack_identity``: neutral reconstruction for dimension-preserving
+* ``random_inverse``: pseudo-inverse of one fresh family draw per tuple;
+* ``expected_inverse_map`` / ``linear``: Monte-Carlo estimate of the
+  expected pseudo-inverse, one fixed map applied to every tuple;
+* ``known_matrix``: white-box baseline for mechanisms whose matrix is
+  fixed and public, optionally re-adding a known mean;
+* ``naive_multiply``: left-multiplication by a raw family draw, kept as
+  an ablation of the pseudo-inverse step;
+* ``identity``: neutral reconstruction for dimension-preserving
   mechanisms, optionally mean-shift corrected.
+
+Each attack is one function from a (tuples x m) array of sanitized rows
+to (tuples x n) reconstructions; attacks that draw take one stream per
+row.  The per-tuple ``attack_*`` functions make a one-row call.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, SingularSample
-from .linalg import as_vector, pseudo_inverse
+from .linalg import as_vector, matvec_rows, pseudo_inverse, zero_pad
 from .rng import Rng
 from .sanitize import (
     EntryDistribution,
@@ -35,6 +37,7 @@ from .sanitize import (
 )
 
 ATTACK_RETRIES = 8
+ATTACK_CHUNK = 64    # rows per stacked pseudo-inverse; bounds the SVD workspace
 
 
 @dataclass(frozen=True)
@@ -53,97 +56,129 @@ def _family_sample(n: int, m: int, distribution: EntryDistribution, rng: Rng) ->
     return sample_bounded_matrix(n, m, distribution, rng)
 
 
-def _pinv_transpose(b: np.ndarray) -> np.ndarray:
-    """(B^T)^+ = B (B^T B)^{-1}; raises SingularSample when B^T B is singular."""
-    gram = b.T @ b
-    if np.linalg.matrix_rank(gram) < gram.shape[0]:
-        raise SingularSample("sampled matrix has rank-deficient Gram matrix")
-    return pseudo_inverse(b.T)
+def _pinv_transposes(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(B^T)^+ = B (B^T B)^{-1} for each stacked B, and a mask of the
+    draws whose Gram matrix B^T B has full rank."""
+    bt = np.swapaxes(b, 1, 2)
+    return pseudo_inverse(bt), np.linalg.matrix_rank(bt @ b) == b.shape[2]
 
+
+def random_inverse(s: np.ndarray, n: int, distribution: EntryDistribution,
+                   streams: list[Rng]) -> np.ndarray:
+    """Reconstruct row j with the pseudo-inverse of a family draw from
+    ``streams[j].child(0)``; a draw with a singular Gram matrix is
+    replaced from ``child(1)``, ``child(2)``, ... (bounded retries)."""
+    m = s.shape[1]
+    if m > n:
+        raise DimensionMismatch(f"sanitized dim {m} exceeds ambient dim {n}")
+    out = np.empty((len(streams), n))
+    for lo in range(0, len(streams), ATTACK_CHUNK):
+        chunk = streams[lo:lo + ATTACK_CHUNK]
+        pinv = np.empty((len(chunk), n, m))
+        todo = np.arange(len(chunk))
+        for attempt in range(ATTACK_RETRIES):
+            draws = [_family_sample(n, m, distribution, chunk[j].child(attempt)) for j in todo]
+            inv, full = _pinv_transposes(np.stack(draws))
+            pinv[todo[full]] = inv[full]
+            todo = todo[~full]
+            if todo.size == 0:
+                break
+        else:
+            raise SingularSample("sampled matrix has rank-deficient Gram matrix")
+        out[lo:lo + ATTACK_CHUNK] = matvec_rows(pinv, s[lo:lo + ATTACK_CHUNK])
+    return out
+
+
+def known_matrix(s: np.ndarray, matrix: np.ndarray, mean: np.ndarray | None = None,
+                 mean_in_tuple: bool = False) -> np.ndarray:
+    """White-box linear reconstruction with the true fixed matrix.  With
+    ``mean`` the deviation from the mean is reconstructed and the mean
+    added back; ``mean_in_tuple`` says the mechanism projected raw tuples
+    (the mean's image is removed first) rather than centered ones."""
+    pinv, full = _pinv_transposes(matrix[None])
+    if not full[0]:
+        raise SingularSample("sampled matrix has rank-deficient Gram matrix")
+    if mean is not None and mean_in_tuple:
+        s = s - matrix.T @ mean
+    recon = matvec_rows(pinv, s)
+    return recon if mean is None else recon + mean
+
+
+def naive_multiply(s: np.ndarray, n: int, distribution: EntryDistribution,
+                   streams: list[Rng]) -> np.ndarray:
+    """Left-multiply row j by a raw family draw from ``streams[j]``."""
+    m = s.shape[1]
+    return matvec_rows(np.stack([_family_sample(n, m, distribution, r) for r in streams]), s)
+
+
+def identity(s: np.ndarray, n: int, shift: np.ndarray | None = None) -> np.ndarray:
+    """Each sanitized row, zero-padded to length n, plus ``shift`` when
+    the attacker knows a systematic offset."""
+    recon = zero_pad(s, n)
+    return recon.copy() if shift is None else recon + shift
+
+
+def expected_inverse_map(n: int, m: int, distribution: EntryDistribution,
+                         samples: int, rng: Rng) -> np.ndarray:
+    """Monte-Carlo estimate of E[(B^T)^+] over the known family, from
+    the draws of ``rng.child(0)`` ... ``rng.child(samples - 1)``: the
+    n x m map of the expectation-based linear reconstruction, estimated
+    once per repetition and applied to every tuple."""
+    if samples < 1:
+        raise ValueError("samples must be positive")
+    draws = [_family_sample(n, m, distribution, rng.child(j)) for j in range(samples)]
+    pinv, full = _pinv_transposes(np.stack(draws))
+    if not full.all():
+        raise SingularSample("sampled matrix has rank-deficient Gram matrix")
+    return pinv.sum(axis=0) / samples
+
+
+def linear(s: np.ndarray, linear_map: np.ndarray) -> np.ndarray:
+    """Apply one n x m map to every sanitized row."""
+    lm = np.asarray(linear_map, dtype=float)
+    if lm.shape[1] != s.shape[1]:
+        raise DimensionMismatch(f"map expects dim {lm.shape[1]}, tuple has {s.shape[1]}")
+    return matvec_rows(lm[None], s)
+
+
+# Per-tuple API: one-row calls into the attacks above.
 
 def attack_random_inverse(t: SanitizedTuple, n: int, distribution: EntryDistribution,
                           rng: Rng, override_matrix: np.ndarray | None = None,
                           ) -> ReconstructionResult:
     """Reconstruct with the pseudo-inverse of a fresh family draw.
-
     ``override_matrix`` substitutes the draw; it exists for white-box
-    oracle checks where the attacker is handed the true matrix.
-    """
-    m = t.dim
-    if m > n:
-        raise DimensionMismatch(f"sanitized dim {m} exceeds ambient dim {n}")
-    if override_matrix is not None:
-        return ReconstructionResult(
-            _pinv_transpose(np.asarray(override_matrix, dtype=float)) @ t.values,
-            t.agent_id, "random-inverse")
-    last = None
-    for attempt in range(ATTACK_RETRIES):
-        b = _family_sample(n, m, distribution, rng.child(attempt))
-        try:
-            return ReconstructionResult(_pinv_transpose(b) @ t.values, t.agent_id,
-                                        "random-inverse")
-        except SingularSample as exc:  # pragma: no cover - continuous draws
-            last = exc
-    raise last
+    oracle checks where the attacker is handed the true matrix."""
+    if override_matrix is None:
+        recon = random_inverse(t.values[None], n, distribution, [rng])
+    elif t.dim > n:
+        raise DimensionMismatch(f"sanitized dim {t.dim} exceeds ambient dim {n}")
+    else:
+        recon = known_matrix(t.values[None], np.asarray(override_matrix, dtype=float))
+    return ReconstructionResult(recon[0], t.agent_id, "random-inverse")
 
 
-def attack_known_matrix(t: SanitizedTuple, p: ProjectionMatrix,
-                        mean: np.ndarray | None = None,
+def attack_known_matrix(t: SanitizedTuple, p: ProjectionMatrix, mean: np.ndarray | None = None,
                         mean_in_tuple: bool = False) -> ReconstructionResult:
-    """White-box linear reconstruction with the true fixed matrix.
-
-    With ``mean`` given, the attacker reconstructs the deviation from the
-    mean and adds the mean back.  ``mean_in_tuple`` says whether the
-    mechanism projected raw tuples (the attacker first removes the
-    mean's image from the tuple) or already-centered ones (the
-    component-based mechanism), where the tuple is used as is.
-    """
-    values = t.values
-    if mean is not None and mean_in_tuple:
-        values = values - p.matrix.T @ as_vector(mean)
-    recon = _pinv_transpose(p.matrix) @ values
-    if mean is not None:
-        recon = recon + as_vector(mean)
-    return ReconstructionResult(recon, t.agent_id, "known-matrix")
+    """White-box reconstruction with the true fixed matrix."""
+    mean = None if mean is None else as_vector(mean)
+    recon = known_matrix(t.values[None], p.matrix, mean, mean_in_tuple)
+    return ReconstructionResult(recon[0], t.agent_id, "known-matrix")
 
 
 def attack_naive_multiply(t: SanitizedTuple, n: int, distribution: EntryDistribution,
                           rng: Rng) -> ReconstructionResult:
     """Left-multiply by a raw family draw, skipping the inverse."""
-    b = _family_sample(n, t.dim, distribution, rng)
-    return ReconstructionResult(b @ t.values, t.agent_id, "naive-multiply")
+    recon = naive_multiply(t.values[None], n, distribution, [rng])
+    return ReconstructionResult(recon[0], t.agent_id, "naive-multiply")
 
 
 def attack_identity(t: SanitizedTuple, shift: np.ndarray | None = None) -> ReconstructionResult:
-    """Take the sanitized tuple as the reconstruction; ``shift`` applies a
-    mean correction when the attacker knows a systematic offset."""
-    recon = t.values.copy()
-    if shift is not None:
-        recon = recon + as_vector(shift)
-    return ReconstructionResult(recon, t.agent_id, "identity")
-
-
-def expected_inverse_map(n: int, m: int, distribution: EntryDistribution,
-                         samples: int, rng: Rng) -> np.ndarray:
-    """Monte-Carlo estimate of E[(B^T)^+] over the known family.
-
-    Returns an n x m matrix; applying it to a sanitized tuple is the
-    attacker's expectation-based linear reconstruction.  One map is
-    typically estimated per experiment repetition and reused for every
-    tuple.
-    """
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    acc = np.zeros((n, m))
-    for j in range(samples):
-        b = _family_sample(n, m, distribution, rng.child(j))
-        acc += _pinv_transpose(b)
-    return acc / samples
+    """Take the sanitized tuple as the reconstruction, plus ``shift``."""
+    recon = identity(t.values[None], t.dim, None if shift is None else as_vector(shift))
+    return ReconstructionResult(recon[0], t.agent_id, "identity")
 
 
 def attack_linear(t: SanitizedTuple, linear_map: np.ndarray,
                   tag: str = "expected-inverse") -> ReconstructionResult:
-    lm = np.asarray(linear_map, dtype=float)
-    if lm.shape[1] != t.dim:
-        raise DimensionMismatch(f"map expects dim {lm.shape[1]}, tuple has {t.dim}")
-    return ReconstructionResult(lm @ t.values, t.agent_id, tag)
+    return ReconstructionResult(linear(t.values[None], linear_map)[0], t.agent_id, tag)

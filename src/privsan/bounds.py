@@ -52,10 +52,6 @@ class GridSpec:
         return cls(cell_side * cells_per_side, cell_side, cells_per_side**2)
 
     @property
-    def cells_per_side(self) -> int:
-        return int(round(self.area_side / self.cell_side))
-
-    @property
     def robustness_radius(self) -> float:
         return self.cell_side
 
@@ -81,25 +77,7 @@ class NormBoundCertificate:
     frobenius_bound: float
 
 
-@dataclass(frozen=True)
-class DistancePreservationParams:
-    """Inputs of a pairwise-distance preservation check: distortion
-    ``gamma`` in (0, 0.405), ``point_count`` points, projected dimension
-    ``projected_dim``."""
-
-    gamma: float
-    point_count: int
-    projected_dim: int
-
-    def __post_init__(self):
-        _check_gamma(self.gamma)
-        if self.point_count < 2:
-            raise ValueError("need at least two points")
-        if self.projected_dim < 1:
-            raise ValueError("projected_dim must be positive")
-
-
-def _check_gamma(gamma: float) -> None:
+def check_gamma(gamma: float) -> None:
     if not (0.0 < gamma < GAMMA_MAX):
         raise GammaOutOfRange(f"gamma must lie in (0, {GAMMA_MAX}), got {gamma}")
 
@@ -149,7 +127,7 @@ def jl_min_dimension(point_count: int, gamma: float) -> int:
     """Smallest projected dimension for which a uniform-subspace
     projection preserves all pairwise squared distances within e^{+-gamma}
     with probability at least one half."""
-    _check_gamma(gamma)
+    check_gamma(gamma)
     if point_count < 2:
         raise ValueError("point_count must be at least 2")
     rhs = 9.0 * math.log(point_count) / _jl_denominator(gamma) + 1.0
@@ -166,7 +144,7 @@ def nrp_equivalent_dimension(m1: int, gamma: float) -> int:
     capped at m1 so the result never exceeds the reference dimension.
     Raises NonPositiveResult when the formula yields less than 1.
     """
-    _check_gamma(gamma)
+    check_gamma(gamma)
     if m1 < 2:
         raise ValueError("m1 must be at least 2")
     s = math.sinh(gamma)

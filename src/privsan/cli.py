@@ -3,8 +3,9 @@
 Commands: ``run`` (one experiment), ``sweep`` (mechanism x agent-count
 grid), ``verify`` (distance-preservation and dimension-equivalence
 checks), ``timing`` (per-tuple cost model), ``ingest`` (CSV loading and
-summary).  Exit codes: 0 success, 2 configuration error, 3 runtime
-error; diagnostics go to standard error.
+summary).  Exit codes: 0 success, 2 configuration error (reported
+before any work starts), 3 runtime error, 4 ``verify`` found a
+violation; diagnostics go to standard error.
 
 Configuration is a flat JSON object whose keys mirror
 :class:`privsan.simulate.ExperimentConfig`.  Precedence, highest first:
@@ -26,21 +27,21 @@ from pathlib import Path
 
 from . import __version__
 from . import dataio, timing, verify
+from .bounds import check_gamma
 from .errors import ConfigInvalid, GammaOutOfRange, PrivsanError, SchemaMismatch
-from .simulate import SWEEP_AGENT_GRID, ExperimentConfig, ExperimentResult, run_experiment, run_sweep
+from .simulate import (
+    MECHANISMS,
+    SWEEP_AGENT_GRID,
+    ExperimentConfig,
+    run_experiment,
+    run_sweep,
+)
 
 ENV_PREFIX = "PRIVSAN_"
+EXIT_CONFIG, EXIT_RUNTIME, EXIT_VIOLATIONS = 2, 3, 4
+BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+            "0": False, "false": False, "no": False, "off": False}
 
-RUN_HEADER = [
-    "mechanism", "agents", "observations_per_agent", "input_dim", "target_dim",
-    "min_utility", "master_seed", "repetitions", "breach_count", "displacement",
-    "resemblance", "utility", "privacy", "robustness_gap", "radius_rule",
-    "k_neighbors",
-]
-SWEEP_HEADER = [
-    "mechanism", "agents", "min_utility", "target_dim", "breach_count",
-    "displacement", "resemblance", "utility", "privacy",
-]
 
 
 def _fmt(value) -> str:
@@ -49,7 +50,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_rows(path: Path, header: list[str], rows: list[dict]) -> None:
+def _write_rows(path: Path, rows: list[dict]) -> None:
+    """CSV with the first row's keys, in order, as the header."""
+    header = list(rows[0])
     with path.open("w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -105,8 +108,13 @@ def _coerce(annotation: str, value):
     if kind == "bool":
         if isinstance(value, bool):
             return value
-        return str(value).strip().lower() in ("1", "true", "yes", "on")
+        text = str(value).strip().lower()
+        if text not in BOOLEANS:
+            raise ValueError(f"not a boolean: {value!r}")
+        return BOOLEANS[text]
     if kind == "int":
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"not an integer: {value!r}")
         return int(value)
     if kind == "float":
         return float(value)
@@ -132,40 +140,6 @@ def _write_manifest(out: Path, cfg_digest: str, started: str, outputs: list[str]
                                        encoding="utf-8")
 
 
-def _result_row(res: ExperimentResult) -> dict:
-    cfg = res.config
-    return {
-        "mechanism": cfg.sanitizer,
-        "agents": cfg.agent_count,
-        "observations_per_agent": cfg.observations_per_agent,
-        "input_dim": cfg.input_dim,
-        "target_dim": cfg.target_dim,
-        "min_utility": cfg.min_utility,
-        "master_seed": cfg.master_seed,
-        "repetitions": cfg.repetitions,
-        "breach_count": res.report.breach_count,
-        "displacement": res.report.displacement,
-        "resemblance": res.report.resemblance,
-        "utility": res.utility_mean,
-        "privacy": res.privacy_mean,
-        "robustness_gap": res.robustness_gap_mean,
-        "radius_rule": res.report.neighborhood_radius_rule,
-        "k_neighbors": res.report.k_neighbors,
-    }
-
-
-def _result_record(res: ExperimentResult, digest: str) -> dict:
-    return {
-        "config": dataclasses.asdict(res.config),
-        "config_digest": digest,
-        "report": dataclasses.asdict(res.report),
-        "utility_mean": res.utility_mean,
-        "privacy_mean": res.privacy_mean,
-        "robustness_gap_mean": res.robustness_gap_mean,
-        "per_repetition": [dataclasses.asdict(r) for r in res.per_repetition],
-    }
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _config_from_sources(args)
     out = Path(args.out)
@@ -173,9 +147,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     started = datetime.now(timezone.utc).isoformat()
     res = run_experiment(cfg)
     digest = _config_digest(cfg)
-    _write_rows(out / "report.csv", RUN_HEADER, [_result_row(res)])
+    _write_rows(out / "report.csv", [res.row()])
     (out / "report.json").write_text(
-        json.dumps(_result_record(res, digest), indent=2, sort_keys=True) + "\n",
+        json.dumps({**dataclasses.asdict(res), "config_digest": digest}, indent=2,
+                   sort_keys=True) + "\n",
         encoding="utf-8")
     _write_manifest(out, digest, started, ["report.csv", "report.json"])
     r = res.report
@@ -188,38 +163,35 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _config_from_sources(args)
     agents = _parse_int_list(args.agents) if args.agents else list(SWEEP_AGENT_GRID)
     mechanisms = args.mechanisms.split(",") if args.mechanisms else ["nrp", "brp", "pca", "asup"]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    unknown = [m for m in mechanisms if m not in MECHANISMS]
+    if unknown:
+        raise ConfigInvalid(f"unknown mechanism(s): {', '.join(unknown)}")
     started = datetime.now(timezone.utc).isoformat()
     rows = run_sweep(cfg, agents, mechanisms)
-    _write_rows(out / "sweep.csv", SWEEP_HEADER, rows)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_rows(out / "sweep.csv", rows)
     _write_manifest(out, _config_digest(cfg), started, ["sweep.csv"])
     print(f"wrote {len(rows)} rows ({len(mechanisms)} mechanisms x {len(agents)} agent counts)")
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    check_gamma(args.gamma)
+    if args.points < 2 or args.trials < 1:
+        raise ConfigInvalid("need --points >= 2 and --trials >= 1")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     started = datetime.now(timezone.utc).isoformat()
     trials = verify.preservation_trials(args.gamma, args.points, args.trials, args.seed or 0)
-    pres_rows = [{
-        "trial": t.trial, "projected_dim": t.projected_dim, "ambient_dim": t.ambient_dim,
-        "fraction_subspace": t.fraction_subspace, "fraction_bounded": t.fraction_bounded,
-        "ok": int(t.ok),
-    } for t in trials]
-    _write_rows(out / "preservation.csv",
-                ["trial", "projected_dim", "ambient_dim", "fraction_subspace",
-                 "fraction_bounded", "ok"], pres_rows)
+    pres_rows = [{**dataclasses.asdict(t), "ok": int(t.ok)} for t in trials]
+    _write_rows(out / "preservation.csv", pres_rows)
 
     table = verify.equivalence_table((2, 10, 100, 1000, 10_000, 100_000),
                                      verify.gamma_grid())
-    eq_rows = [{
-        "m1": r.m1, "gamma": r.gamma,
-        "m2": "" if r.m2 is None else r.m2,
-        "within_reference": int(r.within_reference),
-    } for r in table]
-    _write_rows(out / "equivalence.csv", ["m1", "gamma", "m2", "within_reference"], eq_rows)
+    eq_rows = [{**dataclasses.asdict(r), "m2": "" if r.m2 is None else r.m2,
+                "within_reference": int(r.within_reference)} for r in table]
+    _write_rows(out / "equivalence.csv", eq_rows)
     _write_manifest(out, hashlib.sha256(
         f"verify:{args.gamma}:{args.points}:{args.trials}:{args.seed}".encode()).hexdigest(),
         started, ["preservation.csv", "equivalence.csv"])
@@ -232,24 +204,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
           f"m2 <= m1")
     if bad_trials or bad_eq:
         print("VIOLATIONS FOUND", file=sys.stderr)
+        return EXIT_VIOLATIONS
     return 0
 
 
 def cmd_timing(args: argparse.Namespace) -> int:
     n_grid = _parse_int_list(args.n_grid) if args.n_grid else [128, 256, 512]
+    if len(n_grid) < 2 or not (1 <= args.target_dim <= min(n_grid)):
+        raise ConfigInvalid("need two or more input dims, each >= --target-dim >= 1")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     started = datetime.now(timezone.utc).isoformat()
     rows = timing.measure(n_grid, m=args.target_dim, master_seed=args.seed or 0)
-    _write_rows(out / "timing.csv",
-                ["mechanism", "phase", "input_dim", "target_dim", "seconds_per_tuple"],
-                [dataclasses.asdict(r) for r in rows])
+    _write_rows(out / "timing.csv", [dataclasses.asdict(r) for r in rows])
     slope_rows = []
     for mech in ("nrp", "brp", "asup", "pca"):
         slope = timing.loglog_slope(rows, mech)
         slope_rows.append({"mechanism": mech, "phase": "sanitize", "slope": slope})
         print(f"{mech}: per-tuple log-log slope vs n = {slope:.3f}")
-    _write_rows(out / "slopes.csv", ["mechanism", "phase", "slope"], slope_rows)
+    _write_rows(out / "slopes.csv", slope_rows)
     _write_manifest(out, hashlib.sha256(str(n_grid).encode()).hexdigest(), started,
                     ["timing.csv", "slopes.csv"])
     return 0
@@ -284,7 +257,13 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _parse_int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
+    try:
+        values = [int(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        values = []
+    if not values:
+        raise ConfigInvalid(f"not a comma-separated integer list: {text!r}")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -294,15 +273,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "against fixed-projection, component and noise baselines.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, mechanism_flag=True):
+    def common(p):
         p.add_argument("--config", help="JSON config file (keys mirror ExperimentConfig)")
         p.add_argument("--seed", type=int, help="master seed override")
         p.add_argument("--out", default="out", help="output directory")
-        if mechanism_flag:
-            p.add_argument("--mechanism",
-                           choices=["nrp", "nrp-unbounded", "brp", "pca", "asup", "identity"])
-            p.add_argument("--radius-fraction", type=float, dest="radius_fraction")
-            p.add_argument("--k-neighbors", type=int, dest="k_neighbors")
+        p.add_argument("--mechanism", choices=list(MECHANISMS))
+        p.add_argument("--radius-fraction", type=float, dest="radius_fraction")
+        p.add_argument("--k-neighbors", type=int, dest="k_neighbors")
 
     p_run = sub.add_parser("run", help="run one experiment and write its report")
     common(p_run)
@@ -346,10 +323,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except (ConfigInvalid, SchemaMismatch, GammaOutOfRange, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+        return EXIT_CONFIG
     except PrivsanError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
-        return 3
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

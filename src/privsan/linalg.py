@@ -2,8 +2,13 @@
 symmetric eigendecomposition, and the Moore-Penrose pseudo-inverse.
 
 All functions are pure and operate on float64 numpy arrays.  Vectors are
-1-d arrays, matrices 2-d row-major arrays.  Inputs are validated for
-finiteness so that NaN/Inf never propagates silently into an experiment.
+1-d arrays, matrices 2-d row-major arrays, stacks 3-d.  Inputs from
+outside are validated for finiteness so that NaN/Inf never propagates
+silently into an experiment.
+
+The row-wise kernels make one BLAS call per row through a stacked
+``matmul``, so row j of a result equals the one-vector computation bit
+for bit, whatever the number of rows.
 """
 
 from __future__ import annotations
@@ -35,20 +40,50 @@ def as_matrix(x) -> np.ndarray:
     return a
 
 
-def cosine(a, b) -> float:
-    """Cosine similarity (a.b)/(|a||b|), in [-1, 1].
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Entry j is ``a[j] @ b[j]``."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
-    Raises ZeroNormInput when either argument has zero norm and
-    DimensionMismatch when lengths differ.
-    """
+
+def row_norms(a: np.ndarray) -> np.ndarray:
+    """Entry j is ``np.linalg.norm(a[j])``: the Frobenius norm for a stack."""
+    flat = a.reshape(a.shape[0], -1)
+    return np.sqrt(row_dots(flat, flat))
+
+
+def matvec_rows(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row j is ``a[j // r] @ x[j]`` for a (groups x p x n) stack ``a``,
+    where r = len(x) / groups consecutive rows share one matrix."""
+    groups, p, n = a.shape
+    return (a[:, None] @ x.reshape(groups, -1, n, 1)).reshape(-1, p)
+
+
+def zero_pad(values, n: int) -> np.ndarray:
+    """Append zeros to the last axis up to length ``n``."""
+    v = np.asarray(values, dtype=float)
+    if v.shape[-1] > n:
+        raise ValueError(f"cannot pad length {v.shape[-1]} down to {n}")
+    if v.shape[-1] == n:
+        return v
+    out = np.zeros(v.shape[:-1] + (n,))
+    out[..., : v.shape[-1]] = v
+    return out
+
+
+def row_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cosine similarity of each row pair, in [-1, 1]."""
+    na, nb = row_norms(a), row_norms(b)
+    if np.any(na == 0.0) or np.any(nb == 0.0):
+        raise ZeroNormInput("cosine is undefined for a zero-norm vector")
+    return np.clip(row_dots(a, b) / (na * nb), -1.0, 1.0)
+
+
+def cosine(a, b) -> float:
+    """Cosine similarity of two vectors of equal length."""
     va, vb = as_vector(a), as_vector(b)
     if va.shape != vb.shape:
         raise DimensionMismatch(f"lengths differ: {va.size} vs {vb.size}")
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
-    if na == 0.0 or nb == 0.0:
-        raise ZeroNormInput("cosine is undefined for a zero-norm vector")
-    return float(np.clip(float(va @ vb) / (na * nb), -1.0, 1.0))
+    return float(row_cosines(va[None], vb[None])[0])
 
 
 def frobenius_norm(a) -> float:
@@ -56,30 +91,41 @@ def frobenius_norm(a) -> float:
 
 
 def orthonormalize(a, rng: Rng | None = None) -> np.ndarray:
-    """Return an n x m matrix Q with orthonormal columns spanning col(a).
+    """Return an n x m matrix Q with orthonormal columns spanning col(a),
+    or one per matrix of a (count x n x m) stack.
 
     Requires rows >= cols.  Rank-deficient inputs are replaced by fresh
     Gaussian draws from ``rng`` (bounded retries); without an ``rng`` a
     deficient input raises RankDeficient immediately.
     """
-    m0 = as_matrix(a)
-    n, m = m0.shape
+    if np.ndim(a) == 2:
+        return orthonormalize(as_matrix(a)[None], rng)[0]
+    _, n, m = np.shape(a)
     if n < m:
         raise DimensionMismatch(f"need rows >= cols, got {n} x {m}")
-    cur = m0
-    for _ in range(RESAMPLE_RETRIES + 1):
-        q, r = np.linalg.qr(cur, mode="reduced")
-        diag = np.abs(np.diag(r))
-        if diag.min() > 1e-12 * max(diag.max(), 1e-300):
-            # Fix signs so that diag(R) > 0; makes the factor unique and,
-            # for Gaussian input, uniformly distributed over frames.
-            signs = np.sign(np.diag(r))
-            signs[signs == 0] = 1.0
-            return q * signs
+    q, full = _sign_fixed_qr(a)
+    for _ in range(RESAMPLE_RETRIES):
+        if full.all():
+            return q
         if rng is None:
             raise RankDeficient("input is numerically rank deficient")
-        cur = rng.standard_normal((n, m))
+        bad = np.flatnonzero(~full)
+        q[bad], full[bad] = _sign_fixed_qr(rng.standard_normal((bad.size, n, m)))
+    if full.all():
+        return q
     raise RankDeficient(f"no full-rank sample after {RESAMPLE_RETRIES} retries")
+
+
+def _sign_fixed_qr(a) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced QR of each stacked matrix with diag(R) made nonnegative,
+    which makes the factor unique and, for Gaussian input, uniformly
+    distributed over frames; plus a mask of the full-rank matrices."""
+    q, r = np.linalg.qr(a)
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    mag = np.abs(diag)
+    signs = np.sign(diag)
+    signs[signs == 0] = 1.0
+    return q * signs[:, None, :], mag.min(axis=1) > 1e-12 * np.maximum(mag.max(axis=1), 1e-300)
 
 
 def sym_eigendecompose(s) -> tuple[np.ndarray, np.ndarray]:
@@ -100,6 +146,6 @@ def sym_eigendecompose(s) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pseudo_inverse(a) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse with singular values below
-    1e-10 * sigma_max treated as zero."""
-    return np.linalg.pinv(as_matrix(a), rcond=PINV_RCOND)
+    """Moore-Penrose pseudo-inverse of a matrix, or of each matrix in a
+    stack, with singular values below 1e-10 * sigma_max treated as zero."""
+    return np.linalg.pinv(as_matrix(a) if np.ndim(a) == 2 else a, rcond=PINV_RCOND)

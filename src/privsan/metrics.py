@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyDataset, GammaOutOfRange, InsufficientPoints, ZeroNormInput
-from .linalg import as_vector, cosine
+from .bounds import check_gamma
+from .errors import EmptyDataset, InsufficientPoints
+from .linalg import as_vector, row_cosines, zero_pad
 from .sanitize import DataTuple, SanitizedTuple
-
-GAMMA_MAX = 0.405
 
 
 @dataclass(frozen=True)
@@ -50,30 +49,22 @@ class MetricReport:
     repetitions: int
 
 
-def zero_pad(values: np.ndarray, n: int) -> np.ndarray:
-    v = as_vector(values)
-    if v.size > n:
-        raise ValueError(f"cannot pad length {v.size} down to {n}")
-    if v.size == n:
-        return v
-    out = np.zeros(n)
-    out[: v.size] = v
-    return out
+def utility_scores(actual: np.ndarray, sanitized: np.ndarray,
+                   same_quadrant: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(cosines, utilities) of each sanitized row against its raw row,
+    zero padding the sanitized rows (ValueError when one is longer);
+    utilities are the cosines, clipped to [0, 1] when ``same_quadrant``."""
+    cos = row_cosines(actual, zero_pad(sanitized, actual.shape[1]))
+    return cos, (np.clip(cos, 0.0, 1.0) if same_quadrant else cos)
 
 
 def utility(y: DataTuple, t: SanitizedTuple, same_quadrant: bool = False) -> UtilityPrivacyScore:
-    """Cosine-similarity utility of a sanitized tuple against its raw
-    original, zero padding when the sanitized dimension is smaller."""
-    if t.dim > y.dim:
-        raise ValueError("sanitized tuple longer than the original")
-    embedded = t.values if t.dim == y.dim else zero_pad(t.values, y.dim)
-    if float(np.linalg.norm(embedded)) == 0.0 or float(np.linalg.norm(y.values)) == 0.0:
-        raise ZeroNormInput("utility is undefined for zero-norm inputs")
-    raw = cosine(y.values, embedded)
-    u = min(max(raw, 0.0), 1.0) if same_quadrant else raw
+    """Utility/privacy score of one tuple; see :func:`utility_scores`."""
+    cos, u = utility_scores(y.values[None], t.values[None], same_quadrant)
+    raw, score = float(cos[0]), float(u[0])
     return UtilityPrivacyScore(
-        utility=u,
-        privacy=1.0 - u,
+        utility=score,
+        privacy=1.0 - score,
         agent_id=y.agent_id,
         cosine_raw=raw,
         in_range=0.0 <= raw <= 1.0,
@@ -190,8 +181,7 @@ def resemblance(actual, recon, k: int = 10,
 def distance_preservation_fraction(points, projected, gamma: float) -> float:
     """Fraction of unordered pairs whose projected squared distance stays
     within multiplicative factors e^{+-gamma} of the original."""
-    if not (0.0 < gamma < GAMMA_MAX):
-        raise GammaOutOfRange(f"gamma must lie in (0, {GAMMA_MAX}), got {gamma}")
+    check_gamma(gamma)
     if len(points) < 2:
         raise EmptyDataset("need at least two points")
     if len(points) != len(projected):

@@ -44,8 +44,5 @@ class Rng:
     def standard_normal(self, size) -> np.ndarray:
         return self._gen.standard_normal(size=size)
 
-    def integers(self, low: int, high: int, size=None):
-        return self._gen.integers(low, high, size=size)
-
     def __repr__(self) -> str:
         return f"Rng(seed={self.seed}, path={self.path}, algorithm={self.algorithm!r})"

@@ -13,6 +13,9 @@ Five mechanisms share the ``SanitizedTuple`` output type:
 * rotated-noise addition: Gaussian noise on the private coordinates,
   rotated by a fresh random unitary; dimension preserving.
 
+Each mechanism is one function on a (tuples x n) array, which the
+runner calls; the per-tuple ``sanitize_*`` functions make one-row calls.
+
 Production projections and the distance-preservation verification
 helpers at the bottom are deliberately separate code paths: the former
 rescale to the certificate bound, the latter use the variance-normalized
@@ -31,7 +34,15 @@ import numpy as np
 
 from .bounds import NormBoundCertificate
 from .errors import DegenerateMatrix, DimensionMismatch, InsufficientData
-from .linalg import as_matrix, as_vector, frobenius_norm, orthonormalize, sym_eigendecompose
+from .linalg import (
+    as_matrix,
+    as_vector,
+    frobenius_norm,
+    matvec_rows,
+    orthonormalize,
+    row_norms,
+    sym_eigendecompose,
+)
 from .rng import Rng
 
 SAMPLE_RETRIES = 8
@@ -50,6 +61,7 @@ _ENTRY_MOMENTS = {
     EntryDistribution.UNIT_UNIFORM: (0.5, (1.0 / 12.0) ** 0.5),
     EntryDistribution.SYMMETRIC_UNIFORM: (0.0, (1.0 / 3.0) ** 0.5),
 }
+BOUNDED_DISTRIBUTIONS = tuple(_ENTRY_MOMENTS)
 
 
 @dataclass(frozen=True)
@@ -143,19 +155,30 @@ def matrix_digest(matrix: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(matrix, dtype=float).tobytes()).hexdigest()
 
 
-def sample_bounded_matrix(n: int, m: int, distribution: EntryDistribution, rng: Rng) -> np.ndarray:
-    """Draw an n x m matrix with iid entries from a bounded distribution.
-    All-zero draws are rejected (bounded retries)."""
+def sample_bounded_matrices(count: int, n: int, m: int, distribution: EntryDistribution,
+                            rng: Rng, betas: np.ndarray | None = None) -> np.ndarray:
+    """``count`` n x m matrices with iid entries from a bounded
+    distribution, in one draw from ``rng``; all-zero matrices are
+    redrawn (bounded retries).  With ``betas`` matrix i is rescaled so
+    its Frobenius norm equals ``betas[i]``."""
     if distribution not in _ENTRY_MOMENTS:
         raise ValueError(f"not a bounded-entry distribution: {distribution}")
+    low = 0.0 if distribution is EntryDistribution.UNIT_UNIFORM else -1.0
+    a = rng.uniform(low, 1.0, (count, n, m))
     for _ in range(SAMPLE_RETRIES):
-        if distribution is EntryDistribution.UNIT_UNIFORM:
-            a = rng.uniform(0.0, 1.0, (n, m))
-        else:
-            a = rng.uniform(-1.0, 1.0, (n, m))
-        if np.any(a != 0.0):
-            return a
-    raise DegenerateMatrix(f"all-zero draws {SAMPLE_RETRIES} times in a row")
+        zero = np.flatnonzero(~a.any(axis=(1, 2)))
+        if zero.size == 0:
+            break
+        a[zero] = rng.uniform(low, 1.0, (zero.size, n, m))
+    else:
+        raise DegenerateMatrix(f"all-zero draws {SAMPLE_RETRIES} times in a row")
+    if betas is not None:
+        a *= (betas / row_norms(a))[:, None, None]
+    return a
+
+
+def sample_bounded_matrix(n: int, m: int, distribution: EntryDistribution, rng: Rng) -> np.ndarray:
+    return sample_bounded_matrices(1, n, m, distribution, rng)[0]
 
 
 def sample_orthonormal_matrix(n: int, m: int, rng: Rng) -> ProjectionMatrix:
@@ -169,20 +192,90 @@ def bounded_projection(n: int, m: int, certificate: NormBoundCertificate | None,
                        ) -> ProjectionMatrix:
     """Draw a bounded-entry projection matrix; with a certificate the
     matrix is rescaled so its Frobenius norm equals the bound exactly."""
-    a = sample_bounded_matrix(n, m, distribution, rng)
-    if certificate is None:
-        return ProjectionMatrix(a, distribution, frobenius_norm(a))
-    beta = certificate.frobenius_bound
-    a = a * (beta / frobenius_norm(a))
-    return ProjectionMatrix(a, distribution, beta, certificate)
+    beta = None if certificate is None else certificate.frobenius_bound
+    a = sample_bounded_matrices(1, n, m, distribution, rng,
+                                None if beta is None else np.array([beta]))[0]
+    return ProjectionMatrix(a, distribution, frobenius_norm(a) if beta is None else beta,
+                            certificate)
 
 
-def apply_projection(p: ProjectionMatrix, t: DataTuple, mechanism_tag: str) -> SanitizedTuple:
-    n, _ = p.shape
-    if t.dim != n:
-        raise DimensionMismatch(f"tuple has length {t.dim}, matrix expects {n}")
-    return SanitizedTuple(p.matrix.T @ t.values, t.agent_id, mechanism_tag)
+# Mechanisms on (tuples x n) arrays.
 
+def nrp(y: np.ndarray, m: int, rng: Rng,
+        distribution: EntryDistribution = EntryDistribution.UNIT_UNIFORM,
+        betas: np.ndarray | None = None, rows_per_matrix: int = 1,
+        ) -> tuple[np.ndarray, np.ndarray]:
+    """Project every row of ``y`` by a bounded-entry matrix, one drawn
+    per ``rows_per_matrix`` consecutive rows.  With ``betas`` (one per
+    matrix) each is rescaled to that Frobenius norm: the norm-bounded
+    mechanism; without, the unbounded ablation.  Returns (rows, matrices)."""
+    rows, n = y.shape
+    if not (1 <= m <= n):
+        raise DimensionMismatch(f"need 1 <= m <= {n}, got {m}")
+    a = sample_bounded_matrices(rows // rows_per_matrix, n, m, distribution, rng, betas)
+    return matvec_rows(np.swapaxes(a, 1, 2), y), a
+
+
+def brp(y: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Project every row by one fixed n x m matrix."""
+    return matvec_rows(matrix.T[None], y)
+
+
+def pca(y: np.ndarray, components: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """Project every centered row onto the fitted components."""
+    return brp(y - mean, components)
+
+
+def asup(y: np.ndarray, noise_scale: float, private_indices, rng: Rng) -> np.ndarray:
+    """Gaussian noise on the private coordinates of every row, rotated by
+    a fresh random unitary per row.  All rows' noise is drawn from
+    ``rng`` first, then all rotations."""
+    if noise_scale < 0:
+        raise ValueError("noise_scale must be nonnegative")
+    idx = sorted(private_indices)
+    if noise_scale == 0.0 or not idx:
+        return y.copy()
+    rows, n = y.shape
+    z = np.zeros((rows, n))
+    z[:, idx] = noise_scale * rng.standard_normal((rows, len(idx)))
+    return y + matvec_rows(orthonormalize(rng.standard_normal((rows, n, n)), rng), z)
+
+
+def identity(y: np.ndarray) -> np.ndarray:
+    """Debug mechanism: no sanitization at all."""
+    return y.copy()
+
+
+def fit_pca(dataset, m: int) -> ProjectionMatrix:
+    """Top-m eigenvectors of the sample covariance of centered data (an
+    array or a list of tuples), in descending eigenvalue order; each
+    component's first nonzero entry is made positive."""
+    x = _rows(dataset)
+    if x.shape[0] < 2:
+        raise InsufficientData("need at least two tuples to fit components")
+    n = x.shape[1]
+    if not (1 <= m <= n):
+        raise DimensionMismatch(f"need 1 <= m <= {n}, got {m}")
+    centered = x - x.mean(axis=0)
+    cov = centered.T @ centered / (x.shape[0] - 1)
+    _, vecs = sym_eigendecompose(cov)
+    comps = vecs[:, :m]
+    first = comps[np.argmax(np.abs(comps) > 1e-12, axis=0), np.arange(m)]
+    comps = comps * np.where(first < 0, -1.0, 1.0)
+    return ProjectionMatrix(comps, EntryDistribution.PCA_COMPONENTS, frobenius_norm(comps))
+
+
+def training_mean(dataset) -> np.ndarray:
+    return _rows(dataset).mean(axis=0)
+
+
+def _rows(dataset) -> np.ndarray:
+    if isinstance(dataset, np.ndarray):
+        return as_matrix(dataset)
+    return np.stack([t.values for t in dataset])
+
+
+# Per-tuple API: one-row calls into the mechanisms above.
 
 def sanitize_nrp(t: DataTuple, m: int, certificate: NormBoundCertificate, rng: Rng,
                  distribution: EntryDistribution = EntryDistribution.UNIT_UNIFORM,
@@ -192,58 +285,31 @@ def sanitize_nrp(t: DataTuple, m: int, certificate: NormBoundCertificate, rng: R
     ``rng`` must be a fresh child stream per call; reusing one defeats
     the per-instance randomness the mechanism relies on.
     """
-    if not (1 <= m <= t.dim):
-        raise DimensionMismatch(f"need 1 <= m <= {t.dim}, got {m}")
-    p = bounded_projection(t.dim, m, certificate, rng, distribution)
+    beta = certificate.frobenius_bound
+    values, a = nrp(t.values[None], m, rng, distribution, np.array([beta]))
+    ProjectionMatrix(a[0], distribution, beta, certificate)
     if log is not None:
-        log.record(t.agent_id, rng, distribution, certificate.frobenius_bound, p.matrix)
-    return apply_projection(p, t, "nrp")
+        log.record(t.agent_id, rng, distribution, beta, a[0])
+    return SanitizedTuple(values[0], t.agent_id, "nrp")
 
 
 def sanitize_nrp_unbounded(t: DataTuple, m: int, rng: Rng,
                            distribution: EntryDistribution = EntryDistribution.UNIT_UNIFORM,
                            log: ReplayLog | None = None) -> SanitizedTuple:
-    """Same fresh bounded-entry draw as :func:`sanitize_nrp` without the
-    norm rescaling step."""
-    if not (1 <= m <= t.dim):
-        raise DimensionMismatch(f"need 1 <= m <= {t.dim}, got {m}")
-    p = bounded_projection(t.dim, m, None, rng, distribution)
+    """:func:`sanitize_nrp` without the norm rescaling step."""
+    values, a = nrp(t.values[None], m, rng, distribution)
     if log is not None:
-        log.record(t.agent_id, rng, distribution, None, p.matrix)
-    return apply_projection(p, t, "nrp-unbounded")
+        log.record(t.agent_id, rng, distribution, None, a[0])
+    return SanitizedTuple(values[0], t.agent_id, "nrp-unbounded")
 
 
 def sanitize_brp(t: DataTuple, p: ProjectionMatrix) -> SanitizedTuple:
     """Projection by the experiment's fixed orthonormal matrix."""
     if p.entry_distribution is not EntryDistribution.GAUSSIAN_QR:
         raise ValueError("fixed projection requires an orthonormal matrix")
-    return apply_projection(p, t, "brp")
-
-
-def fit_pca(dataset: list[DataTuple], m: int) -> ProjectionMatrix:
-    """Top-m eigenvectors of the sample covariance of centered data, in
-    descending eigenvalue order; each component's first nonzero entry is
-    made positive so the factorization is unique."""
-    if len(dataset) < 2:
-        raise InsufficientData("need at least two tuples to fit components")
-    x = np.stack([t.values for t in dataset])
-    n = x.shape[1]
-    if not (1 <= m <= n):
-        raise DimensionMismatch(f"need 1 <= m <= {n}, got {m}")
-    centered = x - x.mean(axis=0)
-    cov = centered.T @ centered / (x.shape[0] - 1)
-    _, vecs = sym_eigendecompose(cov)
-    comps = vecs[:, :m].copy()
-    for j in range(m):
-        col = comps[:, j]
-        nz = np.nonzero(np.abs(col) > 1e-12)[0]
-        if nz.size and col[nz[0]] < 0:
-            comps[:, j] = -col
-    return ProjectionMatrix(comps, EntryDistribution.PCA_COMPONENTS, frobenius_norm(comps))
-
-
-def training_mean(dataset: list[DataTuple]) -> np.ndarray:
-    return np.stack([t.values for t in dataset]).mean(axis=0)
+    if t.dim != p.shape[0]:
+        raise DimensionMismatch(f"tuple has length {t.dim}, matrix expects {p.shape[0]}")
+    return SanitizedTuple(brp(t.values[None], p.matrix)[0], t.agent_id, "brp")
 
 
 def sanitize_pca(t: DataTuple, p: ProjectionMatrix, mean: np.ndarray) -> SanitizedTuple:
@@ -251,28 +317,19 @@ def sanitize_pca(t: DataTuple, p: ProjectionMatrix, mean: np.ndarray) -> Sanitiz
     mean = as_vector(mean)
     if t.dim != mean.size or t.dim != p.shape[0]:
         raise DimensionMismatch("tuple, mean and components disagree on dimension")
-    return SanitizedTuple(p.matrix.T @ (t.values - mean), t.agent_id, "pca")
+    return SanitizedTuple(pca(t.values[None], p.matrix, mean)[0], t.agent_id, "pca")
 
 
 def sanitize_asup(t: DataTuple, noise_scale: float, rng: Rng) -> SanitizedTuple:
     """Noise addition on the private coordinates, rotated by a fresh
-    random unitary.  Dimension preserving; ``noise_scale`` = 0 returns
-    the input unchanged."""
-    if noise_scale < 0:
-        raise ValueError("noise_scale must be nonnegative")
-    if noise_scale == 0.0 or not t.private_indices:
-        return SanitizedTuple(t.values.copy(), t.agent_id, "asup")
-    n = t.dim
-    z = np.zeros(n)
-    idx = sorted(t.private_indices)
-    z[idx] = noise_scale * rng.standard_normal(len(idx))
-    u = orthonormalize(rng.standard_normal((n, n)), rng)
-    return SanitizedTuple(t.values + u @ z, t.agent_id, "asup")
+    random unitary; ``noise_scale`` = 0 returns the input unchanged."""
+    values = asup(t.values[None], noise_scale, t.private_indices, rng)
+    return SanitizedTuple(values[0], t.agent_id, "asup")
 
 
 def sanitize_identity(t: DataTuple) -> SanitizedTuple:
     """Debug mechanism: no sanitization at all."""
-    return SanitizedTuple(t.values.copy(), t.agent_id, "identity")
+    return SanitizedTuple(identity(t.values[None])[0], t.agent_id, "identity")
 
 
 # ---------------------------------------------------------------------------

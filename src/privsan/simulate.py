@@ -1,5 +1,6 @@
-"""Multi-agent sensing world: grid placement, synthetic data generation,
-fusion-center parameter estimation, and the repeated-experiment runner.
+"""Multi-agent sensing world: the mechanism table, synthetic data
+generation, fusion-center parameter estimation, and the
+repeated-experiment runner.
 
 One experiment repetition models one sensing round: every agent draws
 its observations through a linear observation model, sanitizes them with
@@ -15,7 +16,7 @@ count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -23,23 +24,40 @@ from . import attack as atk
 from . import metrics as met
 from . import sanitize as san
 from .bounds import GridSpec, NormBoundCertificate, compute_norm_bound
-from .errors import ConfigInvalid, RankDeficient, ZeroNormInput
-from .linalg import pseudo_inverse
+from .errors import ConfigInvalid, RankDeficient
+from .linalg import row_norms
 from .rng import Rng
-
-MECHANISMS = ("nrp", "nrp-unbounded", "brp", "pca", "asup", "identity")
-ADVERSARIES = ("auto", "random-inverse", "expected-inverse", "known-matrix",
-               "naive-inverse", "identity")
-SWEEP_AGENT_GRID = (50, 100, 200, 300, 400, 500, 600)
 
 
 @dataclass(frozen=True)
-class SystemParameter:
-    values: np.ndarray
+class Mechanism:
+    """One sanitizer's entry in the mechanism table: the attack ``auto``
+    picks (``known-matrix`` only where the matrix is fixed and public),
+    the matrix family the drawing attacks sample (None: the config's
+    entry distribution), and the entry distributions under which raw and
+    sanitized tuples share a quadrant, so utility is clipped to [0, 1]."""
 
-    @property
-    def dim(self) -> int:
-        return int(self.values.size)
+    adversary: str
+    family: san.EntryDistribution | None = None
+    same_quadrant: frozenset = frozenset()
+
+
+_NONNEGATIVE = frozenset({san.EntryDistribution.UNIT_UNIFORM})
+MECHANISMS = {
+    "nrp": Mechanism("expected-inverse", same_quadrant=_NONNEGATIVE),
+    "nrp-unbounded": Mechanism("expected-inverse", same_quadrant=_NONNEGATIVE),
+    "brp": Mechanism("known-matrix", family=san.EntryDistribution.GAUSSIAN_QR),
+    "pca": Mechanism("known-matrix"),
+    "asup": Mechanism("identity"),
+    "identity": Mechanism("identity", same_quadrant=frozenset(san.EntryDistribution)),
+}
+ADVERSARIES = ("auto", "random-inverse", "expected-inverse", "known-matrix",
+               "naive-inverse", "identity")
+# Entry distributions a config may name: the ones the projections draw.
+DISTRIBUTIONS = tuple(d.value for d in san.BOUNDED_DISTRIBUTIONS)
+SWEEP_AGENT_GRID = (50, 100, 200, 300, 400, 500, 600)
+SWEEP_COLUMNS = ("mechanism", "agents", "min_utility", "target_dim", "breach_count",
+                 "displacement", "resemblance", "utility", "privacy")
 
 
 @dataclass(frozen=True)
@@ -60,9 +78,8 @@ class ExperimentConfig:
     param_dim: int = 50
     target_dim: int = 20
     private_count: int = 12
-    # Trade-off parameters
+    # Trade-off parameter
     min_utility: float = 0.5
-    gamma: float = 0.2
     # Mechanism / adversary selection
     sanitizer: str = "nrp"
     adversary: str = "auto"
@@ -86,52 +103,64 @@ class ExperimentConfig:
     unbounded_fresh_per_tuple: bool = False
 
     def __post_init__(self):
-        if self.sanitizer not in MECHANISMS:
-            raise ConfigInvalid(f"unknown sanitizer {self.sanitizer!r}")
-        if self.adversary not in ADVERSARIES:
-            raise ConfigInvalid(f"unknown adversary {self.adversary!r}")
-        if self.agent_count < 1 or self.observations_per_agent < 1:
-            raise ConfigInvalid("agent_count and observations_per_agent must be positive")
-        if not (1 <= self.target_dim <= self.input_dim):
-            raise ConfigInvalid("need 1 <= target_dim <= input_dim")
-        if not (0 < self.min_utility <= 1):
-            raise ConfigInvalid("min_utility must lie in (0, 1]")
-        if self.private_count < 0 or self.private_count > self.input_dim:
-            raise ConfigInvalid("private_count must lie in [0, input_dim]")
-        if self.repetitions < 1:
-            raise ConfigInvalid("repetitions must be positive")
-        if self.radius_fraction <= 0:
-            raise ConfigInvalid("radius_fraction must be positive")
-        if self.k_neighbors < 1:
-            raise ConfigInvalid("k_neighbors must be positive")
-        if self.metric_coordinates not in ("all", "private"):
-            raise ConfigInvalid("metric_coordinates must be 'all' or 'private'")
-        if self.metric_coordinates == "private" and self.private_count == 0:
-            raise ConfigInvalid("no private coordinates to evaluate")
+        def require(ok: bool, message: str) -> None:
+            if not ok:
+                raise ConfigInvalid(message)
+
+        for f in fields(self):
+            value = getattr(self, f.name)
+            require(not isinstance(value, float) or math.isfinite(value),
+                    f"{f.name} must be finite")
+        for name in ("agent_count", "observations_per_agent", "repetitions", "k_neighbors",
+                     "inverse_samples"):
+            require(getattr(self, name) >= 1, f"{name} must be positive")
+        for name in ("radius_fraction", "cell_fraction"):
+            require(getattr(self, name) > 0, f"{name} must be positive")
+        for name in ("noise_sigma", "shift_margin", "asup_noise_cell_multiple",
+                     "breach_absolute_radius"):
+            require((getattr(self, name) or 0.0) >= 0, f"{name} must be nonnegative")
+        require(self.sanitizer in MECHANISMS, f"unknown sanitizer {self.sanitizer!r}")
+        require(self.adversary in ADVERSARIES, f"unknown adversary {self.adversary!r}")
+        require(self.adversary != "known-matrix" or self.mechanism.adversary == "known-matrix",
+                f"known-matrix attack needs a fixed-matrix mechanism, not {self.sanitizer!r}")
+        require(self.entry_distribution in DISTRIBUTIONS,
+                f"entry_distribution must be one of {', '.join(DISTRIBUTIONS)}")
+        require(1 <= self.target_dim <= self.input_dim, "need 1 <= target_dim <= input_dim")
+        require(0 < self.min_utility <= 1, "min_utility must lie in (0, 1]")
+        require(0 <= self.private_count <= self.input_dim,
+                "private_count must lie in [0, input_dim]")
+        require(self.agent_count * self.observations_per_agent > self.k_neighbors,
+                "need more tuples per round than k_neighbors")
+        require(self.metric_coordinates in ("all", "private"),
+                "metric_coordinates must be 'all' or 'private'")
+        require(self.metric_coordinates == "all" or self.private_count > 0,
+                "no private coordinates to evaluate")
 
     @property
     def distribution(self) -> san.EntryDistribution:
         return san.EntryDistribution(self.entry_distribution)
 
+    @property
+    def mechanism(self) -> Mechanism:
+        return MECHANISMS[self.sanitizer]
+
 
 @dataclass(frozen=True)
 class SyntheticDataset:
     """One sensing round: the hidden parameter, all agent tuples
-    (agent-major order), the per-agent observation models, and the
-    affine normalization that was applied (y_final = scale * (y_raw +
+    (agent-major order) as a (tuples x n) array and as the tuple objects
+    viewing its rows, the per-agent observation models, and the affine
+    normalization that was applied (y_final = scale * (y_raw +
     shift_per_coordinate))."""
 
-    parameter: SystemParameter
+    parameter: np.ndarray
+    values: np.ndarray
     tuples: list[san.DataTuple]
     models: list[ObservationModel]
     shift: float
     scale: float
     agent_count: int
     observations_per_agent: int
-
-    def agent_tuples(self, agent_index: int) -> list[san.DataTuple]:
-        k = self.observations_per_agent
-        return self.tuples[agent_index * k:(agent_index + 1) * k]
 
 
 @dataclass(frozen=True)
@@ -154,16 +183,27 @@ class ExperimentResult:
     robustness_gap_mean: float
     per_repetition: list[RepetitionMetrics]
 
-
-def place_agents(grid: GridSpec) -> list[tuple[int, tuple[float, float]]]:
-    """Deterministic one-agent-per-cell placement, row major, returning
-    (agent index, cell center) pairs."""
-    cells = grid.cells_per_side
-    out = []
-    for agent in range(grid.agent_count):
-        row, col = divmod(agent, cells)
-        out.append((agent, ((col + 0.5) * grid.cell_side, (row + 0.5) * grid.cell_side)))
-    return out
+    def row(self) -> dict:
+        """The result as one flat report row, in column order."""
+        cfg, report = self.config, self.report
+        return {
+            "mechanism": cfg.sanitizer,
+            "agents": cfg.agent_count,
+            "observations_per_agent": cfg.observations_per_agent,
+            "input_dim": cfg.input_dim,
+            "target_dim": cfg.target_dim,
+            "min_utility": cfg.min_utility,
+            "master_seed": cfg.master_seed,
+            "repetitions": cfg.repetitions,
+            "breach_count": report.breach_count,
+            "displacement": report.displacement,
+            "resemblance": report.resemblance,
+            "utility": self.utility_mean,
+            "privacy": self.privacy_mean,
+            "robustness_gap": self.robustness_gap_mean,
+            "radius_rule": report.neighborhood_radius_rule,
+            "k_neighbors": report.k_neighbors,
+        }
 
 
 def make_grid(cfg: ExperimentConfig, max_norm: float = 1.0) -> GridSpec:
@@ -197,17 +237,13 @@ def generate_synthetic(cfg: ExperimentConfig, rng: Rng) -> SyntheticDataset:
     values = shifted * scale
 
     private = frozenset(range(cfg.private_count))
-    tuples = []
-    for i in range(nagents):
-        for k in range(nobs):
-            tuples.append(san.DataTuple(values[i * nobs + k], private, f"a{i:04d}"))
+    tuples = [san.DataTuple(row, private, f"a{j // nobs:04d}") for j, row in enumerate(values)]
     models = [ObservationModel(scale * h[i], scale * cfg.noise_sigma) for i in range(nagents)]
-    return SyntheticDataset(SystemParameter(x), tuples, models, shift * scale, scale,
-                            nagents, nobs)
+    return SyntheticDataset(x, values, tuples, models, shift * scale, scale, nagents, nobs)
 
 
 def estimate_parameters(observations: list[np.ndarray],
-                        models: list[ObservationModel]) -> SystemParameter:
+                        models: list[ObservationModel]) -> np.ndarray:
     """Least-squares fusion of aligned (observation, model) pairs."""
     if len(observations) != len(models) or not observations:
         raise ValueError("need equally many observations and models")
@@ -217,152 +253,73 @@ def estimate_parameters(observations: list[np.ndarray],
     sol, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
     if rank < q:
         raise RankDeficient(f"stacked model matrix has rank {rank} < {q}")
-    return SystemParameter(sol)
+    return sol
 
 
 def _certificates(cfg: ExperimentConfig, data: SyntheticDataset,
                   cell: float) -> list[NormBoundCertificate]:
-    certs = []
-    for i in range(data.agent_count):
-        alpha = max(float(np.linalg.norm(t.values)) for t in data.agent_tuples(i))
-        certs.append(compute_norm_bound(cfg.min_utility, cell, alpha))
-    return certs
+    alphas = row_norms(data.values).reshape(data.agent_count, -1).max(axis=1)
+    return [compute_norm_bound(cfg.min_utility, cell, float(alpha)) for alpha in alphas]
 
 
 @dataclass
 class _RoundContext:
-    """Artifacts one sanitization round hands to the attack stage."""
-    fixed_matrix: san.ProjectionMatrix | None = None
-    pca_mean: np.ndarray | None = None
-    dataset_mean: np.ndarray | None = None
-    certificates: list[NormBoundCertificate] | None = None
-
-
-def _batched_haar(count: int, n: int, rng: Rng) -> np.ndarray:
-    """``count`` independent n x n orthonormal matrices, sign-fixed."""
-    g = rng.standard_normal((count, n, n))
-    q, r = np.linalg.qr(g)
-    signs = np.sign(np.einsum("tii->ti", r))
-    signs[signs == 0] = 1.0
-    return q * signs[:, None, :]
+    """What one sanitization round hands to the attack stage."""
+    mean: np.ndarray
+    fixed_matrix: np.ndarray | None = None   # brp and pca only
 
 
 def _sanitize_round(cfg: ExperimentConfig, data: SyntheticDataset,
                     rng: Rng) -> tuple[np.ndarray, _RoundContext]:
-    """Sanitize every tuple of the round; returns the (tuples x out_dim)
-    value array.
-
-    Mechanism semantics match the per-tuple operations in
-    :mod:`privsan.sanitize`; sampling is batched per round so large
-    sweeps stay cheap.
-    """
+    """Sanitize every tuple of the round with the configured mechanism;
+    returns the (tuples x out_dim) value array."""
     n, m = cfg.input_dim, cfg.target_dim
-    dist = cfg.distribution
-    y = np.stack([t.values for t in data.tuples])
-    total = y.shape[0]
-    ctx = _RoundContext()
-    ctx.dataset_mean = y.mean(axis=0)
+    y = data.values
+    ctx = _RoundContext(mean=y.mean(axis=0))
+    cell = make_grid(cfg, float(np.linalg.norm(y, axis=1).max())).cell_side
     mech = cfg.sanitizer
-
-    if mech in ("nrp", "nrp-unbounded"):
-        fresh = mech == "nrp" or cfg.unbounded_fresh_per_tuple
-        draws = total if fresh else data.agent_count
-        if dist is san.EntryDistribution.UNIT_UNIFORM:
-            a = rng.uniform(0.0, 1.0, (draws, n, m))
-        elif dist is san.EntryDistribution.SYMMETRIC_UNIFORM:
-            a = rng.uniform(-1.0, 1.0, (draws, n, m))
-        else:
-            raise ConfigInvalid(f"{mech} needs a bounded entry distribution")
-        if mech == "nrp":
-            grid = make_grid(cfg, float(np.linalg.norm(y, axis=1).max()))
-            ctx.certificates = _certificates(cfg, data, grid.cell_side)
-            betas = np.array([c.frobenius_bound for c in ctx.certificates])
-            beta_per_tuple = np.repeat(betas, data.observations_per_agent)
-            fro = np.linalg.norm(a, axis=(1, 2))
-            a *= (beta_per_tuple / fro)[:, None, None]
-        if fresh:
-            return np.einsum("tnm,tn->tm", a, y), ctx
-        blocks = y.reshape(data.agent_count, data.observations_per_agent, n)
-        return np.einsum("anm,akn->akm", a, blocks).reshape(total, m), ctx
-
+    if mech == "nrp":
+        betas = [c.frobenius_bound for c in _certificates(cfg, data, cell)]
+        beta_per_tuple = np.repeat(betas, data.observations_per_agent)
+        return san.nrp(y, m, rng, cfg.distribution, beta_per_tuple)[0], ctx
+    if mech == "nrp-unbounded":
+        per = 1 if cfg.unbounded_fresh_per_tuple else data.observations_per_agent
+        return san.nrp(y, m, rng, cfg.distribution, rows_per_matrix=per)[0], ctx
     if mech == "brp":
-        ctx.fixed_matrix = san.sample_orthonormal_matrix(n, m, rng.child(0))
-        return y @ ctx.fixed_matrix.matrix, ctx
+        ctx.fixed_matrix = san.sample_orthonormal_matrix(n, m, rng.child(0)).matrix
+        return san.brp(y, ctx.fixed_matrix), ctx
     if mech == "pca":
-        ctx.fixed_matrix = san.fit_pca(data.tuples, m)
-        ctx.pca_mean = san.training_mean(data.tuples)
-        return (y - ctx.pca_mean) @ ctx.fixed_matrix.matrix, ctx
+        ctx.fixed_matrix = san.fit_pca(y, m).matrix
+        return san.pca(y, ctx.fixed_matrix, ctx.mean), ctx
     if mech == "asup":
-        grid = make_grid(cfg, float(np.linalg.norm(y, axis=1).max()))
-        noise_scale = cfg.asup_noise_cell_multiple * grid.cell_side
-        idx = sorted(range(cfg.private_count))
-        if noise_scale == 0.0 or not idx:
-            return y.copy(), ctx
-        z = np.zeros((total, n))
-        z[:, idx] = noise_scale * rng.standard_normal((total, len(idx)))
-        u = _batched_haar(total, n, rng)
-        return y + np.einsum("tnj,tj->tn", u, z), ctx
-    if mech == "identity":
-        return y.copy(), ctx
-    raise ConfigInvalid(f"unknown sanitizer {mech!r}")  # pragma: no cover
+        noise_scale = cfg.asup_noise_cell_multiple * cell
+        return san.asup(y, noise_scale, range(cfg.private_count), rng), ctx
+    return san.identity(y), ctx
 
 
 def _attack_round(cfg: ExperimentConfig, sanitized: np.ndarray,
                   ctx: _RoundContext, rng: Rng) -> np.ndarray:
     """Reconstruct every sanitized tuple; returns a (tuples x n) array."""
     n = cfg.input_dim
-    dist = cfg.distribution
-    mech = cfg.sanitizer
-    adv = cfg.adversary
-    if adv == "auto":
-        if mech in ("nrp", "nrp-unbounded"):
-            adv = "expected-inverse"
-        elif mech in ("brp", "pca"):
-            adv = "known-matrix"
-        else:
-            adv = "identity"
-
-    m = sanitized.shape[1]
-    family = san.EntryDistribution.GAUSSIAN_QR if mech == "brp" else dist
+    mech = cfg.mechanism
+    adv = mech.adversary if cfg.adversary == "auto" else cfg.adversary
+    family = mech.family or cfg.distribution
     if adv == "expected-inverse":
-        lm = atk.expected_inverse_map(n, m, dist, cfg.inverse_samples, rng.child(0))
-        return sanitized @ lm.T
-    if adv == "random-inverse":
-        return np.stack([
-            atk.attack_random_inverse(s, n, family, rng.child(j)).reconstructed
-            for j, s in enumerate(_as_tuples(sanitized))])
-    if adv == "naive-inverse":
-        return np.stack([
-            atk.attack_naive_multiply(s, n, family, rng.child(j)).reconstructed
-            for j, s in enumerate(_as_tuples(sanitized))])
+        lm = atk.expected_inverse_map(n, sanitized.shape[1], family, cfg.inverse_samples,
+                                      rng.child(0))
+        return atk.linear(sanitized, lm)
+    if adv in ("random-inverse", "naive-inverse"):
+        attack = atk.random_inverse if adv == "random-inverse" else atk.naive_multiply
+        return attack(sanitized, n, family, [rng.child(j) for j in range(len(sanitized))])
     if adv == "known-matrix":
-        if ctx.fixed_matrix is None:
-            raise ConfigInvalid(
-                f"known-matrix attack needs a fixed-matrix mechanism, not {mech!r}")
-        pinv_t = pseudo_inverse(ctx.fixed_matrix.matrix.T)
-        if mech == "pca":
-            return sanitized @ pinv_t.T + ctx.pca_mean
-        mean = ctx.dataset_mean
-        centered = sanitized - ctx.fixed_matrix.matrix.T @ mean
-        return centered @ pinv_t.T + mean
-    if adv == "identity":
-        if m == n:
-            return sanitized.copy()
-        padded = np.zeros((sanitized.shape[0], n))
-        padded[:, :m] = sanitized
-        return padded
-    raise ConfigInvalid(f"unknown adversary {adv!r}")  # pragma: no cover
-
-
-def _as_tuples(values: np.ndarray) -> list[san.SanitizedTuple]:
-    return [san.SanitizedTuple(v, f"t{j:05d}", "round") for j, v in enumerate(values)]
+        # brp projects raw tuples; pca projects tuples centered on the mean.
+        return atk.known_matrix(sanitized, ctx.fixed_matrix, ctx.mean,
+                                mean_in_tuple=cfg.sanitizer == "brp")
+    return atk.identity(sanitized, n)
 
 
 def _same_quadrant(cfg: ExperimentConfig) -> bool:
-    if cfg.sanitizer == "identity":
-        return True
-    return (cfg.sanitizer in ("nrp", "nrp-unbounded")
-            and cfg.distribution is san.EntryDistribution.UNIT_UNIFORM)
+    return cfg.distribution in cfg.mechanism.same_quadrant
 
 
 def _robustness_gap(cfg: ExperimentConfig, data: SyntheticDataset,
@@ -377,7 +334,7 @@ def _robustness_gap(cfg: ExperimentConfig, data: SyntheticDataset,
     """
     nobs = data.observations_per_agent
     hs = np.stack([m.matrix for m in data.models])          # (N, n, q)
-    raw = np.stack([t.values for t in data.tuples]) - data.shift
+    raw = data.values - data.shift
     rec = np.asarray(recons) - data.shift
     raw_sum = raw.reshape(data.agent_count, nobs, -1).sum(axis=1)
     rec_sum = rec.reshape(data.agent_count, nobs, -1).sum(axis=1)
@@ -392,16 +349,8 @@ def _robustness_gap(cfg: ExperimentConfig, data: SyntheticDataset,
 
 def _utility_means(cfg: ExperimentConfig, actual: np.ndarray,
                    sanitized: np.ndarray) -> tuple[float, float]:
-    """Mean utility/privacy over the round's tuples (vectorized version
-    of :func:`privsan.metrics.utility` with trailing zero padding)."""
-    n = actual.shape[1]
-    m = sanitized.shape[1]
-    dots = np.einsum("tj,tj->t", actual[:, :m], sanitized)
-    norms = np.linalg.norm(actual, axis=1) * np.linalg.norm(sanitized, axis=1)
-    if np.any(norms == 0.0):
-        raise ZeroNormInput("utility is undefined for zero-norm tuples")
-    cos = np.clip(dots / norms, -1.0, 1.0)
-    u = np.clip(cos, 0.0, 1.0) if _same_quadrant(cfg) else cos
+    """Mean utility/privacy over the round's tuples."""
+    _, u = met.utility_scores(actual, sanitized, _same_quadrant(cfg))
     return float(u.mean()), float((1.0 - u).mean())
 
 
@@ -411,7 +360,7 @@ def run_repetition(cfg: ExperimentConfig, repetition: int) -> RepetitionMetrics:
     sanitized, ctx = _sanitize_round(cfg, data, rep_rng.child(1))
     recons = _attack_round(cfg, sanitized, ctx, rep_rng.child(2))
 
-    actual = np.stack([t.values for t in data.tuples])
+    actual = data.values
     if cfg.metric_coordinates == "private":
         cols = sorted(range(cfg.private_count))
         eval_actual, eval_recons = actual[:, cols], recons[:, cols]
@@ -452,21 +401,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
 def run_sweep(cfg: ExperimentConfig, agent_grid=SWEEP_AGENT_GRID,
               mechanisms=("nrp", "brp", "pca", "asup")) -> list[dict]:
-    """One result row per (mechanism, agent count) grid point."""
-    rows = []
-    for mech in mechanisms:
-        for nagents in agent_grid:
-            sub = replace(cfg, sanitizer=mech, agent_count=nagents, adversary="auto")
-            res = run_experiment(sub)
-            rows.append({
-                "mechanism": mech,
-                "agents": nagents,
-                "min_utility": cfg.min_utility,
-                "target_dim": cfg.target_dim,
-                "breach_count": res.report.breach_count,
-                "displacement": res.report.displacement,
-                "resemblance": res.report.resemblance,
-                "utility": res.utility_mean,
-                "privacy": res.privacy_mean,
-            })
-    return rows
+    """One result row per (mechanism, agent count) grid point.  Every
+    grid point's config is validated before the first one runs."""
+    subs = [replace(cfg, sanitizer=mech, agent_count=nagents, adversary="auto")
+            for mech in mechanisms for nagents in agent_grid]
+    rows = [run_experiment(sub).row() for sub in subs]
+    return [{key: row[key] for key in SWEEP_COLUMNS} for row in rows]

@@ -1,24 +1,34 @@
 """Wall-clock cost model of the sanitizers.
 
-Per-tuple costs are measured on small batches (one draw call plus one
-projection per batch) so interpreter overhead amortizes away and the
-asymptotic term dominates; the per-tuple figure is the batch median
-divided by the batch size.  Each grid point reports the median of 31
-measurements after a warmup pass.
+Times the mechanisms the experiments run (:mod:`privsan.sanitize`) on
+batches of tuples, so interpreter overhead amortizes away and the
+asymptotic term dominates; the per-tuple figure is the batch time
+divided by the batch size.  Each (mechanism, input dimension) point
+reports the fastest of several repeats after a warmup pass: other load
+on the machine only ever adds time.  The repeats visit the grid points
+round-robin, so a machine whose speed drifts during the measurement
+slows every point alike instead of bending the slope.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from . import sanitize as san
 from .bounds import compute_norm_bound
+from .errors import ConfigInvalid
 from .rng import Rng
 
-TIMING_SAMPLES = 31
-BATCH = 8
+TIMING_REPEATS = 15
+# Matrix entries per timed call of the projection mechanisms: the batch
+# shrinks as n grows, so every grid point draws the same 8 MB, more than
+# a core's cache, and sees the same cache and allocator behaviour.
+BATCH_ENTRIES = 1_000_000
+ASUP_BATCH = 8       # asup orthonormalizes one n x n matrix per tuple
 
 
 @dataclass(frozen=True)
@@ -30,70 +40,41 @@ class TimingRow:
     seconds_per_tuple: float
 
 
-def _median_seconds(fn, samples: int = TIMING_SAMPLES) -> float:
-    fn()  # warmup
-    out = []
-    for _ in range(samples):
-        t0 = time.perf_counter()
-        fn()
-        out.append(time.perf_counter() - t0)
-    return float(np.median(out))
-
-
-def _batched_haar(count: int, n: int, gen: np.random.Generator) -> np.ndarray:
-    q, r = np.linalg.qr(gen.standard_normal((count, n, n)))
-    signs = np.sign(np.einsum("tii->ti", r))
-    signs[signs == 0] = 1.0
-    return q * signs[:, None, :]
-
-
 def measure(n_grid, m: int = 20, private_count: int = 12,
             master_seed: int = 0) -> list[TimingRow]:
-    """Median per-tuple sanitization cost for each mechanism over a grid
+    """Fastest per-tuple sanitization cost for each mechanism over a grid
     of input dimensions at a fixed target dimension, plus preprocessing
     costs for the fixed-matrix mechanisms."""
-    rows: list[TimingRow] = []
+    beta = compute_norm_bound(0.5, 0.1, 1.0).frobenius_bound
+    cases = []   # (mechanism, phase, n, tuples per call, call)
     for n in n_grid:
         if m > n:
-            raise ValueError(f"target dim {m} exceeds input dim {n}")
-        gen = Rng(master_seed).child(n).generator
-        y = gen.random((BATCH, n)) + 0.1
-        cert = compute_norm_bound(0.5, 0.1, 1.0)
-        beta = cert.frobenius_bound
-
-        def nrp_batch():
-            a = gen.random((BATCH, n, m))
-            a *= (beta / np.linalg.norm(a, axis=(1, 2)))[:, None, None]
-            return np.einsum("tnm,tn->tm", a, y)
-
-        q_fixed = np.linalg.qr(gen.standard_normal((n, m)))[0]
-
-        def brp_batch():
-            return y @ q_fixed
-
-        def brp_preprocess():
-            return np.linalg.qr(gen.standard_normal((n, m)))[0]
-
-        idx = np.arange(min(private_count, n))
-
-        def asup_batch():
-            z = np.zeros((BATCH, n))
-            z[:, idx] = 0.05 * gen.standard_normal((BATCH, idx.size))
-            u = _batched_haar(BATCH, n, gen)
-            return y + np.einsum("tnj,tj->tn", u, z)
-
-        comps = np.linalg.qr(gen.standard_normal((n, m)))[0]
+            raise ConfigInvalid(f"target dim {m} exceeds input dim {n}")
+        rng = Rng(master_seed).child(n)
+        batch = max(ASUP_BATCH, BATCH_ENTRIES // (n * m))
+        y = rng.uniform(0.0, 1.0, (batch, n)) + 0.1
+        betas = np.full(batch, beta)
+        q = san.sample_orthonormal_matrix(n, m, rng).matrix
         mean = y.mean(axis=0)
-
-        def pca_batch():
-            return (y - mean) @ comps
-
-        rows.append(TimingRow("nrp", "sanitize", n, m, _median_seconds(nrp_batch) / BATCH))
-        rows.append(TimingRow("brp", "sanitize", n, m, _median_seconds(brp_batch) / BATCH))
-        rows.append(TimingRow("brp", "preprocess", n, m, _median_seconds(brp_preprocess)))
-        rows.append(TimingRow("asup", "sanitize", n, m, _median_seconds(asup_batch) / BATCH))
-        rows.append(TimingRow("pca", "sanitize", n, m, _median_seconds(pca_batch) / BATCH))
-    return rows
+        private = range(min(private_count, n))
+        cases += [
+            ("nrp", "sanitize", n, batch, partial(san.nrp, y, m, rng, betas=betas)),
+            ("brp", "sanitize", n, batch, partial(san.brp, y, q)),
+            ("brp", "preprocess", n, 1, partial(san.sample_orthonormal_matrix, n, m, rng)),
+            ("asup", "sanitize", n, ASUP_BATCH,
+             partial(san.asup, y[:ASUP_BATCH], 0.05, private, rng)),
+            ("pca", "sanitize", n, batch, partial(san.pca, y, q, mean)),
+        ]
+    for *_, call in cases:   # warmup
+        call()
+    best = [np.inf] * len(cases)
+    for _ in range(TIMING_REPEATS):
+        for i, (*_, call) in enumerate(cases):
+            start = time.perf_counter()
+            call()
+            best[i] = min(best[i], time.perf_counter() - start)
+    return [TimingRow(mech, phase, n, m, seconds / per_call)
+            for (mech, phase, n, per_call, _), seconds in zip(cases, best)]
 
 
 def loglog_slope(rows: list[TimingRow], mechanism: str, phase: str = "sanitize") -> float:

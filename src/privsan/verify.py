@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import DistancePreservationParams, jl_min_dimension, nrp_equivalent_dimension
+from .bounds import jl_min_dimension, nrp_equivalent_dimension
 from .errors import NonPositiveResult
 from .metrics import distance_preservation_fraction
 from .rng import Rng
@@ -40,9 +40,8 @@ def preservation_trials(gamma: float, point_count: int, trials: int, master_seed
     variance-normalized bounded-entry matrix, and records the fraction
     of pairs whose squared distance stays within e^{+-gamma}.
     """
-    m = jl_min_dimension(point_count, gamma)
-    params = DistancePreservationParams(gamma, point_count, m)
-    n = 2 * params.projected_dim
+    m = jl_min_dimension(point_count, gamma)   # validates gamma and point_count
+    n = 2 * m
     root = Rng(master_seed)
     rows = []
     for trial in range(trials):

@@ -2,8 +2,12 @@ import json
 
 import pytest
 
+from privsan import cli
 from privsan.cli import main
 from privsan.dataio import generate_lookalike
+from privsan.errors import InfeasibleBound
+from privsan.simulate import MECHANISMS
+from privsan.verify import PreservationTrial
 
 FAST_CFG = {
     "agent_count": 15,
@@ -80,18 +84,53 @@ class TestRunCommand:
         cfg = write_cfg(tmp_path, {"bogus_key": 1})
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
 
-    def test_invalid_value_exits_2(self, tmp_path):
-        cfg = write_cfg(tmp_path, {"min_utility": 0.0})
+    def test_invalid_value_exits_2(self, tmp_path, capsys):
+        cases = [
+            {"min_utility": 0.0},
+            {"entry_distribution": "foo"},
+            {"inverse_samples": 0},
+            {"cell_fraction": 0},
+            {"agent_count": 5, "observations_per_agent": 2, "k_neighbors": 10},
+            {"noise_sigma": -0.1},
+            {"shift_margin": -0.1},
+            {"asup_noise_cell_multiple": -0.1},
+            {"breach_absolute_radius": -0.1},
+            {"repetitions": 1.5},
+        ]
+        for extra in cases:
+            cfg = write_cfg(tmp_path, extra)
+            out = tmp_path / "x"
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2, extra
+            assert "configuration error" in capsys.readouterr().err
+            assert not out.exists(), f"{extra} did work before failing"
+
+    def test_misspelled_boolean_env_exits_2(self, tmp_path, monkeypatch):
+        cfg = write_cfg(tmp_path, {"sanitizer": "nrp-unbounded"})
+        monkeypatch.setenv("PRIVSAN_UNBOUNDED_FRESH_PER_TUPLE", "ture")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        monkeypatch.setenv("PRIVSAN_UNBOUNDED_FRESH_PER_TUPLE", "off")
+        out = tmp_path / "y"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        record = json.loads((out / "report.json").read_text())
+        assert record["config"]["unbounded_fresh_per_tuple"] is False
+
+    def test_mechanism_choices_come_from_the_table(self):
+        parser = cli.build_parser()
+        for name in MECHANISMS:
+            assert parser.parse_args(["run", "--mechanism", name]).mechanism == name
+        with pytest.raises(SystemExit):
+            parser.parse_args(["run", "--mechanism", "bogus"])
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "x")]) == 2
 
-    def test_runtime_error_exits_3(self, tmp_path):
-        # Too few tuples for the neighbor count only surfaces mid-run.
-        cfg = write_cfg(tmp_path, {"agent_count": 5, "observations_per_agent": 1,
-                                   "k_neighbors": 10})
+    def test_runtime_error_exits_3(self, tmp_path, monkeypatch):
+        def fail(cfg):
+            raise InfeasibleBound("utility floor unreachable")
+
+        monkeypatch.setattr(cli, "run_experiment", fail)
+        cfg = write_cfg(tmp_path)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
 
     def test_metric_flags_reach_config(self, tmp_path):
@@ -126,6 +165,16 @@ class TestSweepCommand:
         assert len(lines) - 1 == 4
         assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
+    def test_invalid_grid_point_exits_2_before_any_run(self, tmp_path, monkeypatch):
+        ran = []
+        monkeypatch.setattr("privsan.simulate.run_experiment", ran.append)
+        cfg = write_cfg(tmp_path, {"observations_per_agent": 1})
+        for extra in (["--agents", "12,5"], ["--mechanisms", "nrp,bogus"],
+                      ["--agents", "12,x"]):
+            assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]
+                        + extra) == 2
+        assert ran == []
+
 
 class TestVerifyCommand:
     def test_small_verification(self, tmp_path, capsys):
@@ -142,6 +191,14 @@ class TestVerifyCommand:
 
     def test_bad_gamma_exits_2(self, tmp_path):
         assert main(["verify", "--gamma", "0.5", "--out", str(tmp_path / "v")]) == 2
+        assert main(["verify", "--points", "1", "--out", str(tmp_path / "v")]) == 2
+
+    def test_violation_exits_4(self, tmp_path, monkeypatch, capsys):
+        failing = [PreservationTrial(0, 10, 20, 0.4, 0.9)]
+        monkeypatch.setattr(cli.verify, "preservation_trials", lambda *args: failing)
+        code = main(["verify", "--trials", "1", "--out", str(tmp_path / "v")])
+        assert code == cli.EXIT_VIOLATIONS == 4
+        assert "VIOLATIONS FOUND" in capsys.readouterr().err
 
 
 class TestTimingCommand:

@@ -1,0 +1,248 @@
+"""Property tests: the per-tuple API and the batched runner are the same
+mechanism.
+
+Every sanitizer, attack and the utility has one implementation on a
+(tuples x dim) array; the per-tuple functions are one-row calls into it.
+Over random small shapes these tests check, bit for bit, that each
+per-tuple function equals the row of its array function that used the
+same random stream, and that both equal the plain single-tuple formula
+(``A.T @ y``, ``pinv(B.T) @ s``, ...).  They also check that the runner's
+rounds are those array functions, and that every batched norm-bounded
+matrix meets its agent's certificate bound.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from privsan import attack as atk
+from privsan import sanitize as san
+from privsan.bounds import compute_norm_bound
+from privsan.linalg import PINV_RCOND, cosine, frobenius_norm, orthonormalize, zero_pad
+from privsan.metrics import utility, utility_scores
+from privsan.rng import Rng
+from privsan.sanitize import DataTuple, EntryDistribution, SanitizedTuple
+from privsan.simulate import (
+    ExperimentConfig,
+    _attack_round,
+    _certificates,
+    _sanitize_round,
+    generate_synthetic,
+    make_grid,
+)
+
+PROPERTY = settings(max_examples=100, deadline=None, database=None)
+BOUNDED = st.sampled_from([EntryDistribution.UNIT_UNIFORM,
+                           EntryDistribution.SYMMETRIC_UNIFORM])
+FAMILIES = st.sampled_from([EntryDistribution.UNIT_UNIFORM,
+                            EntryDistribution.SYMMETRIC_UNIFORM,
+                            EntryDistribution.GAUSSIAN_QR])
+
+
+@st.composite
+def shapes(draw):
+    """(rows, n, m, seed) with 1 <= m <= n."""
+    n = draw(st.integers(2, 12))
+    return (draw(st.integers(1, 6)), n, draw(st.integers(1, n)),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def tup(values, private=()):
+    return DataTuple(values, frozenset(private), "a0")
+
+
+def family_draw(n, m, distribution, rng):
+    if distribution is EntryDistribution.GAUSSIAN_QR:
+        return san.sample_orthonormal_matrix(n, m, rng).matrix
+    return san.sample_bounded_matrix(n, m, distribution, rng)
+
+
+@PROPERTY
+@given(shapes(), BOUNDED, st.floats(0.2, 1.2))
+def test_nrp_per_tuple_is_row_zero(shape, distribution, alpha):
+    rows, n, m, seed = shape
+    y = Rng(seed).child(0).uniform(0.0, 1.0, (rows, n))
+    cert = compute_norm_bound(0.5, 0.2 * alpha, alpha)   # cap 1.2 >= alpha: feasible
+    beta = cert.frobenius_bound
+    fresh = Rng(seed).child   # each call below starts the same stream afresh
+    one = san.sanitize_nrp(tup(y[0]), m, cert, fresh(1), distribution)
+    batch, _ = san.nrp(y, m, fresh(1), distribution, np.full(rows, beta))
+    a = san.sample_bounded_matrix(n, m, distribution, fresh(1))
+    a = a * (beta / frobenius_norm(a))
+    assert same_bits(one.values, batch[0])
+    assert same_bits(one.values, a.T @ y[0])
+
+    one = san.sanitize_nrp_unbounded(tup(y[0]), m, fresh(1), distribution)
+    batch, _ = san.nrp(y, m, fresh(1), distribution)
+    a = san.sample_bounded_matrix(n, m, distribution, fresh(1))
+    assert same_bits(one.values, batch[0])
+    assert same_bits(one.values, a.T @ y[0])
+
+
+@PROPERTY
+@given(shapes())
+def test_fixed_matrix_mechanisms_rowwise(shape):
+    rows, n, m, seed = shape
+    y = Rng(seed).child(0).standard_normal((rows, n))
+    p = san.sample_orthonormal_matrix(n, m, Rng(seed).child(1))
+    mean = Rng(seed).child(2).standard_normal(n)
+    brp, pca, ident = san.brp(y, p.matrix), san.pca(y, p.matrix, mean), san.identity(y)
+    for j in range(rows):
+        assert same_bits(san.sanitize_brp(tup(y[j]), p).values, brp[j])
+        assert same_bits(brp[j], p.matrix.T @ y[j])
+        assert same_bits(san.sanitize_pca(tup(y[j]), p, mean).values, pca[j])
+        assert same_bits(pca[j], p.matrix.T @ (y[j] - mean))
+        assert same_bits(san.sanitize_identity(tup(y[j])).values, ident[j])
+
+
+@PROPERTY
+@given(shapes(), st.floats(0.01, 1.0), st.integers(0, 12))
+def test_asup_rowwise(shape, scale, private_count):
+    rows, n, _, seed = shape
+    private = range(min(private_count, n))
+    y = Rng(seed).child(0).uniform(0.0, 1.0, (rows, n))
+    fresh = Rng(seed).child   # each use below starts the same stream afresh
+
+    # Per tuple: noise first, then the rotation, both from one stream.
+    one = san.sanitize_asup(tup(y[0], private), scale, fresh(1))
+    stream = fresh(1)
+    expected = y[0].copy()
+    if private:
+        z = np.zeros(n)
+        z[list(private)] = scale * stream.standard_normal(len(private))
+        expected = y[0] + orthonormalize(stream.standard_normal((n, n)), stream) @ z
+    assert same_bits(one.values, expected)
+
+    # Batched: all rows' noise first, then all rotations.
+    batch = san.asup(y, scale, private, fresh(1))
+    if not private:
+        assert same_bits(batch, y)
+        return
+    stream = fresh(1)
+    z = np.zeros((rows, n))
+    z[:, list(private)] = scale * stream.standard_normal((rows, len(private)))
+    g = stream.standard_normal((rows, n, n))
+    for j in range(rows):
+        assert same_bits(batch[j], y[j] + orthonormalize(g[j]) @ z[j])
+
+
+@PROPERTY
+@given(shapes(), FAMILIES)
+def test_drawing_attacks_equal_per_tuple_loop(shape, family):
+    rows, n, m, seed = shape
+    s = Rng(seed).child(0).standard_normal((rows, m))
+    root = Rng(seed).child(1)
+    streams = [root.child(j) for j in range(rows)]
+    inverse = atk.random_inverse(s, n, family, streams)
+    naive = atk.naive_multiply(s, n, family, streams)
+    for j in range(rows):
+        t = SanitizedTuple(s[j], "a0", "nrp")
+        one = atk.attack_random_inverse(t, n, family, root.child(j)).reconstructed
+        b = family_draw(n, m, family, root.child(j).child(0))
+        assert same_bits(one, inverse[j])
+        assert same_bits(one, np.linalg.pinv(b.T, rcond=PINV_RCOND) @ s[j])
+        one = atk.attack_naive_multiply(t, n, family, root.child(j)).reconstructed
+        assert same_bits(one, naive[j])
+        assert same_bits(one, family_draw(n, m, family, root.child(j)) @ s[j])
+
+
+@PROPERTY
+@given(shapes(), st.booleans(), st.booleans())
+def test_linear_attacks_rowwise(shape, with_mean, mean_in_tuple):
+    rows, n, m, seed = shape
+    gen = Rng(seed)
+    s = gen.child(0).standard_normal((rows, m))
+    p = san.sample_orthonormal_matrix(n, m, gen.child(1))
+    mean = gen.child(2).standard_normal(n) if with_mean else None
+    lm = gen.child(3).standard_normal((n, m))
+    known = atk.known_matrix(s, p.matrix, mean, mean_in_tuple)
+    linear, ident = atk.linear(s, lm), atk.identity(s, n)
+    pinv_t = np.linalg.pinv(p.matrix.T, rcond=PINV_RCOND)
+    for j in range(rows):
+        t = SanitizedTuple(s[j], "a0", "brp")
+        expected = pinv_t @ (s[j] - p.matrix.T @ mean if with_mean and mean_in_tuple else s[j])
+        if with_mean:
+            expected = expected + mean
+        assert same_bits(atk.attack_known_matrix(t, p, mean, mean_in_tuple).reconstructed,
+                         known[j])
+        assert same_bits(known[j], expected)
+        assert same_bits(atk.attack_linear(t, lm).reconstructed, linear[j])
+        assert same_bits(linear[j], lm @ s[j])
+        assert same_bits(atk.attack_identity(t).reconstructed, s[j])
+        assert same_bits(ident[j], zero_pad(s[j], n))
+
+
+@PROPERTY
+@given(shapes(), FAMILIES, st.integers(1, 8))
+def test_expected_inverse_map_is_the_mean_of_draws(shape, family, samples):
+    _, n, m, seed = shape
+    rng = Rng(seed)
+    acc = np.zeros((n, m))
+    for j in range(samples):
+        acc += np.linalg.pinv(family_draw(n, m, family, rng.child(j)).T, rcond=PINV_RCOND)
+    assert same_bits(atk.expected_inverse_map(n, m, family, samples, rng), acc / samples)
+
+
+@PROPERTY
+@given(shapes(), st.booleans())
+def test_utility_rowwise(shape, same_quadrant):
+    rows, n, m, seed = shape
+    y = Rng(seed).child(0).uniform(0.05, 1.0, (rows, n))
+    s = Rng(seed).child(1).standard_normal((rows, m))
+    cos, u = utility_scores(y, s, same_quadrant)
+    for j in range(rows):
+        score = utility(tup(y[j]), SanitizedTuple(s[j], "a0", "nrp"), same_quadrant)
+        raw = cosine(y[j], zero_pad(s[j], n))
+        assert same_bits(score.cosine_raw, cos[j]) and same_bits(raw, cos[j])
+        assert same_bits(score.utility, u[j])
+        assert score.utility == (min(max(raw, 0.0), 1.0) if same_quadrant else raw)
+
+
+@st.composite
+def small_configs(draw, **fixed):
+    n = draw(st.integers(2, 10))
+    return ExperimentConfig(
+        agent_count=draw(st.integers(2, 8)), observations_per_agent=draw(st.integers(1, 4)),
+        input_dim=n, param_dim=draw(st.integers(1, n)), target_dim=draw(st.integers(1, n)),
+        private_count=draw(st.integers(0, n)), k_neighbors=1, repetitions=1,
+        min_utility=draw(st.floats(0.1, 1.0)), master_seed=draw(st.integers(0, 2**32 - 1)),
+        **fixed)
+
+
+@PROPERTY
+@given(small_configs(sanitizer="nrp"), BOUNDED)
+def test_batched_nrp_meets_each_agents_bound(cfg, distribution):
+    cfg = replace(cfg, entry_distribution=distribution.value)
+    rng = Rng(cfg.master_seed)
+    data = generate_synthetic(cfg, rng.child(0))
+    sanitized, _ = _sanitize_round(cfg, data, rng.child(1))
+    cell = make_grid(cfg, float(np.linalg.norm(data.values, axis=1).max())).cell_side
+    betas = np.repeat([c.frobenius_bound for c in _certificates(cfg, data, cell)],
+                      cfg.observations_per_agent)
+    values, matrices = san.nrp(data.values, cfg.target_dim, rng.child(1), distribution, betas)
+    assert same_bits(values, sanitized)
+    for a, beta in zip(matrices, betas):
+        assert abs(np.linalg.norm(a) - beta) <= 1e-12
+
+
+@PROPERTY
+@given(small_configs(adversary="random-inverse"),
+       st.sampled_from(["nrp", "nrp-unbounded", "brp", "pca", "asup", "identity"]))
+def test_batched_random_inverse_equals_per_tuple_loop(cfg, sanitizer):
+    cfg = replace(cfg, sanitizer=sanitizer)
+    rng = Rng(cfg.master_seed)
+    data = generate_synthetic(cfg, rng.child(0))
+    sanitized, ctx = _sanitize_round(cfg, data, rng.child(1))
+    recon = _attack_round(cfg, sanitized, ctx, rng.child(2))
+    family = cfg.mechanism.family or cfg.distribution
+    for j, s in enumerate(sanitized):
+        one = atk.attack_random_inverse(SanitizedTuple(s, "a0", sanitizer), cfg.input_dim,
+                                        family, rng.child(2).child(j))
+        assert same_bits(one.reconstructed, recon[j])

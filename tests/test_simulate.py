@@ -3,36 +3,38 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from privsan.bounds import GridSpec
+from privsan.attack import expected_inverse_map, linear
 from privsan.errors import ConfigInvalid, RankDeficient
 from privsan.rng import Rng
+from privsan.sanitize import EntryDistribution
 from privsan.simulate import (
     ExperimentConfig,
     ObservationModel,
+    _attack_round,
     _certificates,
+    _sanitize_round,
     estimate_parameters,
     generate_synthetic,
-    place_agents,
     run_experiment,
     run_sweep,
 )
 
 FAST = dict(agent_count=20, observations_per_agent=4, repetitions=2, master_seed=3)
 
-
-class TestPlaceAgents:
-    def test_two_by_two(self):
-        got = place_agents(GridSpec(2.0, 1.0, 4))
-        assert [c for _, c in got] == [(0.5, 0.5), (1.5, 0.5), (0.5, 1.5), (1.5, 1.5)]
-
-    def test_single_cell(self):
-        got = place_agents(GridSpec(1.0, 1.0, 1))
-        assert got == [(0, (0.5, 0.5))]
-
-    def test_three_by_three_enumeration(self):
-        got = place_agents(GridSpec(3.0, 1.0, 9))
-        expected = [(c + 0.5, r + 0.5) for r in range(3) for c in range(3)]
-        assert [c for _, c in got] == expected
+# Each of these fails config validation, before any work.
+INVALID_CONFIGS = [
+    {"entry_distribution": "foo"},
+    {"entry_distribution": "gaussian-qr"},
+    {"inverse_samples": 0},
+    {"cell_fraction": 0.0},
+    {"agent_count": 5, "observations_per_agent": 2, "k_neighbors": 10},
+    {"noise_sigma": -0.1},
+    {"shift_margin": -0.1},
+    {"asup_noise_cell_multiple": -0.1},
+    {"breach_absolute_radius": -0.1},
+    {"noise_sigma": float("nan")},
+    {"sanitizer": "asup", "adversary": "known-matrix"},
+]
 
 
 class TestGenerateSynthetic:
@@ -41,7 +43,7 @@ class TestGenerateSynthetic:
         data = generate_synthetic(cfg, Rng(1))
         assert len(data.tuples) == 50 * 50
         assert all(t.dim == 50 for t in data.tuples)
-        assert data.parameter.dim == 50
+        assert data.parameter.size == 50
         assert all(t.private_indices == frozenset(range(12)) for t in data.tuples)
 
     def test_nonnegative_and_unit_max_norm(self):
@@ -59,8 +61,8 @@ class TestGenerateSynthetic:
                                repetitions=1, noise_sigma=0.0)
         data = generate_synthetic(cfg, Rng(3))
         for i in range(6):
-            expected = data.models[i].matrix @ data.parameter.values + data.shift
-            for t in data.agent_tuples(i):
+            expected = data.models[i].matrix @ data.parameter + data.shift
+            for t in data.tuples[i * 3:(i + 1) * 3]:
                 assert np.allclose(t.values, expected, atol=1e-12)
 
     def test_observation_matrix_moments(self):
@@ -90,13 +92,13 @@ class TestEstimateParameters:
                   for _ in range(3)]
         obs = [m.matrix @ x for m in models]
         est = estimate_parameters(obs, models)
-        assert np.abs(est.values - x).max() < 1e-9
+        assert np.abs(est - x).max() < 1e-9
 
     def test_single_identity_agent(self):
         model = ObservationModel(np.eye(3), 0.0)
         y = np.array([1.0, -2.0, 0.5])
         est = estimate_parameters([y], [model])
-        assert np.allclose(est.values, y, atol=1e-12)
+        assert np.allclose(est, y, atol=1e-12)
 
     def test_two_agent_hand_normal_equations(self):
         h1 = np.array([[1.0], [2.0]])
@@ -106,7 +108,7 @@ class TestEstimateParameters:
         # x = (h1.y1 + h2.y2) / (|h1|^2 + |h2|^2) = (8 + 12) / 14
         models = [ObservationModel(h1, 0.0), ObservationModel(h2, 0.0)]
         est = estimate_parameters([y1, y2], models)
-        assert est.values[0] == pytest.approx(20.0 / 14.0, abs=1e-9)
+        assert est[0] == pytest.approx(20.0 / 14.0, abs=1e-9)
 
     def test_rank_deficient(self):
         model = ObservationModel(np.zeros((3, 2)), 0.0)
@@ -122,7 +124,7 @@ class TestEstimateParameters:
         a = np.vstack([m.matrix for m in models])
         b = np.concatenate(obs)
         ref = np.linalg.lstsq(a, b, rcond=None)[0]
-        assert np.abs(est.values - ref).max() < 1e-9
+        assert np.abs(est - ref).max() < 1e-9
 
 
 class TestRunExperiment:
@@ -167,9 +169,8 @@ class TestRunExperiment:
             run_experiment(cfg)
 
     def test_known_matrix_needs_fixed_mechanism(self):
-        cfg = ExperimentConfig(**FAST, sanitizer="nrp", adversary="known-matrix")
         with pytest.raises(ConfigInvalid):
-            run_experiment(cfg)
+            run_experiment(ExperimentConfig(**FAST, sanitizer="nrp", adversary="known-matrix"))
 
     def test_private_coordinate_metrics(self):
         base = ExperimentConfig(**FAST, sanitizer="identity")
@@ -204,7 +205,26 @@ class TestRunExperiment:
             ExperimentConfig(target_dim=99)
         with pytest.raises(ConfigInvalid):
             ExperimentConfig(min_utility=0.0)
+        for bad in INVALID_CONFIGS:
+            with pytest.raises(ConfigInvalid):
+                ExperimentConfig(**bad)
 
+    def test_brp_expected_inverse_uses_orthonormal_family(self):
+        # The fusion center knows brp draws an orthonormal matrix, so the
+        # expected inverse is estimated over that family, as the random
+        # inverse already was.
+        cfg = ExperimentConfig(**FAST, sanitizer="brp", adversary="expected-inverse")
+        rng = Rng(11)
+        data = generate_synthetic(cfg, rng.child(0))
+        sanitized, ctx = _sanitize_round(cfg, data, rng.child(1))
+        recon = _attack_round(cfg, sanitized, ctx, rng.child(2))
+        lm = expected_inverse_map(cfg.input_dim, cfg.target_dim, EntryDistribution.GAUSSIAN_QR,
+                                  cfg.inverse_samples, rng.child(2).child(0))
+        assert np.array_equal(recon, linear(sanitized, lm))
+        wrong = expected_inverse_map(cfg.input_dim, cfg.target_dim,
+                                     EntryDistribution.UNIT_UNIFORM, cfg.inverse_samples,
+                                     rng.child(2).child(0))
+        assert not np.allclose(recon, linear(sanitized, wrong))
 
 class TestRunSweep:
     def test_row_cardinality_and_columns(self):
