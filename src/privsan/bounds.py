@@ -46,11 +46,6 @@ class GridSpec:
         if self.agent_count < 1:
             raise ValueError("agent_count must be at least 1")
 
-    @classmethod
-    def from_cells(cls, cell_side: float, cells_per_side: int) -> "GridSpec":
-        """Grid with one agent in each of cells_per_side^2 cells."""
-        return cls(cell_side * cells_per_side, cell_side, cells_per_side**2)
-
     @property
     def robustness_radius(self) -> float:
         return self.cell_side

@@ -235,8 +235,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     schema = dataio.DatasetSchema.from_json(args.schema)
     result = dataio.load_csv(args.data, schema, shift_nonnegative=not args.raw)
     names = [c.name for c in schema.retained]
-    summary = dataio.summarize(result.tuples, names)
-    dataio.write_csv(result.tuples, out / "processed.csv", names)
+    summary = dataio.summarize(result.values, names)
+    dataio.write_csv(result.values, out / "processed.csv", names)
     record = {
         "count": summary.count,
         "columns": summary.column_names,

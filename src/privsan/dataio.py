@@ -5,7 +5,8 @@ row, ``.`` decimal point, no quoting of numerics.  A schema (JSON) names
 every column and declares its kind: ``numeric`` (kept as is),
 ``binary-categorical`` (mapped to numbers through an explicit value
 map), or ``drop``.  Private columns are flagged in the schema and turn
-into private index positions on the loaded tuples.
+into private index positions (``DatasetSchema.private_positions``) of
+the loaded (rows x columns) array.
 
 The reference clinical dataset this loader was written for is not
 redistributable; :func:`generate_lookalike` writes a synthetic stand-in
@@ -18,14 +19,15 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import EmptyDataset, ParseError, SchemaMismatch
+from .linalg import as_matrix
 from .rng import Rng
-from .sanitize import DataTuple
 
 KINDS = ("numeric", "binary-categorical", "drop")
 
@@ -42,6 +44,8 @@ class ColumnSpec:
             raise SchemaMismatch(f"unknown column kind {self.kind!r} for {self.name!r}")
         if self.kind == "binary-categorical" and not self.value_map:
             raise SchemaMismatch(f"column {self.name!r} needs a value_map")
+        if not all(math.isfinite(v) for v in self.value_map.values()):
+            raise SchemaMismatch(f"column {self.name!r} maps to a non-finite value")
 
 
 @dataclass(frozen=True)
@@ -69,17 +73,27 @@ class DatasetSchema:
     @classmethod
     def from_json(cls, path: str | Path) -> "DatasetSchema":
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except ValueError as exc:
+                raise SchemaMismatch(f"schema file is not valid JSON: {exc}") from None
         if not isinstance(raw, list):
             raise SchemaMismatch("schema file must hold a list of column entries")
         cols = []
-        for entry in raw:
+        for k, entry in enumerate(raw):
+            if not isinstance(entry, dict) or "name" not in entry:
+                raise SchemaMismatch(f"schema entry {k} is not an object with a \"name\"")
+            try:
+                value_map = {str(key): float(v)
+                             for key, v in entry.get("value_map", {}).items()}
+            except (AttributeError, TypeError, ValueError):
+                raise SchemaMismatch(f"schema entry {k}: value_map must map "
+                                     f"values to numbers") from None
             cols.append(ColumnSpec(
                 name=str(entry["name"]),
                 kind=str(entry.get("kind", "numeric")),
                 private=bool(entry.get("private", False)),
-                value_map={str(k): float(v)
-                           for k, v in entry.get("value_map", {}).items()},
+                value_map=value_map,
             ))
         return cls(cols)
 
@@ -95,7 +109,7 @@ class DatasetSchema:
 
 @dataclass(frozen=True)
 class LoadResult:
-    tuples: list[DataTuple]
+    values: np.ndarray         # (rows x retained columns)
     schema: DatasetSchema
     column_shifts: np.ndarray  # per retained column, 0 when nothing was shifted
 
@@ -114,8 +128,9 @@ def load_csv(path: str | Path, schema: DatasetSchema,
              shift_nonnegative: bool = True) -> LoadResult:
     """Load and preprocess a CSV file.
 
-    Row k of the file becomes tuple k.  Retained cells that fail to
-    parse raise :class:`ParseError` with their 1-based data row number.
+    Row k of the file becomes row k of the values array.  Retained cells
+    that fail to parse to a finite number raise :class:`ParseError` with
+    their 1-based data row number.
     By default each retained column with negative values is shifted up
     to be nonnegative; the applied shifts are returned.
     """
@@ -145,10 +160,12 @@ def load_csv(path: str | Path, schema: DatasetSchema,
                     vals.append(col.value_map[cell])
                 else:
                     try:
-                        vals.append(float(cell))
+                        value = float(cell)
                     except ValueError:
-                        raise ParseError(rownum, col.name,
-                                         f"not a number: {cell!r}") from None
+                        value = math.nan
+                    if not math.isfinite(value):
+                        raise ParseError(rownum, col.name, f"not a finite number: {cell!r}")
+                    vals.append(value)
             rows.append(vals)
     if not rows:
         raise EmptyDataset(f"{path} holds no data rows")
@@ -158,18 +175,16 @@ def load_csv(path: str | Path, schema: DatasetSchema,
         minima = values.min(axis=0)
         shifts = np.where(minima < 0, -minima, 0.0)
         values = values + shifts
-    private = schema.private_positions
-    tuples = [DataTuple(values[k], private, f"r{k:05d}") for k in range(values.shape[0])]
-    return LoadResult(tuples, schema, shifts)
+    return LoadResult(values, schema, shifts)
 
 
-def summarize(tuples: list[DataTuple],
+def summarize(values: np.ndarray,
               column_names: list[str] | None = None) -> DatasetSummary:
-    """Per-column minima, maxima and means plus the largest tuple norm
-    (the certificate input alpha)."""
-    if not tuples:
+    """Per-column minima, maxima and means of a (tuples x columns) array
+    plus the largest tuple norm (the certificate input alpha)."""
+    if len(values) == 0:
         raise EmptyDataset("no tuples to summarize")
-    x = np.stack([t.values for t in tuples])
+    x = as_matrix(values)
     names = column_names or [f"c{j}" for j in range(x.shape[1])]
     return DatasetSummary(
         count=x.shape[0],
@@ -181,11 +196,11 @@ def summarize(tuples: list[DataTuple],
     )
 
 
-def write_csv(tuples: list[DataTuple], path: str | Path,
+def write_csv(values: np.ndarray, path: str | Path,
               column_names: list[str]) -> None:
-    """Write tuples with 17-significant-digit formatting, which
-    round-trips float64 exactly."""
-    x = np.stack([t.values for t in tuples])
+    """Write the rows of a (tuples x columns) array with
+    17-significant-digit formatting, which round-trips float64 exactly."""
+    x = as_matrix(values)
     if x.shape[1] != len(column_names):
         raise ValueError("column_names length does not match tuple dimension")
     with Path(path).open("w", encoding="utf-8", newline="") as fh:

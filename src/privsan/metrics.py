@@ -16,7 +16,7 @@ import numpy as np
 
 from .bounds import check_gamma
 from .errors import EmptyDataset, InsufficientPoints
-from .linalg import as_vector, row_cosines, zero_pad
+from .linalg import as_matrix, row_cosines, zero_pad
 from .sanitize import DataTuple, SanitizedTuple
 
 
@@ -71,22 +71,13 @@ def utility(y: DataTuple, t: SanitizedTuple, same_quadrant: bool = False) -> Uti
     )
 
 
-def _cloud(points) -> np.ndarray:
-    if isinstance(points, np.ndarray) and points.ndim == 2:
-        x = np.asarray(points, dtype=float)
-        if not np.all(np.isfinite(x)):
-            raise ValueError("point entries must be finite")
-        return x
-    return np.stack([as_vector(v) for v in points])
-
-
 def _paired(actual, recon) -> tuple[np.ndarray, np.ndarray]:
     if len(actual) == 0:
         raise EmptyDataset("no points")
     if len(actual) != len(recon):
         raise ValueError(f"list lengths differ: {len(actual)} vs {len(recon)}")
-    a = _cloud(actual)
-    r = _cloud(recon)
+    a = as_matrix(actual)
+    r = as_matrix(recon)
     if a.shape != r.shape:
         raise ValueError(f"point shapes differ: {a.shape} vs {r.shape}")
     return a, r
@@ -148,34 +139,17 @@ def _knn_indices(x: np.ndarray, k: int) -> np.ndarray:
     return nearest
 
 
-def _cross_knn_indices(queries: np.ndarray, cloud: np.ndarray, k: int) -> np.ndarray:
-    """k nearest cloud rows to each query row (self-index excluded by the
-    caller's convention that query i corresponds to cloud row i)."""
-    sq_q = np.sum(queries * queries, axis=1)
-    sq_c = np.sum(cloud * cloud, axis=1)
-    d = sq_q[:, None] + sq_c[None, :] - 2.0 * (queries @ cloud.T)
-    np.maximum(d, 0.0, out=d)
-    d[np.arange(queries.shape[0]), np.arange(queries.shape[0])] = np.inf
-    order = np.argsort(d, axis=1, kind="stable")
-    return order[:, :k]
-
-
-def resemblance(actual, recon, k: int = 10,
-                recon_neighbors_in_actual: bool = False) -> float:
+def resemblance(actual, recon, k: int = 10) -> float:
     """Mean fractional overlap between each point's k-nearest-neighbor
-    index set in the actual cloud and in the reconstructed cloud.
-
-    With ``recon_neighbors_in_actual`` the reconstructed point's
-    neighbors are looked up among the actual points instead (requires
-    equal dimensions, which holds since reconstructions live in the
-    ambient space)."""
+    index set in the actual cloud and in the reconstructed cloud."""
     a, r = _paired(actual, recon)
     if a.shape[0] <= k:
         raise InsufficientPoints(f"need more than k={k} points, got {a.shape[0]}")
     sa = _knn_indices(a, k)
-    sr = _cross_knn_indices(r, a, k) if recon_neighbors_in_actual else _knn_indices(r, k)
-    overlaps = [len(set(map(int, u)) & set(map(int, v))) / k for u, v in zip(sa, sr)]
-    return float(np.mean(overlaps))
+    sr = _knn_indices(r, k)
+    # Each row of sa and of sr holds k distinct indices, so the count of
+    # equal pairs is the size of the intersection.
+    return float(np.mean((sa[:, :, None] == sr[:, None, :]).sum(axis=(1, 2)) / k))
 
 
 def distance_preservation_fraction(points, projected, gamma: float) -> float:
@@ -186,8 +160,8 @@ def distance_preservation_fraction(points, projected, gamma: float) -> float:
         raise EmptyDataset("need at least two points")
     if len(points) != len(projected):
         raise ValueError("point lists differ in size")
-    p = _cloud(points)
-    q = _cloud(projected)
+    p = as_matrix(points)
+    q = as_matrix(projected)
     iu = np.triu_indices(p.shape[0], k=1)
     dp = _squared_distances(p)[iu]
     dq = _squared_distances(q)[iu]

@@ -247,10 +247,10 @@ def identity(y: np.ndarray) -> np.ndarray:
 
 
 def fit_pca(dataset, m: int) -> ProjectionMatrix:
-    """Top-m eigenvectors of the sample covariance of centered data (an
-    array or a list of tuples), in descending eigenvalue order; each
-    component's first nonzero entry is made positive."""
-    x = _rows(dataset)
+    """Top-m eigenvectors of the sample covariance of the centered
+    (tuples x n) data, in descending eigenvalue order; each component's
+    first nonzero entry is made positive."""
+    x = as_matrix(dataset)
     if x.shape[0] < 2:
         raise InsufficientData("need at least two tuples to fit components")
     n = x.shape[1]
@@ -263,16 +263,6 @@ def fit_pca(dataset, m: int) -> ProjectionMatrix:
     first = comps[np.argmax(np.abs(comps) > 1e-12, axis=0), np.arange(m)]
     comps = comps * np.where(first < 0, -1.0, 1.0)
     return ProjectionMatrix(comps, EntryDistribution.PCA_COMPONENTS, frobenius_norm(comps))
-
-
-def training_mean(dataset) -> np.ndarray:
-    return _rows(dataset).mean(axis=0)
-
-
-def _rows(dataset) -> np.ndarray:
-    if isinstance(dataset, np.ndarray):
-        return as_matrix(dataset)
-    return np.stack([t.values for t in dataset])
 
 
 # Per-tuple API: one-row calls into the mechanisms above.

@@ -47,7 +47,7 @@ MECHANISMS = {
     "nrp": Mechanism("expected-inverse", same_quadrant=_NONNEGATIVE),
     "nrp-unbounded": Mechanism("expected-inverse", same_quadrant=_NONNEGATIVE),
     "brp": Mechanism("known-matrix", family=san.EntryDistribution.GAUSSIAN_QR),
-    "pca": Mechanism("known-matrix"),
+    "pca": Mechanism("known-matrix", family=san.EntryDistribution.GAUSSIAN_QR),
     "asup": Mechanism("identity"),
     "identity": Mechanism("identity", same_quadrant=frozenset(san.EntryDistribution)),
 }
@@ -58,15 +58,6 @@ DISTRIBUTIONS = tuple(d.value for d in san.BOUNDED_DISTRIBUTIONS)
 SWEEP_AGENT_GRID = (50, 100, 200, 300, 400, 500, 600)
 SWEEP_COLUMNS = ("mechanism", "agents", "min_utility", "target_dim", "breach_count",
                  "displacement", "resemblance", "utility", "privacy")
-
-
-@dataclass(frozen=True)
-class ObservationModel:
-    """Linear map from the system parameter to one agent's observation,
-    plus the additive noise level."""
-
-    matrix: np.ndarray  # n x q
-    noise_sigma: float
 
 
 @dataclass(frozen=True)
@@ -148,19 +139,34 @@ class ExperimentConfig:
 @dataclass(frozen=True)
 class SyntheticDataset:
     """One sensing round: the hidden parameter, all agent tuples
-    (agent-major order) as a (tuples x n) array and as the tuple objects
-    viewing its rows, the per-agent observation models, and the affine
-    normalization that was applied (y_final = scale * (y_raw +
-    shift_per_coordinate))."""
+    (agent-major order) as a (tuples x n) array, the agents' scaled
+    observation matrices as an (agents x n x q) array, the count of
+    leading private coordinates, and the affine normalization that was
+    applied (y_final = scale * (y_raw + shift_per_coordinate))."""
 
     parameter: np.ndarray
     values: np.ndarray
-    tuples: list[san.DataTuple]
-    models: list[ObservationModel]
+    matrices: np.ndarray
+    private_count: int
     shift: float
     scale: float
-    agent_count: int
-    observations_per_agent: int
+
+    @property
+    def agent_count(self) -> int:
+        return self.matrices.shape[0]
+
+    @property
+    def observations_per_agent(self) -> int:
+        return self.values.shape[0] // self.agent_count
+
+    @property
+    def tuples(self) -> list[san.DataTuple]:
+        """The round as per-tuple objects for the per-tuple API, built on
+        each access: row j of ``values``, owned by agent ``a{j // nobs}``."""
+        private = frozenset(range(self.private_count))
+        nobs = self.observations_per_agent
+        return [san.DataTuple(row, private, f"a{j // nobs:04d}")
+                for j, row in enumerate(self.values)]
 
 
 @dataclass(frozen=True)
@@ -236,24 +242,27 @@ def generate_synthetic(cfg: ExperimentConfig, rng: Rng) -> SyntheticDataset:
     scale = 1.0 / float(np.linalg.norm(shifted, axis=1).max())
     values = shifted * scale
 
-    private = frozenset(range(cfg.private_count))
-    tuples = [san.DataTuple(row, private, f"a{j // nobs:04d}") for j, row in enumerate(values)]
-    models = [ObservationModel(scale * h[i], scale * cfg.noise_sigma) for i in range(nagents)]
-    return SyntheticDataset(x, values, tuples, models, shift * scale, scale, nagents, nobs)
+    return SyntheticDataset(x, values, scale * h, cfg.private_count, shift * scale, scale)
 
 
-def estimate_parameters(observations: list[np.ndarray],
-                        models: list[ObservationModel]) -> np.ndarray:
-    """Least-squares fusion of aligned (observation, model) pairs."""
-    if len(observations) != len(models) or not observations:
-        raise ValueError("need equally many observations and models")
-    a = np.vstack([m.matrix for m in models])
-    b = np.concatenate([np.asarray(y, dtype=float) for y in observations])
-    q = a.shape[1]
-    sol, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+def estimate_parameters(values: np.ndarray, matrices: np.ndarray) -> np.ndarray:
+    """Least-squares fusion of a round: the x minimizing the summed
+    squared residuals ``values[j] - matrices[j // r] @ x`` over the
+    (tuples x n) observations, r = tuples / agents consecutive rows per
+    agent's (n x q) matrix.  Solves the per-agent normal equations, so
+    no (tuples x n)-row matrix is stacked; raises RankDeficient when the
+    stacked matrices have rank below q."""
+    agents, n, q = matrices.shape
+    if len(values) == 0 or len(values) % agents or values.shape[1] != n:
+        raise ValueError(f"need agents x observations rows of length {n}, "
+                         f"got shape {values.shape} for {agents} agents")
+    flat = matrices.reshape(-1, q)
+    gram = flat.T @ flat
+    rank = np.linalg.matrix_rank(gram, hermitian=True)
     if rank < q:
-        raise RankDeficient(f"stacked model matrix has rank {rank} < {q}")
-    return sol
+        raise RankDeficient(f"stacked observation matrices have rank {rank} < {q}")
+    sums = values.reshape(agents, -1, n).sum(axis=1)
+    return np.linalg.solve(len(values) // agents * gram, flat.T @ sums.reshape(-1))
 
 
 def _certificates(cfg: ExperimentConfig, data: SyntheticDataset,
@@ -323,26 +332,15 @@ def _same_quadrant(cfg: ExperimentConfig) -> bool:
 
 
 def _robustness_gap(cfg: ExperimentConfig, data: SyntheticDataset,
-                    recons: list[np.ndarray]) -> float:
+                    recons: np.ndarray) -> float:
     """Distance between fusion estimates from raw tuples and from the
     adversary's reconstruction embedding; the concept-robustness
-    diagnostic at radius = one grid cell.
-
-    Solves the same least-squares problem as :func:`estimate_parameters`
-    through its per-agent normal equations, which avoids stacking a
-    (agents x observations x n)-row matrix every repetition.
-    """
-    nobs = data.observations_per_agent
-    hs = np.stack([m.matrix for m in data.models])          # (N, n, q)
-    raw = data.values - data.shift
-    rec = np.asarray(recons) - data.shift
-    raw_sum = raw.reshape(data.agent_count, nobs, -1).sum(axis=1)
-    rec_sum = rec.reshape(data.agent_count, nobs, -1).sum(axis=1)
-    gram = nobs * np.einsum("anq,anr->qr", hs, hs)
+    diagnostic at radius = one grid cell.  NaN when the round's
+    observation matrices cannot identify the parameter."""
     try:
-        x_raw = np.linalg.solve(gram, np.einsum("anq,an->q", hs, raw_sum))
-        x_rec = np.linalg.solve(gram, np.einsum("anq,an->q", hs, rec_sum))
-    except np.linalg.LinAlgError:
+        x_raw = estimate_parameters(data.values - data.shift, data.matrices)
+        x_rec = estimate_parameters(recons - data.shift, data.matrices)
+    except RankDeficient:
         return float("nan")
     return float(np.linalg.norm(x_raw - x_rec))
 

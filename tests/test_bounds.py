@@ -30,10 +30,6 @@ def equivalent_rhs(m1: int, gamma: float) -> float:
 
 
 class TestGridSpec:
-    def test_from_cells(self):
-        g = GridSpec.from_cells(1.0, 3)
-        assert g.agent_count == 9 and g.area_side == 3.0
-
     def test_robustness_alias(self):
         g = GridSpec(2.0, 0.5, 16)
         assert g.robustness_radius == g.cell_side

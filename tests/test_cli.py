@@ -225,7 +225,26 @@ class TestIngestCommand:
         assert summary["private_positions"] == [0, 1, 2]
         assert (out / "processed.csv").exists()
 
-    def test_missing_schema_exits_2(self, tmp_path):
+    def test_missing_schema_exits_2(self, tmp_path, capsys):
         assert main(["ingest", "--data", str(tmp_path / "a.csv"),
                      "--schema", str(tmp_path / "b.json"),
                      "--out", str(tmp_path / "x")]) == 2
+        # Malformed JSON and an entry without a name are schema errors too.
+        data = tmp_path / "a.csv"
+        data.write_text("x\n1\n", encoding="utf-8")
+        for text in ('[{"name": "x"', '[{"kind": "numeric"}]'):
+            schema = tmp_path / "b.json"
+            schema.write_text(text, encoding="utf-8")
+            assert main(["ingest", "--data", str(data), "--schema", str(schema),
+                         "--out", str(tmp_path / "x")]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_bad_cell_exits_3(self, tmp_path, capsys):
+        schema = tmp_path / "s.json"
+        schema.write_text('[{"name": "x"}, {"name": "y"}]', encoding="utf-8")
+        for cell in ("oops", "nan", "inf"):
+            data = tmp_path / "a.csv"
+            data.write_text(f"x,y\n1,2\n3,{cell}\n", encoding="utf-8")
+            assert main(["ingest", "--data", str(data), "--schema", str(schema),
+                         "--out", str(tmp_path / "x")]) == 3
+            assert "row 2, column 'y'" in capsys.readouterr().err

@@ -28,10 +28,8 @@ class TestLoadCsv:
     def test_all_numeric_rows_in_order(self, tmp_path):
         path = write(tmp_path, "a,b\n1,2\n3,4\n")
         result = load_csv(path, NUMERIC_SCHEMA)
-        assert len(result.tuples) == 2
-        assert np.allclose(result.tuples[0].values, [1, 2])
-        assert np.allclose(result.tuples[1].values, [3, 4])
-        assert result.tuples[0].private_indices == frozenset({1})
+        assert np.array_equal(result.values, [[1, 2], [3, 4]])
+        assert result.schema.private_positions == frozenset({1})
 
     def test_binary_map_fixture(self, tmp_path):
         schema = DatasetSchema([
@@ -40,7 +38,7 @@ class TestLoadCsv:
         ])
         path = write(tmp_path, "sex,v\nM,1.5\nF,2.5\nM,3.5\n")
         result = load_csv(path, schema)
-        assert [t.values[0] for t in result.tuples] == [0.0, 1.0, 0.0]
+        assert result.values[:, 0].tolist() == [0.0, 1.0, 0.0]
 
     def test_dropped_column_excluded(self, tmp_path):
         schema = DatasetSchema([
@@ -49,8 +47,8 @@ class TestLoadCsv:
         ])
         path = write(tmp_path, "note,v\nhello,7\n")
         result = load_csv(path, schema)
-        assert result.tuples[0].dim == 1
-        assert result.tuples[0].values[0] == 7.0
+        assert result.values.shape == (1, 1)
+        assert result.values[0, 0] == 7.0
 
     def test_header_mismatch(self, tmp_path):
         path = write(tmp_path, "a,c\n1,2\n")
@@ -58,11 +56,12 @@ class TestLoadCsv:
             load_csv(path, NUMERIC_SCHEMA)
 
     def test_parse_error_reports_row_and_column(self, tmp_path):
-        path = write(tmp_path, "a,b\n1,2\n1,oops\n")
-        with pytest.raises(ParseError) as err:
-            load_csv(path, NUMERIC_SCHEMA)
-        assert err.value.row == 2
-        assert err.value.column == "b"
+        for cell in ("oops", "nan", "inf", "-inf", "1e999"):
+            path = write(tmp_path, f"a,b\n1,2\n1,{cell}\n")
+            with pytest.raises(ParseError) as err:
+                load_csv(path, NUMERIC_SCHEMA)
+            assert err.value.row == 2
+            assert err.value.column == "b"
 
     def test_unmapped_categorical(self, tmp_path):
         schema = DatasetSchema([
@@ -80,9 +79,9 @@ class TestLoadCsv:
         path = write(tmp_path, "a,b\n-3,5\n1,6\n")
         shifted = load_csv(path, NUMERIC_SCHEMA)
         assert np.allclose(shifted.column_shifts, [3.0, 0.0])
-        assert np.allclose(shifted.tuples[0].values, [0.0, 5.0])
+        assert np.allclose(shifted.values[0], [0.0, 5.0])
         raw = load_csv(path, NUMERIC_SCHEMA, shift_nonnegative=False)
-        assert raw.tuples[0].values[0] == -3.0
+        assert raw.values[0, 0] == -3.0
 
 
 class TestRoundTrip:
@@ -92,26 +91,25 @@ class TestRoundTrip:
             f"{gen.uniform(0, 1):.17g},{gen.uniform(0, 9):.17g}" for _ in range(20)) + "\n")
         first = load_csv(path, NUMERIC_SCHEMA)
         out = tmp_path / "again.csv"
-        write_csv(first.tuples, out, ["a", "b"])
+        write_csv(first.values, out, ["a", "b"])
         second = load_csv(out, NUMERIC_SCHEMA.as_numeric())
-        for t1, t2 in zip(first.tuples, second.tuples):
-            assert np.array_equal(t1.values, t2.values)
+        assert first.values.tobytes() == second.values.tobytes()
 
 
 class TestSummarize:
     def test_three_four_five_norm(self, tmp_path):
         path = write(tmp_path, "a,b\n3,4\n")
         result = load_csv(path, NUMERIC_SCHEMA)
-        assert summarize(result.tuples).max_tuple_norm == pytest.approx(5.0, abs=1e-12)
+        assert summarize(result.values).max_tuple_norm == pytest.approx(5.0, abs=1e-12)
 
     def test_constant_column(self, tmp_path):
         path = write(tmp_path, "a,b\n2,1\n2,5\n2,3\n")
-        s = summarize(load_csv(path, NUMERIC_SCHEMA).tuples, ["a", "b"])
+        s = summarize(load_csv(path, NUMERIC_SCHEMA).values, ["a", "b"])
         assert s.minima[0] == s.maxima[0] == s.means[0] == 2.0
 
     def test_hand_means(self, tmp_path):
         path = write(tmp_path, "a,b\n1,10\n2,20\n3,33\n")
-        s = summarize(load_csv(path, NUMERIC_SCHEMA).tuples)
+        s = summarize(load_csv(path, NUMERIC_SCHEMA).values)
         assert np.allclose(s.means, [2.0, 21.0])
         assert s.count == 3
 
@@ -121,12 +119,12 @@ class TestSummarize:
         path = write(tmp_path, "a,b\n" + "\n".join(
             f"{r[0]:.17g},{r[1]:.17g}" for r in rows) + "\n")
         result = load_csv(path, NUMERIC_SCHEMA)
-        brute = max(float(np.sqrt(np.sum(t.values**2))) for t in result.tuples)
-        assert summarize(result.tuples).max_tuple_norm == pytest.approx(brute, abs=1e-12)
+        brute = max(float(np.sqrt(np.sum(row**2))) for row in result.values)
+        assert summarize(result.values).max_tuple_norm == pytest.approx(brute, abs=1e-12)
 
     def test_empty(self):
         with pytest.raises(EmptyDataset):
-            summarize([])
+            summarize(np.empty((0, 2)))
 
 
 class TestLookalike:
@@ -136,8 +134,7 @@ class TestLookalike:
         generate_lookalike(csv_path, schema_path, rows=60, seed=7)
         schema = DatasetSchema.from_json(schema_path)
         result = load_csv(csv_path, schema)
-        assert len(result.tuples) == 60
-        assert result.tuples[0].dim == 50
+        assert result.values.shape == (60, 50)
         assert schema.private_positions == frozenset({0, 1, 2})
 
     def test_schema_json_roundtrip(self, tmp_path):
@@ -150,8 +147,14 @@ class TestLookalike:
         again = DatasetSchema.from_json(p)
         assert again == schema
 
-    def test_bad_schema_kind(self):
+    def test_bad_schema_kind(self, tmp_path):
         with pytest.raises(SchemaMismatch):
             ColumnSpec("x", "wat")
         with pytest.raises(SchemaMismatch):
             ColumnSpec("x", "binary-categorical")
+        bad_files = ['[{"name": "x"', '[{"kind": "numeric"}]', '["x"]',
+                     '[{"name": "s", "kind": "binary-categorical", "value_map": {"y": "one"}}]',
+                     '[{"name": "s", "kind": "binary-categorical", "value_map": {"y": NaN}}]']
+        for text in bad_files:
+            with pytest.raises(SchemaMismatch):
+                DatasetSchema.from_json(write(tmp_path, text, "s.json"))

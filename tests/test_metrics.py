@@ -220,25 +220,6 @@ class TestResemblance:
         with pytest.raises(InsufficientPoints):
             resemblance(np.ones((3, 2)), np.ones((3, 2)), k=5)
 
-    def test_cross_cloud_mode(self):
-        pts = Rng(30).standard_normal((20, 3))
-        # Exact reconstructions give full overlap in either mode.
-        assert resemblance(pts, pts.copy(), k=4, recon_neighbors_in_actual=True) == 1.0
-        gen = Rng(31).generator
-        rec = pts + 0.3 * gen.standard_normal((20, 3))
-        within = resemblance(pts, rec, k=4)
-        cross = resemblance(pts, rec, k=4, recon_neighbors_in_actual=True)
-        assert 0.0 <= within <= 1.0 and 0.0 <= cross <= 1.0
-        # Brute-force check of the cross mode.
-        sa = oracle_knn(pts.tolist(), 4)
-        sr = []
-        for i, p in enumerate(rec.tolist()):
-            ranked = sorted((sum((x - y) ** 2 for x, y in zip(p, q)), j)
-                            for j, q in enumerate(pts.tolist()) if j != i)
-            sr.append({j for _, j in ranked[:4]})
-        expected = sum(len(a & b) / 4 for a, b in zip(sa, sr)) / len(sa)
-        assert cross == pytest.approx(expected, abs=1e-12)
-
 
 class TestPreservationFraction:
     def test_identity_projection(self):

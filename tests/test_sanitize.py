@@ -27,7 +27,6 @@ from privsan.sanitize import (
     sanitize_nrp_unbounded,
     sanitize_pca,
     subspace_projection_for_check,
-    training_mean,
 )
 
 CERT = compute_norm_bound(0.5, 0.1, 1.0)
@@ -167,19 +166,19 @@ class TestBrp:
 class TestPca:
     def test_line_data_first_component(self):
         direction = np.array([3.0, 4.0]) / 5.0
-        pts = [dt(t * direction) for t in (-2, -1, 1, 2)]
+        pts = np.array([t * direction for t in (-2, -1, 1, 2)])
         p = fit_pca(pts, 1)
         assert np.allclose(np.abs(p.matrix[:, 0]), np.abs(direction), atol=1e-9)
 
     def test_isotropic_orthonormal(self):
         gen = Rng(19).generator
-        pts = [dt(v) for v in gen.standard_normal((200, 4))]
+        pts = gen.standard_normal((200, 4))
         p = fit_pca(pts, 3)
         assert np.abs(p.matrix.T @ p.matrix - np.eye(3)).max() < 1e-9
 
     def test_hand_covariance_components(self):
         a, b = 1.5, np.sqrt(0.75)
-        pts = [dt([a, a]), dt([-a, -a]), dt([b, -b]), dt([-b, b])]
+        pts = np.array([[a, a], [-a, -a], [b, -b], [-b, b]])
         p = fit_pca(pts, 2)
         r2 = 1 / np.sqrt(2)
         assert np.allclose(p.matrix[:, 0], [r2, r2], atol=1e-9)
@@ -187,17 +186,17 @@ class TestPca:
 
     def test_mean_maps_to_zero(self):
         gen = Rng(20).generator
-        pts = [dt(v) for v in gen.standard_normal((30, 5)) + 4.0]
+        pts = gen.standard_normal((30, 5)) + 4.0
         p = fit_pca(pts, 2)
-        mean = training_mean(pts)
+        mean = pts.mean(axis=0)
         out = sanitize_pca(dt(mean), p, mean)
         assert np.allclose(out.values, 0.0, atol=1e-12)
 
     def test_projection_oracle(self):
         gen = Rng(21).generator
-        pts = [dt(v) for v in gen.standard_normal((40, 4))]
+        pts = gen.standard_normal((40, 4))
         p = fit_pca(pts, 2)
-        mean = training_mean(pts)
+        mean = pts.mean(axis=0)
         y = gen.standard_normal(4)
         out = sanitize_pca(dt(y), p, mean)
         expected = [(y - mean) @ p.matrix[:, j] for j in range(2)]
@@ -205,7 +204,7 @@ class TestPca:
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientData):
-            fit_pca([dt([1.0, 2.0])], 1)
+            fit_pca(np.array([[1.0, 2.0]]), 1)
 
 
 class TestAsup:

@@ -9,9 +9,10 @@ from privsan.rng import Rng
 from privsan.sanitize import EntryDistribution
 from privsan.simulate import (
     ExperimentConfig,
-    ObservationModel,
+    SyntheticDataset,
     _attack_round,
     _certificates,
+    _robustness_gap,
     _sanitize_round,
     estimate_parameters,
     generate_synthetic,
@@ -41,15 +42,26 @@ class TestGenerateSynthetic:
     def test_shapes_and_privacy_marking(self):
         cfg = ExperimentConfig(agent_count=50, repetitions=1)
         data = generate_synthetic(cfg, Rng(1))
-        assert len(data.tuples) == 50 * 50
-        assert all(t.dim == 50 for t in data.tuples)
+        assert data.values.shape == (50 * 50, 50)
+        assert data.matrices.shape == (50, 50, 50)
+        assert (data.agent_count, data.observations_per_agent) == (50, 50)
         assert data.parameter.size == 50
-        assert all(t.private_indices == frozenset(range(12)) for t in data.tuples)
+        assert data.private_count == 12
+
+    def test_tuples_view_the_value_rows(self):
+        cfg = ExperimentConfig(agent_count=7, observations_per_agent=3, repetitions=1,
+                               private_count=4)
+        data = generate_synthetic(cfg, Rng(1))
+        tuples = data.tuples
+        assert len(tuples) == 21
+        for j, t in enumerate(tuples):
+            assert t.values.tobytes() == data.values[j].tobytes()
+            assert t.agent_id == f"a{j // 3:04d}"
+            assert t.private_indices == frozenset(range(4))
 
     def test_nonnegative_and_unit_max_norm(self):
         cfg = ExperimentConfig(**FAST)
-        data = generate_synthetic(cfg, Rng(2))
-        vals = np.stack([t.values for t in data.tuples])
+        vals = generate_synthetic(cfg, Rng(2)).values
         assert vals.min() >= 0.0
         norms = np.linalg.norm(vals, axis=1)
         assert norms.max() == pytest.approx(1.0, abs=1e-12)
@@ -61,14 +73,13 @@ class TestGenerateSynthetic:
                                repetitions=1, noise_sigma=0.0)
         data = generate_synthetic(cfg, Rng(3))
         for i in range(6):
-            expected = data.models[i].matrix @ data.parameter + data.shift
-            for t in data.tuples[i * 3:(i + 1) * 3]:
-                assert np.allclose(t.values, expected, atol=1e-12)
+            expected = data.matrices[i] @ data.parameter + data.shift
+            assert np.allclose(data.values[i * 3:(i + 1) * 3], expected, atol=1e-12)
 
     def test_observation_matrix_moments(self):
         cfg = ExperimentConfig(agent_count=50, observations_per_agent=1, repetitions=1)
         data = generate_synthetic(cfg, Rng(4))
-        entries = np.concatenate([m.matrix.ravel() for m in data.models]) / data.scale
+        entries = data.matrices.ravel() / data.scale
         assert entries.size >= 100_000
         assert abs(entries.mean()) < 0.005
         assert entries.min() >= -0.5 and entries.max() <= 0.5
@@ -76,7 +87,7 @@ class TestGenerateSynthetic:
     def test_certificate_cell_relation(self):
         cfg = ExperimentConfig(**FAST)
         data = generate_synthetic(cfg, Rng(5))
-        cell = cfg.cell_fraction * max(np.linalg.norm(t.values) for t in data.tuples)
+        cell = cfg.cell_fraction * np.linalg.norm(data.values, axis=1).max()
         for cert in _certificates(cfg, data, cell):
             # The scale cap stems from the one-cell move rule:
             # (t - 1) * alpha equals the cell side exactly.
@@ -88,17 +99,14 @@ class TestEstimateParameters:
     def test_noiseless_exact_recovery(self):
         gen = Rng(6).generator
         x = gen.standard_normal(4)
-        models = [ObservationModel(gen.uniform(-0.5, 0.5, (6, 4)), 0.0)
-                  for _ in range(3)]
-        obs = [m.matrix @ x for m in models]
-        est = estimate_parameters(obs, models)
+        matrices = gen.uniform(-0.5, 0.5, (3, 6, 4))
+        est = estimate_parameters(matrices @ x, matrices)
         assert np.abs(est - x).max() < 1e-9
 
     def test_single_identity_agent(self):
-        model = ObservationModel(np.eye(3), 0.0)
-        y = np.array([1.0, -2.0, 0.5])
-        est = estimate_parameters([y], [model])
-        assert np.allclose(est, y, atol=1e-12)
+        y = np.array([[1.0, -2.0, 0.5]])
+        est = estimate_parameters(y, np.eye(3)[None])
+        assert np.allclose(est, y[0], atol=1e-12)
 
     def test_two_agent_hand_normal_equations(self):
         h1 = np.array([[1.0], [2.0]])
@@ -106,25 +114,41 @@ class TestEstimateParameters:
         y1 = np.array([2.0, 3.0])
         y2 = np.array([4.0, 1.0])
         # x = (h1.y1 + h2.y2) / (|h1|^2 + |h2|^2) = (8 + 12) / 14
-        models = [ObservationModel(h1, 0.0), ObservationModel(h2, 0.0)]
-        est = estimate_parameters([y1, y2], models)
+        est = estimate_parameters(np.stack([y1, y2]), np.stack([h1, h2]))
         assert est[0] == pytest.approx(20.0 / 14.0, abs=1e-9)
 
     def test_rank_deficient(self):
-        model = ObservationModel(np.zeros((3, 2)), 0.0)
         with pytest.raises(RankDeficient):
-            estimate_parameters([np.ones(3)], [model])
+            estimate_parameters(np.ones((1, 3)), np.zeros((1, 3, 2)))
+        # Two agents observing along the same direction: rank 1 < 2.
+        h = np.array([[1.0, 2.0], [2.0, 4.0], [0.5, 1.0]])
+        with pytest.raises(RankDeficient):
+            estimate_parameters(np.ones((2, 3)), np.stack([h, 3.0 * h]))
 
     def test_matches_stacked_lstsq(self):
+        # Several observations per agent: each agent's rows share its
+        # matrix, so the stacked system repeats the matrix per row.
         gen = Rng(7).generator
-        models = [ObservationModel(gen.uniform(-0.5, 0.5, (5, 3)), 0.0)
-                  for _ in range(4)]
-        obs = [gen.standard_normal(5) for _ in range(4)]
-        est = estimate_parameters(obs, models)
-        a = np.vstack([m.matrix for m in models])
-        b = np.concatenate(obs)
-        ref = np.linalg.lstsq(a, b, rcond=None)[0]
+        matrices = gen.uniform(-0.5, 0.5, (4, 5, 3))
+        obs = gen.standard_normal((4 * 2, 5))
+        est = estimate_parameters(obs, matrices)
+        a = np.vstack([h for h in matrices for _ in range(2)])
+        ref = np.linalg.lstsq(a, obs.ravel(), rcond=None)[0]
         assert np.abs(est - ref).max() < 1e-9
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            estimate_parameters(np.ones((3, 5)), np.ones((2, 5, 3)))
+        with pytest.raises(ValueError):
+            estimate_parameters(np.ones((2, 4)), np.ones((2, 5, 3)))
+
+    def test_zero_matrices_give_nan_gap(self):
+        cfg = ExperimentConfig(**FAST)
+        data = generate_synthetic(cfg, Rng(8))
+        blind = SyntheticDataset(data.parameter, data.values, np.zeros_like(data.matrices),
+                                 data.private_count, data.shift, data.scale)
+        assert np.isnan(_robustness_gap(cfg, blind, data.values))
+        assert _robustness_gap(cfg, data, data.values) == 0.0
 
 
 class TestRunExperiment:
@@ -213,18 +237,27 @@ class TestRunExperiment:
         # The fusion center knows brp draws an orthonormal matrix, so the
         # expected inverse is estimated over that family, as the random
         # inverse already was.
-        cfg = ExperimentConfig(**FAST, sanitizer="brp", adversary="expected-inverse")
-        rng = Rng(11)
-        data = generate_synthetic(cfg, rng.child(0))
-        sanitized, ctx = _sanitize_round(cfg, data, rng.child(1))
-        recon = _attack_round(cfg, sanitized, ctx, rng.child(2))
-        lm = expected_inverse_map(cfg.input_dim, cfg.target_dim, EntryDistribution.GAUSSIAN_QR,
-                                  cfg.inverse_samples, rng.child(2).child(0))
-        assert np.array_equal(recon, linear(sanitized, lm))
-        wrong = expected_inverse_map(cfg.input_dim, cfg.target_dim,
-                                     EntryDistribution.UNIT_UNIFORM, cfg.inverse_samples,
-                                     rng.child(2).child(0))
-        assert not np.allclose(recon, linear(sanitized, wrong))
+        _assert_expected_inverse_family("brp", EntryDistribution.GAUSSIAN_QR)
+
+    def test_pca_expected_inverse_uses_orthonormal_family(self):
+        # pca's components are orthonormal too.
+        _assert_expected_inverse_family("pca", EntryDistribution.GAUSSIAN_QR)
+
+
+def _assert_expected_inverse_family(sanitizer, family):
+    cfg = ExperimentConfig(**FAST, sanitizer=sanitizer, adversary="expected-inverse")
+    rng = Rng(11)
+    data = generate_synthetic(cfg, rng.child(0))
+    sanitized, ctx = _sanitize_round(cfg, data, rng.child(1))
+    recon = _attack_round(cfg, sanitized, ctx, rng.child(2))
+    lm = expected_inverse_map(cfg.input_dim, cfg.target_dim, family,
+                              cfg.inverse_samples, rng.child(2).child(0))
+    assert np.array_equal(recon, linear(sanitized, lm))
+    wrong = expected_inverse_map(cfg.input_dim, cfg.target_dim,
+                                 EntryDistribution.UNIT_UNIFORM, cfg.inverse_samples,
+                                 rng.child(2).child(0))
+    assert not np.allclose(recon, linear(sanitized, wrong))
+
 
 class TestRunSweep:
     def test_row_cardinality_and_columns(self):
