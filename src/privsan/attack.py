@@ -144,17 +144,9 @@ def linear(s: np.ndarray, linear_map: np.ndarray) -> np.ndarray:
 # Per-tuple API: one-row calls into the attacks above.
 
 def attack_random_inverse(t: SanitizedTuple, n: int, distribution: EntryDistribution,
-                          rng: Rng, override_matrix: np.ndarray | None = None,
-                          ) -> ReconstructionResult:
-    """Reconstruct with the pseudo-inverse of a fresh family draw.
-    ``override_matrix`` substitutes the draw; it exists for white-box
-    oracle checks where the attacker is handed the true matrix."""
-    if override_matrix is None:
-        recon = random_inverse(t.values[None], n, distribution, [rng])
-    elif t.dim > n:
-        raise DimensionMismatch(f"sanitized dim {t.dim} exceeds ambient dim {n}")
-    else:
-        recon = known_matrix(t.values[None], np.asarray(override_matrix, dtype=float))
+                          rng: Rng) -> ReconstructionResult:
+    """Reconstruct with the pseudo-inverse of a fresh family draw."""
+    recon = random_inverse(t.values[None], n, distribution, [rng])
     return ReconstructionResult(recon[0], t.agent_id, "random-inverse")
 
 

@@ -4,8 +4,10 @@ Commands: ``run`` (one experiment), ``sweep`` (mechanism x agent-count
 grid), ``verify`` (distance-preservation and dimension-equivalence
 checks), ``timing`` (per-tuple cost model), ``ingest`` (CSV loading and
 summary).  Exit codes: 0 success, 2 configuration error (reported
-before any work starts), 3 runtime error, 4 ``verify`` found a
-violation; diagnostics go to standard error.
+before any work starts; this includes a ``--config``, ``--schema`` or
+``--data`` path that cannot be read and an ``--out`` directory that
+cannot be created), 3 runtime error, 4 ``verify`` found a violation;
+diagnostics go to standard error.
 
 Configuration is a flat JSON object whose keys mirror
 :class:`privsan.simulate.ExperimentConfig`.  Precedence, highest first:
@@ -35,6 +37,7 @@ from .simulate import (
     ExperimentConfig,
     run_experiment,
     run_sweep,
+    sweep_configs,
 )
 
 ENV_PREFIX = "PRIVSAN_"
@@ -43,33 +46,14 @@ BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
             "0": False, "false": False, "no": False, "off": False}
 
 
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
-def _write_rows(path: Path, rows: list[dict]) -> None:
-    """CSV with the first row's keys, in order, as the header."""
-    header = list(rows[0])
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row[k]) for k in header) + "\n")
-
-
 def _config_from_sources(args: argparse.Namespace) -> ExperimentConfig:
     fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
     values: dict = {}
     if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigInvalid(f"config file not found: {path}")
         try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigInvalid(f"config file is not valid JSON: {exc}") from None
+            raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise ConfigInvalid(f"config file is not valid UTF-8 JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigInvalid("config file must hold one JSON object")
         for key, val in raw.items():
@@ -128,31 +112,51 @@ def _config_digest(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _write_manifest(out: Path, cfg_digest: str, started: str, outputs: list[str]) -> None:
+def _open_out(path: str) -> tuple[Path, str]:
+    """Create the output directory and return it with the start time.
+    Commands call this after checking their own arguments and before
+    any work, so an unusable ``--out`` is a configuration error."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigInvalid(f"cannot create output directory: {exc}") from None
+    return out, datetime.now(timezone.utc).isoformat()
+
+
+def _write_outputs(out: Path, started: str, digest: str, files: dict[str, object]) -> None:
+    """Write each result file, then ``manifest.json`` listing them.  A
+    list of rows becomes a CSV with the first row's keys, in order, as
+    the header and floats at 17 significant digits, which round-trips
+    float64; anything else becomes JSON."""
     manifest = {
-        "config_digest": cfg_digest,
+        "config_digest": digest,
         "started_utc": started,
         "finished_utc": datetime.now(timezone.utc).isoformat(),
         "version": __version__,
-        "outputs": outputs,
+        "outputs": list(files),
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                                       encoding="utf-8")
+    for name, content in [*files.items(), ("manifest.json", manifest)]:
+        with (out / name).open("w", encoding="utf-8", newline="") as fh:
+            if isinstance(content, list):
+                header = list(content[0])
+                fh.write(",".join(header) + "\n")
+                for row in content:
+                    fh.write(",".join(f"{row[k]:.17g}" if isinstance(row[k], float)
+                                      else str(row[k]) for k in header) + "\n")
+            else:
+                fh.write(json.dumps(content, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _config_from_sources(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    started = datetime.now(timezone.utc).isoformat()
+    out, started = _open_out(args.out)
     res = run_experiment(cfg)
     digest = _config_digest(cfg)
-    _write_rows(out / "report.csv", [res.row()])
-    (out / "report.json").write_text(
-        json.dumps({**dataclasses.asdict(res), "config_digest": digest}, indent=2,
-                   sort_keys=True) + "\n",
-        encoding="utf-8")
-    _write_manifest(out, digest, started, ["report.csv", "report.json"])
+    _write_outputs(out, started, digest, {
+        "report.csv": [res.row()],
+        "report.json": {**dataclasses.asdict(res), "config_digest": digest},
+    })
     r = res.report
     print(f"{cfg.sanitizer}: breach={r.breach_count:.6g} displacement={r.displacement:.6g} "
           f"resemblance={r.resemblance:.6g} utility={res.utility_mean:.6g}")
@@ -163,15 +167,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _config_from_sources(args)
     agents = _parse_int_list(args.agents) if args.agents else list(SWEEP_AGENT_GRID)
     mechanisms = args.mechanisms.split(",") if args.mechanisms else ["nrp", "brp", "pca", "asup"]
-    unknown = [m for m in mechanisms if m not in MECHANISMS]
-    if unknown:
-        raise ConfigInvalid(f"unknown mechanism(s): {', '.join(unknown)}")
-    started = datetime.now(timezone.utc).isoformat()
+    sweep_configs(cfg, agents, mechanisms)  # every grid point is checked before --out
+    out, started = _open_out(args.out)
     rows = run_sweep(cfg, agents, mechanisms)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_rows(out / "sweep.csv", rows)
-    _write_manifest(out, _config_digest(cfg), started, ["sweep.csv"])
+    _write_outputs(out, started, _config_digest(cfg), {"sweep.csv": rows})
     print(f"wrote {len(rows)} rows ({len(mechanisms)} mechanisms x {len(agents)} agent counts)")
     return 0
 
@@ -180,21 +179,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     check_gamma(args.gamma)
     if args.points < 2 or args.trials < 1:
         raise ConfigInvalid("need --points >= 2 and --trials >= 1")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    started = datetime.now(timezone.utc).isoformat()
+    out, started = _open_out(args.out)
     trials = verify.preservation_trials(args.gamma, args.points, args.trials, args.seed or 0)
-    pres_rows = [{**dataclasses.asdict(t), "ok": int(t.ok)} for t in trials]
-    _write_rows(out / "preservation.csv", pres_rows)
-
     table = verify.equivalence_table((2, 10, 100, 1000, 10_000, 100_000),
                                      verify.gamma_grid())
-    eq_rows = [{**dataclasses.asdict(r), "m2": "" if r.m2 is None else r.m2,
-                "within_reference": int(r.within_reference)} for r in table]
-    _write_rows(out / "equivalence.csv", eq_rows)
-    _write_manifest(out, hashlib.sha256(
-        f"verify:{args.gamma}:{args.points}:{args.trials}:{args.seed}".encode()).hexdigest(),
-        started, ["preservation.csv", "equivalence.csv"])
+    _write_outputs(out, started, hashlib.sha256(
+        f"verify:{args.gamma}:{args.points}:{args.trials}:{args.seed}".encode()).hexdigest(), {
+        "preservation.csv": [{**dataclasses.asdict(t), "ok": int(t.ok)} for t in trials],
+        "equivalence.csv": [{**dataclasses.asdict(r), "m2": "" if r.m2 is None else r.m2,
+                             "within_reference": int(r.within_reference)} for r in table],
+    })
 
     bad_trials = [t for t in trials if not t.ok]
     bad_eq = [r for r in table if not r.within_reference]
@@ -210,47 +204,41 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_timing(args: argparse.Namespace) -> int:
     n_grid = _parse_int_list(args.n_grid) if args.n_grid else [128, 256, 512]
-    if len(n_grid) < 2 or not (1 <= args.target_dim <= min(n_grid)):
-        raise ConfigInvalid("need two or more input dims, each >= --target-dim >= 1")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    started = datetime.now(timezone.utc).isoformat()
+    if len(set(n_grid)) < 2 or not (1 <= args.target_dim <= min(n_grid)):
+        raise ConfigInvalid("need two or more distinct input dims, each >= --target-dim >= 1")
+    out, started = _open_out(args.out)
     rows = timing.measure(n_grid, m=args.target_dim, master_seed=args.seed or 0)
-    _write_rows(out / "timing.csv", [dataclasses.asdict(r) for r in rows])
     slope_rows = []
     for mech in ("nrp", "brp", "asup", "pca"):
         slope = timing.loglog_slope(rows, mech)
         slope_rows.append({"mechanism": mech, "phase": "sanitize", "slope": slope})
         print(f"{mech}: per-tuple log-log slope vs n = {slope:.3f}")
-    _write_rows(out / "slopes.csv", slope_rows)
-    _write_manifest(out, hashlib.sha256(str(n_grid).encode()).hexdigest(), started,
-                    ["timing.csv", "slopes.csv"])
+    _write_outputs(out, started, hashlib.sha256(str(n_grid).encode()).hexdigest(), {
+        "timing.csv": [dataclasses.asdict(r) for r in rows],
+        "slopes.csv": slope_rows,
+    })
     return 0
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    started = datetime.now(timezone.utc).isoformat()
     schema = dataio.DatasetSchema.from_json(args.schema)
+    out, started = _open_out(args.out)
     result = dataio.load_csv(args.data, schema, shift_nonnegative=not args.raw)
     names = [c.name for c in schema.retained]
     summary = dataio.summarize(result.values, names)
-    dataio.write_csv(result.values, out / "processed.csv", names)
-    record = {
-        "count": summary.count,
-        "columns": summary.column_names,
-        "minima": [float(v) for v in summary.minima],
-        "maxima": [float(v) for v in summary.maxima],
-        "means": [float(v) for v in summary.means],
-        "max_tuple_norm": summary.max_tuple_norm,
-        "column_shifts": [float(v) for v in result.column_shifts],
-        "private_positions": sorted(schema.private_positions),
-    }
-    (out / "summary.json").write_text(json.dumps(record, indent=2, sort_keys=True) + "\n",
-                                      encoding="utf-8")
-    _write_manifest(out, hashlib.sha256(Path(args.data).read_bytes()).hexdigest(), started,
-                    ["processed.csv", "summary.json"])
+    _write_outputs(out, started, hashlib.sha256(Path(args.data).read_bytes()).hexdigest(), {
+        "processed.csv": [dict(zip(names, row)) for row in result.values.tolist()],
+        "summary.json": {
+            "count": summary.count,
+            "columns": summary.column_names,
+            "minima": summary.minima.tolist(),
+            "maxima": summary.maxima.tolist(),
+            "means": summary.means.tolist(),
+            "max_tuple_norm": summary.max_tuple_norm,
+            "column_shifts": result.column_shifts.tolist(),
+            "private_positions": sorted(schema.private_positions),
+        },
+    })
     print(f"loaded {summary.count} tuples x {len(names)} columns; "
           f"max tuple norm {summary.max_tuple_norm:.6g}")
     return 0
@@ -321,7 +309,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigInvalid, SchemaMismatch, GammaOutOfRange, FileNotFoundError) as exc:
+    except (ConfigInvalid, SchemaMismatch, GammaOutOfRange, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except PrivsanError as exc:

@@ -65,11 +65,6 @@ class DatasetSchema:
     def private_positions(self) -> frozenset[int]:
         return frozenset(i for i, c in enumerate(self.retained) if c.private)
 
-    def as_numeric(self) -> "DatasetSchema":
-        """Schema describing this schema's already-preprocessed output."""
-        return DatasetSchema([ColumnSpec(c.name, "numeric", c.private)
-                              for c in self.retained])
-
     @classmethod
     def from_json(cls, path: str | Path) -> "DatasetSchema":
         with open(path, encoding="utf-8") as fh:
@@ -89,10 +84,13 @@ class DatasetSchema:
             except (AttributeError, TypeError, ValueError):
                 raise SchemaMismatch(f"schema entry {k}: value_map must map "
                                      f"values to numbers") from None
+            private = entry.get("private", False)
+            if not isinstance(private, bool):
+                raise SchemaMismatch(f"schema entry {k}: \"private\" must be true or false")
             cols.append(ColumnSpec(
                 name=str(entry["name"]),
                 kind=str(entry.get("kind", "numeric")),
-                private=bool(entry.get("private", False)),
+                private=private,
                 value_map=value_map,
             ))
         return cls(cols)
@@ -128,16 +126,16 @@ def load_csv(path: str | Path, schema: DatasetSchema,
              shift_nonnegative: bool = True) -> LoadResult:
     """Load and preprocess a CSV file.
 
-    Row k of the file becomes row k of the values array.  Retained cells
-    that fail to parse to a finite number raise :class:`ParseError` with
-    their 1-based data row number.
+    Row k of the file becomes row k of the values array.  Cells that are
+    not UTF-8 text, and retained cells that fail to parse to a finite
+    number, raise :class:`ParseError` with their 1-based data row number.
     By default each retained column with negative values is shifted up
     to be nonnegative; the applied shifts are returned.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
-    with path.open(encoding="utf-8", newline="") as fh:
+    # Undecodable bytes become lone surrogates, which the cell check below
+    # reports with their row and column.
+    with path.open(encoding="utf-8", errors="surrogateescape", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -151,6 +149,11 @@ def load_csv(path: str | Path, schema: DatasetSchema,
         for rownum, row in enumerate(reader, start=1):
             if len(row) != len(schema.columns):
                 raise ParseError(rownum, "<row>", f"expected {len(schema.columns)} cells")
+            for col, cell in zip(schema.columns, row):
+                try:
+                    cell.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ParseError(rownum, col.name, "not UTF-8 text") from None
             vals = []
             for i, col in keep:
                 cell = row[i].strip()
@@ -194,19 +197,6 @@ def summarize(values: np.ndarray,
         means=x.mean(axis=0),
         max_tuple_norm=float(np.linalg.norm(x, axis=1).max()),
     )
-
-
-def write_csv(values: np.ndarray, path: str | Path,
-              column_names: list[str]) -> None:
-    """Write the rows of a (tuples x columns) array with
-    17-significant-digit formatting, which round-trips float64 exactly."""
-    x = as_matrix(values)
-    if x.shape[1] != len(column_names):
-        raise ValueError("column_names length does not match tuple dimension")
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(column_names) + "\n")
-        for row in x:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def generate_lookalike(csv_path: str | Path, schema_path: str | Path,

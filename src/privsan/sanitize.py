@@ -277,7 +277,6 @@ def sanitize_nrp(t: DataTuple, m: int, certificate: NormBoundCertificate, rng: R
     """
     beta = certificate.frobenius_bound
     values, a = nrp(t.values[None], m, rng, distribution, np.array([beta]))
-    ProjectionMatrix(a[0], distribution, beta, certificate)
     if log is not None:
         log.record(t.agent_id, rng, distribution, beta, a[0])
     return SanitizedTuple(values[0], t.agent_id, "nrp")

@@ -337,12 +337,12 @@ def _robustness_gap(cfg: ExperimentConfig, data: SyntheticDataset,
     adversary's reconstruction embedding; the concept-robustness
     diagnostic at radius = one grid cell.  NaN when the round's
     observation matrices cannot identify the parameter."""
+    # The fusion is linear, so one solve on the difference gives the
+    # difference of the two estimates, and the shift cancels.
     try:
-        x_raw = estimate_parameters(data.values - data.shift, data.matrices)
-        x_rec = estimate_parameters(recons - data.shift, data.matrices)
+        return float(np.linalg.norm(estimate_parameters(data.values - recons, data.matrices)))
     except RankDeficient:
         return float("nan")
-    return float(np.linalg.norm(x_raw - x_rec))
 
 
 def _utility_means(cfg: ExperimentConfig, actual: np.ndarray,
@@ -397,11 +397,16 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     )
 
 
+def sweep_configs(cfg: ExperimentConfig, agent_grid, mechanisms) -> list[ExperimentConfig]:
+    """The config of every (mechanism, agent count) grid point, mechanism
+    major; building them validates each one."""
+    return [replace(cfg, sanitizer=mech, agent_count=nagents, adversary="auto")
+            for mech in mechanisms for nagents in agent_grid]
+
+
 def run_sweep(cfg: ExperimentConfig, agent_grid=SWEEP_AGENT_GRID,
               mechanisms=("nrp", "brp", "pca", "asup")) -> list[dict]:
     """One result row per (mechanism, agent count) grid point.  Every
     grid point's config is validated before the first one runs."""
-    subs = [replace(cfg, sanitizer=mech, agent_count=nagents, adversary="auto")
-            for mech in mechanisms for nagents in agent_grid]
-    rows = [run_experiment(sub).row() for sub in subs]
+    rows = [run_experiment(sub).row() for sub in sweep_configs(cfg, agent_grid, mechanisms)]
     return [{key: row[key] for key in SWEEP_COLUMNS} for row in rows]

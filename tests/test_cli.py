@@ -77,8 +77,9 @@ class TestRunCommand:
 
     def test_malformed_config_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json", encoding="utf-8")
-        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
+        for text in (b"{not json", b'{"sanitizer": "\xff"}'):
+            bad.write_bytes(text)
+            assert main(["run", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
 
     def test_unknown_key_exits_2(self, tmp_path):
         cfg = write_cfg(tmp_path, {"bogus_key": 1})
@@ -122,8 +123,8 @@ class TestRunCommand:
             parser.parse_args(["run", "--mechanism", "bogus"])
 
     def test_missing_config_exits_2(self, tmp_path):
-        assert main(["run", "--config", str(tmp_path / "nope.json"),
-                     "--out", str(tmp_path / "x")]) == 2
+        for path in (tmp_path / "nope.json", tmp_path):
+            assert main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
 
     def test_runtime_error_exits_3(self, tmp_path, monkeypatch):
         def fail(cfg):
@@ -174,6 +175,7 @@ class TestSweepCommand:
             assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]
                         + extra) == 2
         assert ran == []
+        assert not (tmp_path / "s").exists()
 
 
 class TestVerifyCommand:
@@ -209,6 +211,11 @@ class TestTimingCommand:
         assert len(lines) - 1 == 10  # 5 rows per grid point
         assert (out / "slopes.csv").exists()
 
+    def test_bad_grid_exits_2(self, tmp_path):
+        for grid in ("64", "64,64", "8,64"):
+            assert main(["timing", "--n-grid", grid, "--out", str(tmp_path / "t")]) == 2
+        assert not (tmp_path / "t").exists()
+
 
 class TestIngestCommand:
     def test_lookalike_roundtrip(self, tmp_path):
@@ -232,19 +239,50 @@ class TestIngestCommand:
         # Malformed JSON and an entry without a name are schema errors too.
         data = tmp_path / "a.csv"
         data.write_text("x\n1\n", encoding="utf-8")
-        for text in ('[{"name": "x"', '[{"kind": "numeric"}]'):
-            schema = tmp_path / "b.json"
+        schema = tmp_path / "b.json"
+        for text in ('[{"name": "x"', '[{"kind": "numeric"}]',
+                     '[{"name": "x", "private": "false"}]'):
             schema.write_text(text, encoding="utf-8")
             assert main(["ingest", "--data", str(data), "--schema", str(schema),
+                         "--out", str(tmp_path / "x")]) == 2
+        # A directory is no schema or data file either.
+        schema.write_text('[{"name": "x"}]', encoding="utf-8")
+        for paths in ((data, tmp_path), (tmp_path, schema)):
+            assert main(["ingest", "--data", str(paths[0]), "--schema", str(paths[1]),
                          "--out", str(tmp_path / "x")]) == 2
         assert "Traceback" not in capsys.readouterr().err
 
     def test_bad_cell_exits_3(self, tmp_path, capsys):
         schema = tmp_path / "s.json"
         schema.write_text('[{"name": "x"}, {"name": "y"}]', encoding="utf-8")
-        for cell in ("oops", "nan", "inf"):
+        for cell in (b"oops", b"nan", b"inf", b"\xff\xfe"):
             data = tmp_path / "a.csv"
-            data.write_text(f"x,y\n1,2\n3,{cell}\n", encoding="utf-8")
+            data.write_bytes(b"x,y\n1,2\n3," + cell + b"\n")
             assert main(["ingest", "--data", str(data), "--schema", str(schema),
                          "--out", str(tmp_path / "x")]) == 3
             assert "row 2, column 'y'" in capsys.readouterr().err
+
+
+class TestOutputDirectory:
+    def test_out_under_a_file_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys):
+        ran = []
+        for target in ("privsan.simulate.run_experiment", "privsan.cli.run_experiment",
+                       "privsan.verify.preservation_trials", "privsan.timing.measure",
+                       "privsan.dataio.load_csv"):
+            monkeypatch.setattr(target, lambda *a, _name=target, **kw: ran.append(_name))
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        cfg = write_cfg(tmp_path)
+        csv_path, schema_path = tmp_path / "c.csv", tmp_path / "c.schema.json"
+        generate_lookalike(csv_path, schema_path, rows=5)
+        commands = [
+            ["run", "--config", str(cfg)],
+            ["sweep", "--config", str(cfg), "--agents", "12"],
+            ["verify"],
+            ["timing"],
+            ["ingest", "--data", str(csv_path), "--schema", str(schema_path)],
+        ]
+        for argv in commands:
+            assert main(argv + ["--out", str(blocker / "out")]) == 2, argv[0]
+            assert "configuration error" in capsys.readouterr().err, argv[0]
+        assert ran == []

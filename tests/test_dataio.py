@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from privsan.cli import main
 from privsan.dataio import (
     ColumnSpec,
     DatasetSchema,
     generate_lookalike,
     load_csv,
     summarize,
-    write_csv,
 )
 from privsan.errors import EmptyDataset, ParseError, SchemaMismatch
 
@@ -56,8 +56,9 @@ class TestLoadCsv:
             load_csv(path, NUMERIC_SCHEMA)
 
     def test_parse_error_reports_row_and_column(self, tmp_path):
-        for cell in ("oops", "nan", "inf", "-inf", "1e999"):
-            path = write(tmp_path, f"a,b\n1,2\n1,{cell}\n")
+        for cell in (b"oops", b"nan", b"inf", b"-inf", b"1e999", b"\xff\xfe"):
+            path = tmp_path / "data.csv"
+            path.write_bytes(b"a,b\n1,2\n1," + cell + b"\n")
             with pytest.raises(ParseError) as err:
                 load_csv(path, NUMERIC_SCHEMA)
             assert err.value.row == 2
@@ -89,10 +90,13 @@ class TestRoundTrip:
         gen = np.random.default_rng(1)
         path = write(tmp_path, "a,b\n" + "\n".join(
             f"{gen.uniform(0, 1):.17g},{gen.uniform(0, 9):.17g}" for _ in range(20)) + "\n")
+        schema = tmp_path / "s.json"
+        NUMERIC_SCHEMA.to_json(schema)
+        out = tmp_path / "out"
+        assert main(["ingest", "--data", str(path), "--schema", str(schema),
+                     "--out", str(out)]) == 0
         first = load_csv(path, NUMERIC_SCHEMA)
-        out = tmp_path / "again.csv"
-        write_csv(first.values, out, ["a", "b"])
-        second = load_csv(out, NUMERIC_SCHEMA.as_numeric())
+        second = load_csv(out / "processed.csv", NUMERIC_SCHEMA)
         assert first.values.tobytes() == second.values.tobytes()
 
 
@@ -154,7 +158,8 @@ class TestLookalike:
             ColumnSpec("x", "binary-categorical")
         bad_files = ['[{"name": "x"', '[{"kind": "numeric"}]', '["x"]',
                      '[{"name": "s", "kind": "binary-categorical", "value_map": {"y": "one"}}]',
-                     '[{"name": "s", "kind": "binary-categorical", "value_map": {"y": NaN}}]']
+                     '[{"name": "s", "kind": "binary-categorical", "value_map": {"y": NaN}}]',
+                     '[{"name": "x", "private": "false"}]', '[{"name": "x", "private": 1}]']
         for text in bad_files:
             with pytest.raises(SchemaMismatch):
                 DatasetSchema.from_json(write(tmp_path, text, "s.json"))
