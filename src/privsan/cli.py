@@ -89,10 +89,10 @@ def _coerce(annotation: str, value):
     if value is None:
         return None
     kind = str(annotation)
+    if isinstance(value, bool) and kind != "bool":
+        raise ValueError(f"expected {kind}, got {value!r}")
     if kind == "bool":
-        if isinstance(value, bool):
-            return value
-        text = str(value).strip().lower()
+        text = str(value).strip().lower()   # JSON true/false read as "true"/"false"
         if text not in BOOLEANS:
             raise ValueError(f"not a boolean: {value!r}")
         return BOOLEANS[text]
@@ -177,10 +177,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     check_gamma(args.gamma)
-    if args.points < 2 or args.trials < 1:
-        raise ConfigInvalid("need --points >= 2 and --trials >= 1")
+    if args.points < 2 or args.trials < 1 or args.seed < 0:
+        raise ConfigInvalid("need --points >= 2, --trials >= 1 and --seed >= 0")
     out, started = _open_out(args.out)
-    trials = verify.preservation_trials(args.gamma, args.points, args.trials, args.seed or 0)
+    trials = verify.preservation_trials(args.gamma, args.points, args.trials, args.seed)
     table = verify.equivalence_table((2, 10, 100, 1000, 10_000, 100_000),
                                      verify.gamma_grid())
     _write_outputs(out, started, hashlib.sha256(
@@ -204,10 +204,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_timing(args: argparse.Namespace) -> int:
     n_grid = _parse_int_list(args.n_grid) if args.n_grid else [128, 256, 512]
-    if len(set(n_grid)) < 2 or not (1 <= args.target_dim <= min(n_grid)):
-        raise ConfigInvalid("need two or more distinct input dims, each >= --target-dim >= 1")
+    if len(set(n_grid)) < 2 or not (1 <= args.target_dim <= min(n_grid)) or args.seed < 0:
+        raise ConfigInvalid("need two or more distinct input dims, each >= --target-dim >= 1, "
+                            "and --seed >= 0")
     out, started = _open_out(args.out)
-    rows = timing.measure(n_grid, m=args.target_dim, master_seed=args.seed or 0)
+    rows = timing.measure(n_grid, m=args.target_dim, master_seed=args.seed)
     slope_rows = []
     for mech in ("nrp", "brp", "asup", "pca"):
         slope = timing.loglog_slope(rows, mech)

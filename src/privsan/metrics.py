@@ -4,8 +4,8 @@ empirical distance-preservation fraction.
 
 Reconstruction metrics compare an actual point cloud with an aligned
 reconstructed cloud.  Nearest-neighbor computations are exact brute
-force; datasets at benchmark scale stay small enough that correctness is
-worth more than an approximate index.
+force over blocks of ``KNN_BLOCK`` rows, so resemblance holds
+O(``KNN_BLOCK`` x N) memory for N points rather than an N x N matrix.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from .bounds import check_gamma
 from .errors import EmptyDataset, InsufficientPoints
 from .linalg import as_matrix, row_cosines, zero_pad
 from .sanitize import DataTuple, SanitizedTuple
+
+KNN_BLOCK = 256    # rows per block of the kNN distance matrix; bounds its memory
 
 
 @dataclass(frozen=True)
@@ -109,34 +111,31 @@ def displacement(actual, recon) -> float:
     return float(np.mean(np.linalg.norm(r - a, axis=1)))
 
 
-def _squared_distances(x: np.ndarray) -> np.ndarray:
+def _squared_distances(x: np.ndarray, rows: slice) -> np.ndarray:
     sq = np.sum(x * x, axis=1)
-    d = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    g = x[rows] @ x.T
+    g *= -2.0    # then add: the same bits as (sq_i + sq_j) - 2.0 * g, and faster
+    d = sq[rows, None] + sq[None, :]
+    d += g
     np.maximum(d, 0.0, out=d)
     return d
 
 
-def _knn_indices(x: np.ndarray, k: int) -> np.ndarray:
-    """k nearest neighbors of each row among the other rows, ties broken
-    by lower index.  Returns an (n, k) index array."""
-    n = x.shape[0]
-    d = _squared_distances(x)
-    np.fill_diagonal(d, np.inf)
-    cut = min(n - 1, k + 8)
-    # Candidates sorted by index, then a stable distance sort, so equal
-    # distances resolve to the lower index.
-    cand = np.sort(np.argpartition(d, cut - 1, axis=1)[:, :cut], axis=1)
-    dcand = np.take_along_axis(d, cand, axis=1)
-    order = np.argsort(dcand, axis=1, kind="stable")
-    nearest = np.take_along_axis(cand, order[:, :k], axis=1)
-    if cut < n - 1:
-        # A tie straddling the preselection boundary needs the full row.
-        kth = np.take_along_axis(dcand, order[:, k - 1:k], axis=1)[:, 0]
-        last = np.take_along_axis(dcand, order[:, -1:], axis=1)[:, 0]
-        for i in np.nonzero(kth >= last)[0]:
-            full = np.argsort(d[i], kind="stable")
-            nearest[i] = full[:k]
-    return nearest
+def _knn_mask(x: np.ndarray, lo: int, k: int) -> np.ndarray:
+    """Mask of each block row's k nearest other rows of ``x``: those nearer
+    than the k-th distance, then the lowest-index ones tied at it."""
+    rows = slice(lo, lo + KNN_BLOCK)
+    d = _squared_distances(x, rows)
+    np.fill_diagonal(d[:, rows], np.inf)
+    smallest = np.partition(d, k - 1, axis=1)[:, :k]
+    kth = smallest[:, -1:]
+    need = np.count_nonzero(smallest == kth, axis=1)
+    # flatnonzero is row-major: a tie's rank in its row is its offset from the row's first.
+    near = d < kth
+    tied = np.flatnonzero(d == kth)
+    row = tied // d.shape[1]
+    near.flat[tied[np.arange(tied.size) - np.searchsorted(row, row) < need[row]]] = True
+    return near
 
 
 def resemblance(actual, recon, k: int = 10) -> float:
@@ -145,11 +144,9 @@ def resemblance(actual, recon, k: int = 10) -> float:
     a, r = _paired(actual, recon)
     if a.shape[0] <= k:
         raise InsufficientPoints(f"need more than k={k} points, got {a.shape[0]}")
-    sa = _knn_indices(a, k)
-    sr = _knn_indices(r, k)
-    # Each row of sa and of sr holds k distinct indices, so the count of
-    # equal pairs is the size of the intersection.
-    return float(np.mean((sa[:, :, None] == sr[:, None, :]).sum(axis=(1, 2)) / k))
+    shared = [np.count_nonzero(_knn_mask(a, lo, k) & _knn_mask(r, lo, k), axis=1)
+              for lo in range(0, a.shape[0], KNN_BLOCK)]
+    return float(np.mean(np.concatenate(shared) / k))
 
 
 def distance_preservation_fraction(points, projected, gamma: float) -> float:
@@ -163,8 +160,8 @@ def distance_preservation_fraction(points, projected, gamma: float) -> float:
     p = as_matrix(points)
     q = as_matrix(projected)
     iu = np.triu_indices(p.shape[0], k=1)
-    dp = _squared_distances(p)[iu]
-    dq = _squared_distances(q)[iu]
+    dp = _squared_distances(p, slice(None))[iu]
+    dq = _squared_distances(q, slice(None))[iu]
     lo = np.exp(-gamma) * dp
     hi = np.exp(gamma) * dp
     return float(np.mean((dq >= lo) & (dq <= hi)))

@@ -107,7 +107,7 @@ class ExperimentConfig:
             require(getattr(self, name) >= 1, f"{name} must be positive")
         for name in ("radius_fraction", "cell_fraction"):
             require(getattr(self, name) > 0, f"{name} must be positive")
-        for name in ("noise_sigma", "shift_margin", "asup_noise_cell_multiple",
+        for name in ("master_seed", "noise_sigma", "shift_margin", "asup_noise_cell_multiple",
                      "breach_absolute_radius"):
             require((getattr(self, name) or 0.0) >= 0, f"{name} must be nonnegative")
         require(self.sanitizer in MECHANISMS, f"unknown sanitizer {self.sanitizer!r}")

@@ -97,6 +97,9 @@ class TestRunCommand:
             {"asup_noise_cell_multiple": -0.1},
             {"breach_absolute_radius": -0.1},
             {"repetitions": 1.5},
+            {"master_seed": -1},
+            {"repetitions": True},
+            {"min_utility": True},
         ]
         for extra in cases:
             cfg = write_cfg(tmp_path, extra)
@@ -114,6 +117,14 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         record = json.loads((out / "report.json").read_text())
         assert record["config"]["unbounded_fresh_per_tuple"] is False
+
+    def test_json_boolean_for_a_boolean_key(self, tmp_path):
+        cfg = write_cfg(tmp_path, {"sanitizer": "nrp-unbounded",
+                                   "unbounded_fresh_per_tuple": True})
+        out = tmp_path / "x"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        record = json.loads((out / "report.json").read_text())
+        assert record["config"]["unbounded_fresh_per_tuple"] is True
 
     def test_mechanism_choices_come_from_the_table(self):
         parser = cli.build_parser()
@@ -194,6 +205,8 @@ class TestVerifyCommand:
     def test_bad_gamma_exits_2(self, tmp_path):
         assert main(["verify", "--gamma", "0.5", "--out", str(tmp_path / "v")]) == 2
         assert main(["verify", "--points", "1", "--out", str(tmp_path / "v")]) == 2
+        assert main(["verify", "--seed", "-1", "--out", str(tmp_path / "v")]) == 2
+        assert not (tmp_path / "v").exists()
 
     def test_violation_exits_4(self, tmp_path, monkeypatch, capsys):
         failing = [PreservationTrial(0, 10, 20, 0.4, 0.9)]
@@ -214,6 +227,7 @@ class TestTimingCommand:
     def test_bad_grid_exits_2(self, tmp_path):
         for grid in ("64", "64,64", "8,64"):
             assert main(["timing", "--n-grid", grid, "--out", str(tmp_path / "t")]) == 2
+        assert main(["timing", "--seed", "-1", "--out", str(tmp_path / "t")]) == 2
         assert not (tmp_path / "t").exists()
 
 

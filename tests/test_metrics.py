@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from privsan.errors import EmptyDataset, GammaOutOfRange, InsufficientPoints, ZeroNormInput
 from privsan.metrics import (
+    KNN_BLOCK,
     breach_count,
     displacement,
     distance_preservation_fraction,
@@ -59,6 +61,14 @@ def oracle_resemblance(actual, recon, k):
     sa = oracle_knn(actual, k)
     sr = oracle_knn(recon, k)
     return sum(len(a & b) / k for a, b in zip(sa, sr)) / len(actual)
+
+
+def oracle_knn_exact(cloud, k):
+    """kNN sets of an integer cloud from exact integer distances; a
+    stable sort keeps tied points in index order."""
+    d = ((cloud[:, None, :] - cloud[None, :, :]) ** 2).sum(axis=2)
+    np.fill_diagonal(d, d.max() + 1)
+    return [set(row[:k].tolist()) for row in np.argsort(d, axis=1, kind="stable")]
 
 
 def oracle_preservation(points, projected, gamma):
@@ -219,6 +229,35 @@ class TestResemblance:
     def test_insufficient_points(self):
         with pytest.raises(InsufficientPoints):
             resemblance(np.ones((3, 2)), np.ones((3, 2)), k=5)
+
+    def test_lattice_ties_across_blocks(self):
+        # Small integer lattices give exact, heavily tied distances (many
+        # duplicate points), so ties straddle the k-th neighbour in most
+        # rows; the point count spans two full row blocks and one row.
+        n = 2 * KNN_BLOCK + 1
+        gen = Rng(16).generator
+        for side, dim, k in ((3, 3, 10), (5, 2, 25), (4, 3, 1)):
+            actual = gen.integers(0, side, (n, dim))
+            recon = actual + gen.integers(-1, 2, (n, dim))
+            expected = np.mean([len(a & b) / k for a, b in zip(
+                oracle_knn_exact(actual, k), oracle_knn_exact(recon, k))])
+            assert resemblance(actual.astype(float), recon.astype(float), k) == \
+                pytest.approx(expected, abs=1e-12), (side, dim, k)
+
+    def test_memory_linear_in_points(self):
+        peaks = []
+        for n in (2000, 4000):
+            gen = Rng(17).generator
+            pts = gen.standard_normal((n, 50))
+            rec = pts + gen.standard_normal((n, 50))
+            tracemalloc.start()
+            try:
+                resemblance(pts, rec, 10)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 64 * 2**20, peaks
+        assert peaks[1] < 2.5 * peaks[0], peaks
 
 
 class TestPreservationFraction:

@@ -35,6 +35,7 @@ INVALID_CONFIGS = [
     {"breach_absolute_radius": -0.1},
     {"noise_sigma": float("nan")},
     {"sanitizer": "asup", "adversary": "known-matrix"},
+    {"master_seed": -1},
 ]
 
 
