@@ -27,28 +27,15 @@ GAMMA_MAX = 0.405
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Square observation area of side ``area_side`` split into square
-    cells of side ``cell_side``, one agent per cell.
+    """Observation grid of square cells, one agent per cell.  The cell
+    side is how far a sanitized tuple may move, and the
+    concept-robustness radius."""
 
-    The concept-robustness radius equals the cell side and is exposed as
-    the alias :attr:`robustness_radius`.
-    """
-
-    area_side: float
     cell_side: float
-    agent_count: int
 
     def __post_init__(self):
-        if self.area_side <= 0 or self.cell_side <= 0:
-            raise NonPositiveInput("area_side and cell_side must be positive")
-        if self.cell_side > self.area_side:
-            raise ValueError("cell_side cannot exceed area_side")
-        if self.agent_count < 1:
-            raise ValueError("agent_count must be at least 1")
-
-    @property
-    def robustness_radius(self) -> float:
-        return self.cell_side
+        if self.cell_side <= 0:
+            raise NonPositiveInput("cell_side must be positive")
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,18 @@ reconstruction metrics (breach count, displacement, resemblance), and the
 empirical distance-preservation fraction.
 
 Reconstruction metrics compare an actual point cloud with an aligned
-reconstructed cloud.  Nearest-neighbor computations are exact brute
-force over blocks of ``KNN_BLOCK`` rows, so resemblance holds
-O(``KNN_BLOCK`` x N) memory for N points rather than an N x N matrix.
+reconstructed cloud.  Resemblance's k-nearest-neighbor sets are exact.
+Each block of ``KNN_BLOCK`` rows gets its distances to all N points in
+one reused buffer, so memory is O(``KNN_BLOCK`` x N), not N x N.  A
+row's k-th distance is selected from the k column groups with the
+smallest minima rather than from all N columns; rows with exact ties
+at the k-th distance take the full row.  The distance-preservation
+fraction counts its pairs over the same row blocks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,22 +116,28 @@ def displacement(actual, recon) -> float:
     return float(np.mean(np.linalg.norm(r - a, axis=1)))
 
 
-def _squared_distances(x: np.ndarray, rows: slice) -> np.ndarray:
-    sq = np.sum(x * x, axis=1)
-    g = x[rows] @ x.T
-    g *= -2.0    # then add: the same bits as (sq_i + sq_j) - 2.0 * g, and faster
-    d = sq[rows, None] + sq[None, :]
+def _squared_distances(x: np.ndarray, sq: np.ndarray, rows: slice,
+                       out: np.ndarray | None = None,
+                       gram: np.ndarray | None = None) -> np.ndarray:
+    """Unclamped squared distances from rows ``rows`` of ``x`` to every row,
+    (sq_i + sq_j) - 2 x_i.x_j, where ``sq`` holds the squared row norms.
+    ``out`` and ``gram`` may supply the result and the product's buffer."""
+    g = np.matmul(x[rows] * -2.0, x.T, out=gram)    # scaling by a power of two is exact
+    d = np.add(sq[rows, None], sq[None, :], out=out)
     d += g
-    np.maximum(d, 0.0, out=d)
     return d
 
 
-def _knn_mask(x: np.ndarray, lo: int, k: int) -> np.ndarray:
-    """Mask of each block row's k nearest other rows of ``x``: those nearer
-    than the k-th distance, then the lowest-index ones tied at it."""
-    rows = slice(lo, lo + KNN_BLOCK)
-    d = _squared_distances(x, rows)
-    np.fill_diagonal(d[:, rows], np.inf)
+def _group_width(n: int, k: int) -> int:
+    """Columns per candidate group: about sqrt(n / 4k), so the group
+    minima (n / width) and the candidates (k * width) stay few, and at
+    most n // (k + 1), which leaves at least k + 1 groups."""
+    return max(1, min(math.isqrt(n // (4 * k)), n // (k + 1)))
+
+
+def _tie_route(d: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k smallest of ``d``: the entries below the k-th value,
+    then the lowest-index ones tied at it, as (rows x k) column indices."""
     smallest = np.partition(d, k - 1, axis=1)[:, :k]
     kth = smallest[:, -1:]
     need = np.count_nonzero(smallest == kth, axis=1)
@@ -135,23 +146,70 @@ def _knn_mask(x: np.ndarray, lo: int, k: int) -> np.ndarray:
     tied = np.flatnonzero(d == kth)
     row = tied // d.shape[1]
     near.flat[tied[np.arange(tied.size) - np.searchsorted(row, row) < need[row]]] = True
-    return near
+    return np.nonzero(near)[1].reshape(-1, k)
+
+
+def _knn_indices(x: np.ndarray, sq: np.ndarray, lo: int, k: int,
+                 buf: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """(block rows x k) indices of each block row's k nearest other rows of
+    ``x``: the ones :func:`_tie_route` selects from the clamped row.
+
+    Flattened, a block row of the (``KNN_BLOCK`` x width x groups)
+    ``buf`` is the padded distance row, inf from column ``len(x)`` on;
+    column j falls in group j % groups.  The k groups with the smallest
+    minima hold the k-th distance and every distance below it.  A row
+    where a further candidate or another group's minimum reaches the
+    k-th distance may have ties outside its k picks, and takes the full
+    row.  ``gram`` is a (``KNN_BLOCK`` x ``len(x)``) product buffer."""
+    n = x.shape[0]
+    rows = slice(lo, min(lo + KNN_BLOCK, n))
+    size = rows.stop - lo
+    d = buf[:size].reshape(size, -1)
+    _squared_distances(x, sq, rows, out=d[:, :n], gram=gram[:size])
+    d[np.arange(size), np.arange(lo, rows.stop)] = np.inf
+    minima = buf[:size].min(axis=1)
+    order = np.argpartition(minima, k, axis=1)
+    groups = buf.shape[2]
+    cols = (order[:, :k, None] + np.arange(0, d.shape[1], groups)).reshape(size, -1)
+    # max(., 0) is monotone, so clamping only the candidates keeps the selection.
+    cand = np.maximum(np.take_along_axis(d, cols, axis=1), 0.0)
+    pick = np.argpartition(cand, k - 1, axis=1)[:, :k]
+    kth = np.take_along_axis(cand, pick[:, -1:], axis=1)
+    rival = np.maximum(np.take_along_axis(minima, order[:, k:k + 1], axis=1), 0.0)
+    tie = (np.count_nonzero(cand <= kth, axis=1) > k) | (rival <= kth)[:, 0]
+    idx = np.take_along_axis(cols, pick, axis=1)
+    if tie.any():
+        idx[tie] = _tie_route(np.maximum(d[tie, :n], 0.0), k)
+    return idx
 
 
 def resemblance(actual, recon, k: int = 10) -> float:
     """Mean fractional overlap between each point's k-nearest-neighbor
     index set in the actual cloud and in the reconstructed cloud."""
     a, r = _paired(actual, recon)
-    if a.shape[0] <= k:
-        raise InsufficientPoints(f"need more than k={k} points, got {a.shape[0]}")
-    shared = [np.count_nonzero(_knn_mask(a, lo, k) & _knn_mask(r, lo, k), axis=1)
-              for lo in range(0, a.shape[0], KNN_BLOCK)]
+    n = a.shape[0]
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    if n <= k:
+        raise InsufficientPoints(f"need more than k={k} points, got {n}")
+    # Both buffers live for the whole call: a fresh product per block
+    # raised peak RSS by ~12 MB at N = 10,000.
+    width = _group_width(n, k)
+    buf = np.full((min(KNN_BLOCK, n), width, -(-n // width)), np.inf)
+    gram = np.empty((min(KNN_BLOCK, n), n))
+    sq_a, sq_r = np.sum(a * a, axis=1), np.sum(r * r, axis=1)
+    shared = []
+    for lo in range(0, n, KNN_BLOCK):
+        ia = _knn_indices(a, sq_a, lo, k, buf, gram)
+        ir = _knn_indices(r, sq_r, lo, k, buf, gram)
+        shared.append(np.count_nonzero(ia[:, :, None] == ir[:, None, :], axis=(1, 2)))
     return float(np.mean(np.concatenate(shared) / k))
 
 
 def distance_preservation_fraction(points, projected, gamma: float) -> float:
     """Fraction of unordered pairs whose projected squared distance stays
-    within multiplicative factors e^{+-gamma} of the original."""
+    within multiplicative factors e^{+-gamma} of the original.  Counts the
+    pairs j > i over blocks of ``KNN_BLOCK`` rows."""
     check_gamma(gamma)
     if len(points) < 2:
         raise EmptyDataset("need at least two points")
@@ -159,9 +217,13 @@ def distance_preservation_fraction(points, projected, gamma: float) -> float:
         raise ValueError("point lists differ in size")
     p = as_matrix(points)
     q = as_matrix(projected)
-    iu = np.triu_indices(p.shape[0], k=1)
-    dp = _squared_distances(p, slice(None))[iu]
-    dq = _squared_distances(q, slice(None))[iu]
-    lo = np.exp(-gamma) * dp
-    hi = np.exp(gamma) * dp
-    return float(np.mean((dq >= lo) & (dq <= hi)))
+    n = p.shape[0]
+    sq_p, sq_q = np.sum(p * p, axis=1), np.sum(q * q, axis=1)
+    inside = 0
+    for lo in range(0, n, KNN_BLOCK):
+        rows = slice(lo, lo + KNN_BLOCK)
+        dp = np.maximum(_squared_distances(p, sq_p, rows), 0.0)
+        dq = np.maximum(_squared_distances(q, sq_q, rows), 0.0)
+        kept = (dq >= np.exp(-gamma) * dp) & (dq <= np.exp(gamma) * dp)
+        inside += np.count_nonzero(np.triu(kept, lo + 1))
+    return inside / (n * (n - 1) // 2)

@@ -213,9 +213,7 @@ class ExperimentResult:
 
 
 def make_grid(cfg: ExperimentConfig, max_norm: float = 1.0) -> GridSpec:
-    cell = cfg.cell_fraction * max_norm
-    side = math.ceil(math.sqrt(cfg.agent_count))
-    return GridSpec(cell * side, cell, cfg.agent_count)
+    return GridSpec(cfg.cell_fraction * max_norm)
 
 
 def generate_synthetic(cfg: ExperimentConfig, rng: Rng) -> SyntheticDataset:

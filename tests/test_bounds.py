@@ -17,6 +17,7 @@ from privsan.errors import (
     NonPositiveResult,
 )
 from privsan.rng import Rng
+from privsan.simulate import ExperimentConfig, make_grid
 
 
 def jl_rhs(n_points: int, gamma: float) -> float:
@@ -30,15 +31,15 @@ def equivalent_rhs(m1: int, gamma: float) -> float:
 
 
 class TestGridSpec:
-    def test_robustness_alias(self):
-        g = GridSpec(2.0, 0.5, 16)
-        assert g.robustness_radius == g.cell_side
+    def test_make_grid_cell_side(self):
+        cfg = ExperimentConfig(cell_fraction=0.25)
+        assert make_grid(cfg, 2.0).cell_side == 0.5
+        assert make_grid(cfg).cell_side == 0.25
 
     def test_invalid(self):
-        with pytest.raises(NonPositiveInput):
-            GridSpec(0.0, 1.0, 1)
-        with pytest.raises(ValueError):
-            GridSpec(1.0, 2.0, 1)
+        for side in (0.0, -1.0):
+            with pytest.raises(NonPositiveInput):
+                GridSpec(side)
 
 
 class TestComputeT:

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from privsan.errors import EmptyDataset, GammaOutOfRange, InsufficientPoints, ZeroNormInput
 from privsan.metrics import (
@@ -230,6 +232,12 @@ class TestResemblance:
         with pytest.raises(InsufficientPoints):
             resemblance(np.ones((3, 2)), np.ones((3, 2)), k=5)
 
+    def test_k_must_be_positive(self):
+        pts = Rng(19).standard_normal((6, 2))
+        for k in (0, -1):
+            with pytest.raises(ValueError):
+                resemblance(pts, pts, k=k)
+
     def test_lattice_ties_across_blocks(self):
         # Small integer lattices give exact, heavily tied distances (many
         # duplicate points), so ties straddle the k-th neighbour in most
@@ -259,6 +267,28 @@ class TestResemblance:
         assert peaks[1] < 64 * 2**20, peaks
         assert peaks[1] < 2.5 * peaks[0], peaks
 
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(hst.data())
+    def test_integer_clouds_match_exact_oracle(self, data):
+        # A wide coordinate range leaves no ties, so rows take the
+        # candidate groups; a range of 2-5 ties the k-th distance in most
+        # rows and sends them down the full-row tie route.  N runs from
+        # k + 1 across the group-grid and row-block boundaries.
+        k = data.draw(hst.integers(1, 30), label="k")
+        n = data.draw(hst.one_of(
+            hst.just(k + 1),
+            hst.integers(k + 1, 2 * KNN_BLOCK + 2),
+            hst.sampled_from([KNN_BLOCK - 1, KNN_BLOCK, KNN_BLOCK + 1, 2 * KNN_BLOCK + 1])
+            .map(lambda size: max(size, k + 1))), label="n")
+        side = data.draw(hst.sampled_from([2, 3, 5, 10**6]), label="side")
+        dim = data.draw(hst.integers(1, 3), label="dim")
+        gen = np.random.default_rng(data.draw(hst.integers(0, 2**32 - 1), label="seed"))
+        actual = gen.integers(0, side, (n, dim))
+        recon = actual + gen.integers(-side // 2, side // 2 + 1, (n, dim))
+        expected = np.mean([len(a & b) / k for a, b in zip(
+            oracle_knn_exact(actual, k), oracle_knn_exact(recon, k))])
+        assert resemblance(actual.astype(float), recon.astype(float), k) == expected
+
 
 class TestPreservationFraction:
     def test_identity_projection(self):
@@ -277,6 +307,21 @@ class TestPreservationFraction:
         mine = distance_preservation_fraction(pts, proj, 0.3)
         assert mine == pytest.approx(
             oracle_preservation(pts.tolist(), proj.tolist(), 0.3), abs=1e-12)
+
+    def test_memory_linear_in_points(self):
+        peaks = []
+        for n in (2000, 4000):
+            gen = Rng(18).generator
+            pts = gen.standard_normal((n, 50))
+            proj = pts + 0.1 * gen.standard_normal((n, 50))
+            tracemalloc.start()
+            try:
+                distance_preservation_fraction(pts, proj, 0.3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 64 * 2**20, peaks
+        assert peaks[1] < 2.5 * peaks[0], peaks
 
     def test_gamma_range(self):
         pts = np.ones((3, 2))

@@ -1,8 +1,11 @@
 import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privsan.bounds import compute_norm_bound
 from privsan.errors import DimensionMismatch, InsufficientData
@@ -10,6 +13,7 @@ from privsan.linalg import cosine, frobenius_norm
 from privsan.metrics import distance_preservation_fraction, zero_pad
 from privsan.rng import Rng
 from privsan.sanitize import (
+    BOUNDED_DISTRIBUTIONS,
     DataTuple,
     EntryDistribution,
     ProjectionMatrix,
@@ -30,6 +34,9 @@ from privsan.sanitize import (
 )
 
 CERT = compute_norm_bound(0.5, 0.1, 1.0)
+# Each bounded entry distribution draws iid Uniform[low, high) entries.
+ENTRY_SUPPORT = {EntryDistribution.UNIT_UNIFORM: (0.0, 1.0),
+                 EntryDistribution.SYMMETRIC_UNIFORM: (-1.0, 1.0)}
 
 
 def dt(values, private=(), agent="a0"):
@@ -251,6 +258,27 @@ class TestPreservationPaths:
         proj = bounded_projection_for_check(pts, 200, rng.child(0))
         ratio = np.linalg.norm(proj, axis=1) ** 2 / np.linalg.norm(pts, axis=1) ** 2
         assert np.mean(ratio) == pytest.approx(1.0, abs=0.15)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(st.sampled_from(BOUNDED_DISTRIBUTIONS), st.integers(1, 30), st.integers(1, 30),
+           st.integers(0, 2**32 - 1))
+    def test_bounded_check_is_variance_normalized(self, distribution, n, m, seed):
+        # Projecting the identity returns the matrix.  Its entries are the
+        # sampled bounded entries, centered and scaled to unit variance by
+        # the distribution's own moments, then divided by sqrt(m); so each
+        # entry has mean 0 and variance 1/m, and E|xA|^2 = |x|^2
+        # (Achlioptas, JCSS 2003).
+        low, high = ENTRY_SUPPORT[distribution]
+        raw = sample_bounded_matrix(n, m, distribution, Rng(seed))
+        assert np.all((raw >= low) & (raw < high))
+        a = bounded_projection_for_check(np.eye(n), m, Rng(seed), distribution)
+        standard = (raw - (low + high) / 2) / ((high - low) / math.sqrt(12))
+        np.testing.assert_allclose(a * math.sqrt(m), standard, rtol=1e-12, atol=1e-12)
+        # 20,000 standardized entries: mean 0 and variance 1 within six
+        # standard errors (a uniform's z^2 has variance 4/5).
+        z = bounded_projection_for_check(np.eye(200), 100, Rng(seed), distribution) * 10.0
+        assert abs(z.mean()) < 6 * math.sqrt(1 / z.size)
+        assert abs(z.var() - 1.0) < 6 * math.sqrt(0.8 / z.size)
 
     def test_preservation_fraction_above_half_small(self):
         # Miniature version of the full verification run.
