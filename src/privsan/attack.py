@@ -26,11 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, SingularSample
-from .linalg import as_vector, matvec_rows, pseudo_inverse, zero_pad
+from .linalg import as_matrix, as_vector, matvec_rows, pseudo_inverse, zero_pad
 from .rng import Rng
 from .sanitize import (
     EntryDistribution,
-    ProjectionMatrix,
     SanitizedTuple,
     sample_bounded_matrix,
     sample_orthonormal_matrix,
@@ -52,7 +51,7 @@ class ReconstructionResult:
 
 def _family_sample(n: int, m: int, distribution: EntryDistribution, rng: Rng) -> np.ndarray:
     if distribution is EntryDistribution.GAUSSIAN_QR:
-        return sample_orthonormal_matrix(n, m, rng).matrix
+        return sample_orthonormal_matrix(n, m, rng)
     return sample_bounded_matrix(n, m, distribution, rng)
 
 
@@ -150,11 +149,11 @@ def attack_random_inverse(t: SanitizedTuple, n: int, distribution: EntryDistribu
     return ReconstructionResult(recon[0], t.agent_id, "random-inverse")
 
 
-def attack_known_matrix(t: SanitizedTuple, p: ProjectionMatrix, mean: np.ndarray | None = None,
+def attack_known_matrix(t: SanitizedTuple, matrix: np.ndarray, mean: np.ndarray | None = None,
                         mean_in_tuple: bool = False) -> ReconstructionResult:
-    """White-box reconstruction with the true fixed matrix."""
+    """White-box reconstruction with the true fixed n x m matrix."""
     mean = None if mean is None else as_vector(mean)
-    recon = known_matrix(t.values[None], p.matrix, mean, mean_in_tuple)
+    recon = known_matrix(t.values[None], as_matrix(matrix), mean, mean_in_tuple)
     return ReconstructionResult(recon[0], t.agent_id, "known-matrix")
 
 

@@ -34,6 +34,7 @@ from .errors import ConfigInvalid, GammaOutOfRange, PrivsanError, SchemaMismatch
 from .simulate import (
     MECHANISMS,
     SWEEP_AGENT_GRID,
+    SWEEP_MECHANISMS,
     ExperimentConfig,
     run_experiment,
     run_sweep,
@@ -79,10 +80,7 @@ def _config_from_sources(args: argparse.Namespace) -> ExperimentConfig:
             coerced[key] = _coerce(fields[key].type, val)
         except (TypeError, ValueError) as exc:
             raise ConfigInvalid(f"bad value for {key!r}: {exc}") from None
-    try:
-        return ExperimentConfig(**coerced)
-    except TypeError as exc:
-        raise ConfigInvalid(str(exc)) from None
+    return ExperimentConfig(**coerced)
 
 
 def _coerce(annotation: str, value):
@@ -107,9 +105,10 @@ def _coerce(annotation: str, value):
     return str(value)
 
 
-def _config_digest(cfg: ExperimentConfig) -> str:
-    blob = json.dumps(dataclasses.asdict(cfg), sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()
+def _digest(inputs: dict) -> str:
+    """The manifest's ``config_digest``: sha256 of a command's resolved
+    inputs as sorted JSON."""
+    return hashlib.sha256(json.dumps(inputs, sort_keys=True).encode()).hexdigest()
 
 
 def _open_out(path: str) -> tuple[Path, str]:
@@ -152,7 +151,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     cfg = _config_from_sources(args)
     out, started = _open_out(args.out)
     res = run_experiment(cfg)
-    digest = _config_digest(cfg)
+    digest = _digest(dataclasses.asdict(cfg))
     _write_outputs(out, started, digest, {
         "report.csv": [res.row()],
         "report.json": {**dataclasses.asdict(res), "config_digest": digest},
@@ -166,11 +165,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _config_from_sources(args)
     agents = _parse_int_list(args.agents) if args.agents else list(SWEEP_AGENT_GRID)
-    mechanisms = args.mechanisms.split(",") if args.mechanisms else ["nrp", "brp", "pca", "asup"]
+    mechanisms = args.mechanisms.split(",") if args.mechanisms else list(SWEEP_MECHANISMS)
     sweep_configs(cfg, agents, mechanisms)  # every grid point is checked before --out
     out, started = _open_out(args.out)
     rows = run_sweep(cfg, agents, mechanisms)
-    _write_outputs(out, started, _config_digest(cfg), {"sweep.csv": rows})
+    _write_outputs(out, started, _digest({"config": dataclasses.asdict(cfg), "agents": agents,
+                                          "mechanisms": mechanisms}), {"sweep.csv": rows})
     print(f"wrote {len(rows)} rows ({len(mechanisms)} mechanisms x {len(agents)} agent counts)")
     return 0
 
@@ -183,8 +183,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     trials = verify.preservation_trials(args.gamma, args.points, args.trials, args.seed)
     table = verify.equivalence_table((2, 10, 100, 1000, 10_000, 100_000),
                                      verify.gamma_grid())
-    _write_outputs(out, started, hashlib.sha256(
-        f"verify:{args.gamma}:{args.points}:{args.trials}:{args.seed}".encode()).hexdigest(), {
+    digest = _digest({"gamma": args.gamma, "points": args.points, "trials": args.trials,
+                      "seed": args.seed})
+    _write_outputs(out, started, digest, {
         "preservation.csv": [{**dataclasses.asdict(t), "ok": int(t.ok)} for t in trials],
         "equivalence.csv": [{**dataclasses.asdict(r), "m2": "" if r.m2 is None else r.m2,
                              "within_reference": int(r.within_reference)} for r in table],
@@ -214,7 +215,8 @@ def cmd_timing(args: argparse.Namespace) -> int:
         slope = timing.loglog_slope(rows, mech)
         slope_rows.append({"mechanism": mech, "phase": "sanitize", "slope": slope})
         print(f"{mech}: per-tuple log-log slope vs n = {slope:.3f}")
-    _write_outputs(out, started, hashlib.sha256(str(n_grid).encode()).hexdigest(), {
+    digest = _digest({"n_grid": n_grid, "target_dim": args.target_dim, "seed": args.seed})
+    _write_outputs(out, started, digest, {
         "timing.csv": [dataclasses.asdict(r) for r in rows],
         "slopes.csv": slope_rows,
     })
@@ -227,7 +229,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     result = dataio.load_csv(args.data, schema, shift_nonnegative=not args.raw)
     names = [c.name for c in schema.retained]
     summary = dataio.summarize(result.values, names)
-    _write_outputs(out, started, hashlib.sha256(Path(args.data).read_bytes()).hexdigest(), {
+    digest = _digest({"data_sha256": hashlib.sha256(Path(args.data).read_bytes()).hexdigest(),
+                      "schema": dataclasses.asdict(schema), "raw": args.raw})
+    _write_outputs(out, started, digest, {
         "processed.csv": [dict(zip(names, row)) for row in result.values.tolist()],
         "summary.json": {
             "count": summary.count,

@@ -15,6 +15,8 @@ Five mechanisms share the ``SanitizedTuple`` output type:
 
 Each mechanism is one function on a (tuples x n) array, which the
 runner calls; the per-tuple ``sanitize_*`` functions make one-row calls.
+Projection matrices are plain n x m arrays; only :func:`bounded_projection`
+wraps its draw in a :class:`ProjectionMatrix` with the certificate it meets.
 
 Production projections and the distance-preservation verification
 helpers at the bottom are deliberately separate code paths: the former
@@ -52,7 +54,6 @@ class EntryDistribution(str, Enum):
     UNIT_UNIFORM = "unit-uniform"        # iid entries on [0, 1)
     SYMMETRIC_UNIFORM = "symmetric-uniform"  # iid entries on (-1, 1)
     GAUSSIAN_QR = "gaussian-qr"          # orthonormal columns, QR of Gaussian
-    PCA_COMPONENTS = "pca-components"    # eigenvectors of a training covariance
 
 
 # (mean, standard deviation) of one entry, used by the variance-normalized
@@ -101,8 +102,8 @@ class SanitizedTuple:
 
 @dataclass(frozen=True)
 class ProjectionMatrix:
-    """n x m compression matrix with its provenance tag, Frobenius norm,
-    and, for the norm-bounded mechanism, the certificate it satisfies."""
+    """A bounded-entry n x m matrix with its entry distribution, its
+    Frobenius norm, and the certificate that norm must meet, if any."""
 
     matrix: np.ndarray
     entry_distribution: EntryDistribution
@@ -114,15 +115,6 @@ class ProjectionMatrix:
         if self.bound_certificate is not None:
             if abs(self.frobenius - self.bound_certificate.frobenius_bound) > 1e-12:
                 raise ValueError("Frobenius norm does not meet the certificate bound")
-        if self.entry_distribution is EntryDistribution.GAUSSIAN_QR:
-            q = self.matrix
-            gram_err = float(np.abs(q.T @ q - np.eye(q.shape[1])).max())
-            if gram_err > 1e-9:
-                raise ValueError(f"columns not orthonormal: max deviation {gram_err:.3g}")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
 
 
 class ReplayLog:
@@ -181,22 +173,20 @@ def sample_bounded_matrix(n: int, m: int, distribution: EntryDistribution, rng: 
     return sample_bounded_matrices(1, n, m, distribution, rng)[0]
 
 
-def sample_orthonormal_matrix(n: int, m: int, rng: Rng) -> ProjectionMatrix:
+def sample_orthonormal_matrix(n: int, m: int, rng: Rng) -> np.ndarray:
     """Uniformly distributed n x m matrix with orthonormal columns."""
-    q = orthonormalize(rng.standard_normal((n, m)), rng)
-    return ProjectionMatrix(q, EntryDistribution.GAUSSIAN_QR, frobenius_norm(q))
+    return orthonormalize(rng.standard_normal((n, m)), rng)
 
 
 def bounded_projection(n: int, m: int, certificate: NormBoundCertificate | None,
                        rng: Rng, distribution: EntryDistribution = EntryDistribution.UNIT_UNIFORM,
                        ) -> ProjectionMatrix:
     """Draw a bounded-entry projection matrix; with a certificate the
-    matrix is rescaled so its Frobenius norm equals the bound exactly."""
-    beta = None if certificate is None else certificate.frobenius_bound
-    a = sample_bounded_matrices(1, n, m, distribution, rng,
-                                None if beta is None else np.array([beta]))[0]
-    return ProjectionMatrix(a, distribution, frobenius_norm(a) if beta is None else beta,
-                            certificate)
+    matrix is rescaled so its Frobenius norm equals the bound, and its
+    measured norm is checked against it."""
+    betas = None if certificate is None else np.array([certificate.frobenius_bound])
+    a = sample_bounded_matrices(1, n, m, distribution, rng, betas)[0]
+    return ProjectionMatrix(a, distribution, frobenius_norm(a), certificate)
 
 
 # Mechanisms on (tuples x n) arrays.
@@ -246,7 +236,7 @@ def identity(y: np.ndarray) -> np.ndarray:
     return y.copy()
 
 
-def fit_pca(dataset, m: int) -> ProjectionMatrix:
+def fit_pca(dataset, m: int) -> np.ndarray:
     """Top-m eigenvectors of the sample covariance of the centered
     (tuples x n) data, in descending eigenvalue order; each component's
     first nonzero entry is made positive."""
@@ -261,8 +251,7 @@ def fit_pca(dataset, m: int) -> ProjectionMatrix:
     _, vecs = sym_eigendecompose(cov)
     comps = vecs[:, :m]
     first = comps[np.argmax(np.abs(comps) > 1e-12, axis=0), np.arange(m)]
-    comps = comps * np.where(first < 0, -1.0, 1.0)
-    return ProjectionMatrix(comps, EntryDistribution.PCA_COMPONENTS, frobenius_norm(comps))
+    return comps * np.where(first < 0, -1.0, 1.0)
 
 
 # Per-tuple API: one-row calls into the mechanisms above.
@@ -292,21 +281,24 @@ def sanitize_nrp_unbounded(t: DataTuple, m: int, rng: Rng,
     return SanitizedTuple(values[0], t.agent_id, "nrp-unbounded")
 
 
-def sanitize_brp(t: DataTuple, p: ProjectionMatrix) -> SanitizedTuple:
-    """Projection by the experiment's fixed orthonormal matrix."""
-    if p.entry_distribution is not EntryDistribution.GAUSSIAN_QR:
-        raise ValueError("fixed projection requires an orthonormal matrix")
-    if t.dim != p.shape[0]:
-        raise DimensionMismatch(f"tuple has length {t.dim}, matrix expects {p.shape[0]}")
-    return SanitizedTuple(brp(t.values[None], p.matrix)[0], t.agent_id, "brp")
+def sanitize_brp(t: DataTuple, q: np.ndarray) -> SanitizedTuple:
+    """Projection by the experiment's fixed n x m matrix, whose columns
+    must be orthonormal."""
+    q = as_matrix(q)
+    gram_err = float(np.abs(q.T @ q - np.eye(q.shape[1])).max())
+    if gram_err > 1e-9:
+        raise ValueError(f"columns not orthonormal: max deviation {gram_err:.3g}")
+    if t.dim != q.shape[0]:
+        raise DimensionMismatch(f"tuple has length {t.dim}, matrix expects {q.shape[0]}")
+    return SanitizedTuple(brp(t.values[None], q)[0], t.agent_id, "brp")
 
 
-def sanitize_pca(t: DataTuple, p: ProjectionMatrix, mean: np.ndarray) -> SanitizedTuple:
-    """Project the centered tuple onto the fitted components."""
-    mean = as_vector(mean)
-    if t.dim != mean.size or t.dim != p.shape[0]:
+def sanitize_pca(t: DataTuple, components: np.ndarray, mean: np.ndarray) -> SanitizedTuple:
+    """Project the centered tuple onto the fitted n x m components."""
+    components, mean = as_matrix(components), as_vector(mean)
+    if t.dim != mean.size or t.dim != components.shape[0]:
         raise DimensionMismatch("tuple, mean and components disagree on dimension")
-    return SanitizedTuple(pca(t.values[None], p.matrix, mean)[0], t.agent_id, "pca")
+    return SanitizedTuple(pca(t.values[None], components, mean)[0], t.agent_id, "pca")
 
 
 def sanitize_asup(t: DataTuple, noise_scale: float, rng: Rng) -> SanitizedTuple:
@@ -331,8 +323,7 @@ def subspace_projection_for_check(points: np.ndarray, m: int, rng: Rng) -> np.nd
     expectation."""
     x = as_matrix(points)
     n = x.shape[1]
-    q = sample_orthonormal_matrix(n, m, rng).matrix
-    return (x @ q) * np.sqrt(n / m)
+    return (x @ sample_orthonormal_matrix(n, m, rng)) * np.sqrt(n / m)
 
 
 def bounded_projection_for_check(points: np.ndarray, m: int, rng: Rng,

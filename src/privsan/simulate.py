@@ -56,6 +56,7 @@ ADVERSARIES = ("auto", "random-inverse", "expected-inverse", "known-matrix",
 # Entry distributions a config may name: the ones the projections draw.
 DISTRIBUTIONS = tuple(d.value for d in san.BOUNDED_DISTRIBUTIONS)
 SWEEP_AGENT_GRID = (50, 100, 200, 300, 400, 500, 600)
+SWEEP_MECHANISMS = ("nrp", "brp", "pca", "asup")
 SWEEP_COLUMNS = ("mechanism", "agents", "min_utility", "target_dim", "breach_count",
                  "displacement", "resemblance", "utility", "privacy")
 
@@ -100,6 +101,8 @@ class ExperimentConfig:
 
         for f in fields(self):
             value = getattr(self, f.name)
+            require(value is not None or f.name == "breach_absolute_radius",
+                    f"{f.name} must not be null")
             require(not isinstance(value, float) or math.isfinite(value),
                     f"{f.name} must be finite")
         for name in ("agent_count", "observations_per_agent", "repetitions", "k_neighbors",
@@ -293,10 +296,10 @@ def _sanitize_round(cfg: ExperimentConfig, data: SyntheticDataset,
         per = 1 if cfg.unbounded_fresh_per_tuple else data.observations_per_agent
         return san.nrp(y, m, rng, cfg.distribution, rows_per_matrix=per)[0], ctx
     if mech == "brp":
-        ctx.fixed_matrix = san.sample_orthonormal_matrix(n, m, rng.child(0)).matrix
+        ctx.fixed_matrix = san.sample_orthonormal_matrix(n, m, rng.child(0))
         return san.brp(y, ctx.fixed_matrix), ctx
     if mech == "pca":
-        ctx.fixed_matrix = san.fit_pca(y, m).matrix
+        ctx.fixed_matrix = san.fit_pca(y, m)
         return san.pca(y, ctx.fixed_matrix, ctx.mean), ctx
     if mech == "asup":
         noise_scale = cfg.asup_noise_cell_multiple * cell
@@ -325,10 +328,6 @@ def _attack_round(cfg: ExperimentConfig, sanitized: np.ndarray,
     return atk.identity(sanitized, n)
 
 
-def _same_quadrant(cfg: ExperimentConfig) -> bool:
-    return cfg.distribution in cfg.mechanism.same_quadrant
-
-
 def _robustness_gap(cfg: ExperimentConfig, data: SyntheticDataset,
                     recons: np.ndarray) -> float:
     """Distance between fusion estimates from raw tuples and from the
@@ -346,7 +345,7 @@ def _robustness_gap(cfg: ExperimentConfig, data: SyntheticDataset,
 def _utility_means(cfg: ExperimentConfig, actual: np.ndarray,
                    sanitized: np.ndarray) -> tuple[float, float]:
     """Mean utility/privacy over the round's tuples."""
-    _, u = met.utility_scores(actual, sanitized, _same_quadrant(cfg))
+    _, u = met.utility_scores(actual, sanitized, cfg.distribution in cfg.mechanism.same_quadrant)
     return float(u.mean()), float((1.0 - u).mean())
 
 
@@ -403,7 +402,7 @@ def sweep_configs(cfg: ExperimentConfig, agent_grid, mechanisms) -> list[Experim
 
 
 def run_sweep(cfg: ExperimentConfig, agent_grid=SWEEP_AGENT_GRID,
-              mechanisms=("nrp", "brp", "pca", "asup")) -> list[dict]:
+              mechanisms=SWEEP_MECHANISMS) -> list[dict]:
     """One result row per (mechanism, agent count) grid point.  Every
     grid point's config is validated before the first one runs."""
     rows = [run_experiment(sub).row() for sub in sweep_configs(cfg, agent_grid, mechanisms)]

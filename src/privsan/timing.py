@@ -54,7 +54,7 @@ def measure(n_grid, m: int = 20, private_count: int = 12,
         batch = max(ASUP_BATCH, BATCH_ENTRIES // (n * m))
         y = rng.uniform(0.0, 1.0, (batch, n)) + 0.1
         betas = np.full(batch, beta)
-        q = san.sample_orthonormal_matrix(n, m, rng).matrix
+        q = san.sample_orthonormal_matrix(n, m, rng)
         mean = y.mean(axis=0)
         private = range(min(private_count, n))
         cases += [

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from privsan import attack
 from privsan.attack import (
+    ATTACK_RETRIES,
     attack_identity,
     attack_known_matrix,
     attack_linear,
@@ -9,12 +11,13 @@ from privsan.attack import (
     attack_random_inverse,
     expected_inverse_map,
     known_matrix,
+    random_inverse,
 )
-from privsan.errors import DimensionMismatch
+from privsan.errors import DimensionMismatch, SingularSample
+from privsan.linalg import PINV_RCOND
 from privsan.rng import Rng
 from privsan.sanitize import (
     EntryDistribution,
-    ProjectionMatrix,
     SanitizedTuple,
     sample_bounded_matrix,
     sample_orthonormal_matrix,
@@ -66,11 +69,50 @@ class TestRandomInverse:
                                   EntryDistribution.UNIT_UNIFORM, Rng(6))
 
 
+class TestRandomInverseRetries:
+    UNIT = EntryDistribution.UNIT_UNIFORM
+
+    def test_deficient_rows_are_redrawn_from_the_next_child(self, monkeypatch):
+        n, m, rows, bad = 5, 2, 6, {1, 4}
+        s = Rng(40).standard_normal((rows, m))
+        streams = [Rng(41).child(j) for j in range(rows)]
+        clean = random_inverse(s, n, self.UNIT, streams)
+        family_sample = attack._family_sample
+
+        def deficient_first_draw(n, m, distribution, rng):
+            row, attempt = rng.path[-2:]
+            if attempt == 0 and row in bad:
+                return np.ones((n, m))   # rank-one Gram matrix
+            return family_sample(n, m, distribution, rng)
+
+        monkeypatch.setattr(attack, "_family_sample", deficient_first_draw)
+        out = random_inverse(s, n, self.UNIT, streams)
+        for j in range(rows):
+            if j in bad:
+                b = sample_bounded_matrix(n, m, self.UNIT, streams[j].child(1))
+                expected = np.linalg.pinv(b.T, rcond=PINV_RCOND) @ s[j]
+            else:
+                expected = clean[j]
+            assert out[j].tobytes() == expected.tobytes()
+
+    def test_deficient_draws_give_up_after_the_retries(self, monkeypatch):
+        attempts = []
+
+        def always_deficient(n, m, distribution, rng):
+            attempts.append(rng.path[-1])
+            return np.ones((n, m))
+
+        monkeypatch.setattr(attack, "_family_sample", always_deficient)
+        with pytest.raises(SingularSample):
+            attack_random_inverse(st([0.3, 0.4]), 4, self.UNIT, Rng(42))
+        assert attempts == list(range(ATTACK_RETRIES))
+
+
 class TestKnownMatrix:
     def test_orthonormal_square_exact(self):
         q = sample_orthonormal_matrix(4, 4, Rng(7))
         y = Rng(8).standard_normal(4)
-        out = attack_known_matrix(st(q.matrix.T @ y), q)
+        out = attack_known_matrix(st(q.T @ y), q)
         assert np.allclose(out.reconstructed, y, atol=1e-9)
 
     def test_component_projection_identity(self):
@@ -78,16 +120,16 @@ class TestKnownMatrix:
         # in the component span.
         q = sample_orthonormal_matrix(5, 2, Rng(9))
         mean = Rng(10).standard_normal(5)
-        y = mean + q.matrix @ np.array([0.4, -1.2])
-        t = st(q.matrix.T @ (y - mean))
+        y = mean + q @ np.array([0.4, -1.2])
+        t = st(q.T @ (y - mean))
         out = attack_known_matrix(t, q, mean)
         assert np.allclose(out.reconstructed, y, atol=1e-9)
 
     def test_mean_in_tuple_centers_first(self):
         q = sample_orthonormal_matrix(6, 3, Rng(11))
         mean = np.full(6, 2.0)
-        y = mean + q.matrix @ np.array([1.0, 0.5, -0.3])
-        t = st(q.matrix.T @ y)  # projection of the raw tuple
+        y = mean + q @ np.array([1.0, 0.5, -0.3])
+        t = st(q.T @ y)  # projection of the raw tuple
         out = attack_known_matrix(t, q, mean, mean_in_tuple=True)
         assert np.allclose(out.reconstructed, y, atol=1e-9)
 
@@ -95,8 +137,7 @@ class TestKnownMatrix:
         gen = Rng(12).generator
         a = gen.standard_normal((3, 2))
         t = st([0.5, 1.5])
-        out = attack_known_matrix(t, ProjectionMatrix(
-            a, EntryDistribution.UNIT_UNIFORM, float(np.linalg.norm(a))))
+        out = attack_known_matrix(t, a)
         expected = a @ (inv2(a.T @ a) @ t.values)
         assert np.allclose(out.reconstructed, expected, atol=1e-9)
 

@@ -100,6 +100,11 @@ class TestRunCommand:
             {"master_seed": -1},
             {"repetitions": True},
             {"min_utility": True},
+            {"master_seed": None},
+            {"noise_sigma": None},
+            {"shift_margin": None},
+            {"unbounded_fresh_per_tuple": None},
+            {"agent_count": None},
         ]
         for extra in cases:
             cfg = write_cfg(tmp_path, extra)
@@ -176,6 +181,16 @@ class TestSweepCommand:
                             "displacement,resemblance,utility,privacy")
         assert len(lines) - 1 == 4
         assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+
+    def test_digest_covers_the_grid(self, tmp_path):
+        cfg = write_cfg(tmp_path, {"repetitions": 1})
+        digests = []
+        for agents, out in (("12", "d1"), ("12", "d2"), ("13", "d3")):
+            assert main(["sweep", "--config", str(cfg), "--agents", agents,
+                         "--mechanisms", "asup", "--out", str(tmp_path / out)]) == 0
+            manifest = json.loads((tmp_path / out / "manifest.json").read_text())
+            digests.append(manifest["config_digest"])
+        assert digests[0] == digests[1] != digests[2]
 
     def test_invalid_grid_point_exits_2_before_any_run(self, tmp_path, monkeypatch):
         ran = []

@@ -3,6 +3,7 @@ import pytest
 
 from privsan.errors import DimensionMismatch, NotSymmetric, RankDeficient, ZeroNormInput
 from privsan.linalg import (
+    RESAMPLE_RETRIES,
     cosine,
     frobenius_norm,
     orthonormalize,
@@ -95,6 +96,19 @@ class TestOrthonormalize:
         q = orthonormalize(a, Rng(3))
         assert np.abs(q.T @ q - np.eye(2)).max() < 1e-9
 
+    def test_rank_deficient_redraws_give_up_after_the_retries(self):
+        class OnesStream:
+            draws = 0
+
+            def standard_normal(self, size):
+                self.draws += 1
+                return np.ones(size)
+
+        stream = OnesStream()
+        with pytest.raises(RankDeficient):
+            orthonormalize(np.ones((4, 2)), stream)
+        assert stream.draws == RESAMPLE_RETRIES
+
     def test_wide_matrix_rejected(self):
         with pytest.raises(DimensionMismatch):
             orthonormalize(np.ones((2, 4)))
@@ -178,6 +192,18 @@ class TestRngDeterminism:
         r = Rng(42)
         assert not np.array_equal(r.child(0).standard_normal(4),
                                   r.child(1).standard_normal(4))
+
+    def test_stream_builds_its_generator_on_first_draw(self):
+        child = Rng(42).child(3)
+        assert "generator" not in vars(child)
+        child.standard_normal(1)
+        assert "generator" in vars(child)
+
+    def test_negative_seed_or_path_rejected_at_construction(self):
+        with pytest.raises(ValueError):
+            Rng(-1)
+        with pytest.raises(ValueError):
+            Rng(1).child(-2)
 
     def test_same_inputs_bitwise_identical_ops(self):
         a = Rng(9).standard_normal((5, 3))

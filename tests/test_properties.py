@@ -60,7 +60,7 @@ def tup(values, private=()):
 
 def family_draw(n, m, distribution, rng):
     if distribution is EntryDistribution.GAUSSIAN_QR:
-        return san.sample_orthonormal_matrix(n, m, rng).matrix
+        return san.sample_orthonormal_matrix(n, m, rng)
     return san.sample_bounded_matrix(n, m, distribution, rng)
 
 
@@ -91,14 +91,14 @@ def test_nrp_per_tuple_is_row_zero(shape, distribution, alpha):
 def test_fixed_matrix_mechanisms_rowwise(shape):
     rows, n, m, seed = shape
     y = Rng(seed).child(0).standard_normal((rows, n))
-    p = san.sample_orthonormal_matrix(n, m, Rng(seed).child(1))
+    q = san.sample_orthonormal_matrix(n, m, Rng(seed).child(1))
     mean = Rng(seed).child(2).standard_normal(n)
-    brp, pca, ident = san.brp(y, p.matrix), san.pca(y, p.matrix, mean), san.identity(y)
+    brp, pca, ident = san.brp(y, q), san.pca(y, q, mean), san.identity(y)
     for j in range(rows):
-        assert same_bits(san.sanitize_brp(tup(y[j]), p).values, brp[j])
-        assert same_bits(brp[j], p.matrix.T @ y[j])
-        assert same_bits(san.sanitize_pca(tup(y[j]), p, mean).values, pca[j])
-        assert same_bits(pca[j], p.matrix.T @ (y[j] - mean))
+        assert same_bits(san.sanitize_brp(tup(y[j]), q).values, brp[j])
+        assert same_bits(brp[j], q.T @ y[j])
+        assert same_bits(san.sanitize_pca(tup(y[j]), q, mean).values, pca[j])
+        assert same_bits(pca[j], q.T @ (y[j] - mean))
         assert same_bits(san.sanitize_identity(tup(y[j])).values, ident[j])
 
 
@@ -159,18 +159,18 @@ def test_linear_attacks_rowwise(shape, with_mean, mean_in_tuple):
     rows, n, m, seed = shape
     gen = Rng(seed)
     s = gen.child(0).standard_normal((rows, m))
-    p = san.sample_orthonormal_matrix(n, m, gen.child(1))
+    q = san.sample_orthonormal_matrix(n, m, gen.child(1))
     mean = gen.child(2).standard_normal(n) if with_mean else None
     lm = gen.child(3).standard_normal((n, m))
-    known = atk.known_matrix(s, p.matrix, mean, mean_in_tuple)
+    known = atk.known_matrix(s, q, mean, mean_in_tuple)
     linear, ident = atk.linear(s, lm), atk.identity(s, n)
-    pinv_t = np.linalg.pinv(p.matrix.T, rcond=PINV_RCOND)
+    pinv_t = np.linalg.pinv(q.T, rcond=PINV_RCOND)
     for j in range(rows):
         t = SanitizedTuple(s[j], "a0", "brp")
-        expected = pinv_t @ (s[j] - p.matrix.T @ mean if with_mean and mean_in_tuple else s[j])
+        expected = pinv_t @ (s[j] - q.T @ mean if with_mean and mean_in_tuple else s[j])
         if with_mean:
             expected = expected + mean
-        assert same_bits(atk.attack_known_matrix(t, p, mean, mean_in_tuple).reconstructed,
+        assert same_bits(atk.attack_known_matrix(t, q, mean, mean_in_tuple).reconstructed,
                          known[j])
         assert same_bits(known[j], expected)
         assert same_bits(atk.attack_linear(t, lm).reconstructed, linear[j])

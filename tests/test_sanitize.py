@@ -7,14 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from privsan import sanitize
 from privsan.bounds import compute_norm_bound
-from privsan.errors import DimensionMismatch, InsufficientData
+from privsan.errors import DegenerateMatrix, DimensionMismatch, InsufficientData
 from privsan.linalg import cosine, frobenius_norm
 from privsan.metrics import distance_preservation_fraction, zero_pad
 from privsan.rng import Rng
 from privsan.sanitize import (
     BOUNDED_DISTRIBUTIONS,
     DataTuple,
+    SAMPLE_RETRIES,
     EntryDistribution,
     ProjectionMatrix,
     ReplayLog,
@@ -22,6 +24,7 @@ from privsan.sanitize import (
     bounded_projection_for_check,
     fit_pca,
     matrix_digest,
+    sample_bounded_matrices,
     sample_bounded_matrix,
     sample_orthonormal_matrix,
     sanitize_asup,
@@ -51,11 +54,22 @@ class TestProjectionMatrixInvariants:
 
     def test_orthonormal_tag_enforced(self):
         with pytest.raises(ValueError):
-            ProjectionMatrix(np.ones((3, 2)), EntryDistribution.GAUSSIAN_QR, 1.0)
+            sanitize_brp(dt(np.ones(3)), np.ones((3, 2)))
 
     def test_bounded_projection_meets_certificate(self):
         p = bounded_projection(10, 4, CERT, Rng(1))
         assert abs(frobenius_norm(p.matrix) - CERT.frobenius_bound) < 1e-12
+
+    def test_bounded_projection_checks_the_measured_norm(self, monkeypatch):
+        # A draw whose norm misses the bound by 1e-9 must not pass as
+        # certified.
+        def off_by_1e9(count, n, m, distribution, rng, betas=None):
+            a = sample_bounded_matrices(count, n, m, distribution, rng, betas)
+            return a * ((betas + 1e-9) / betas)[:, None, None]
+
+        monkeypatch.setattr(sanitize, "sample_bounded_matrices", off_by_1e9)
+        with pytest.raises(ValueError):
+            bounded_projection(10, 4, CERT, Rng(1))
 
 
 class TestNrp:
@@ -142,11 +156,42 @@ class TestNrpUnbounded:
         assert out.values[0] == pytest.approx(expected, rel=1e-12)
 
 
+class ZeroedDraws:
+    """A stream whose k-th uniform draw has the matrices ``zeroed[k]``
+    set to zero; every draw still advances the wrapped stream."""
+
+    def __init__(self, rng, zeroed):
+        self.rng, self.zeroed = rng, list(zeroed)
+
+    def uniform(self, low, high, size):
+        draw = self.rng.uniform(low, high, size)
+        if self.zeroed:
+            draw[self.zeroed.pop(0)] = 0.0
+        return draw
+
+
+class TestBoundedRedraws:
+    def test_all_zero_matrix_is_redrawn_from_the_same_stream(self):
+        a = sample_bounded_matrices(3, 4, 2, EntryDistribution.UNIT_UNIFORM,
+                                    ZeroedDraws(Rng(30), [[1]]))
+        stream = Rng(30)
+        expected = stream.uniform(0.0, 1.0, (3, 4, 2))
+        expected[1] = stream.uniform(0.0, 1.0, (1, 4, 2))[0]
+        assert a.tobytes() == expected.tobytes()
+
+    def test_all_zero_draws_give_up_after_the_retries(self):
+        zeros = [[0]] * (SAMPLE_RETRIES - 1)
+        assert sample_bounded_matrix(4, 2, EntryDistribution.SYMMETRIC_UNIFORM,
+                                     ZeroedDraws(Rng(31), zeros)).any()
+        with pytest.raises(DegenerateMatrix):
+            sample_bounded_matrix(4, 2, EntryDistribution.SYMMETRIC_UNIFORM,
+                                  ZeroedDraws(Rng(31), zeros + [[0]]))
+
+
 class TestBrp:
     def test_coordinate_projection(self):
-        p = ProjectionMatrix(np.eye(5)[:, :3], EntryDistribution.GAUSSIAN_QR, np.sqrt(3))
         y = dt([1, 2, 3, 4, 5])
-        out = sanitize_brp(y, p)
+        out = sanitize_brp(y, np.eye(5)[:, :3])
         assert np.allclose(out.values, [1, 2, 3])
 
     def test_contraction(self):
@@ -158,55 +203,54 @@ class TestBrp:
     def test_hand_built_projection(self):
         s = 1 / np.sqrt(2)
         q = np.array([[s, s], [s, -s], [0.0, 0.0]])
-        p = ProjectionMatrix(q, EntryDistribution.GAUSSIAN_QR, frobenius_norm(q))
         y = dt([1.0, 2.0, 7.0])
-        out = sanitize_brp(y, p)
+        out = sanitize_brp(y, q)
         expected = [s * 1 + s * 2, s * 1 - s * 2]
         assert np.allclose(out.values, expected, atol=1e-12)
 
     def test_requires_orthonormal_tag(self):
         p = bounded_projection(4, 2, None, Rng(18))
         with pytest.raises(ValueError):
-            sanitize_brp(dt(np.ones(4)), p)
+            sanitize_brp(dt(np.ones(4)), p.matrix)
 
 
 class TestPca:
     def test_line_data_first_component(self):
         direction = np.array([3.0, 4.0]) / 5.0
         pts = np.array([t * direction for t in (-2, -1, 1, 2)])
-        p = fit_pca(pts, 1)
-        assert np.allclose(np.abs(p.matrix[:, 0]), np.abs(direction), atol=1e-9)
+        comps = fit_pca(pts, 1)
+        assert np.allclose(np.abs(comps[:, 0]), np.abs(direction), atol=1e-9)
 
     def test_isotropic_orthonormal(self):
         gen = Rng(19).generator
         pts = gen.standard_normal((200, 4))
-        p = fit_pca(pts, 3)
-        assert np.abs(p.matrix.T @ p.matrix - np.eye(3)).max() < 1e-9
+        comps = fit_pca(pts, 3)
+        assert np.abs(comps.T @ comps - np.eye(3)).max() < 1e-9
 
     def test_hand_covariance_components(self):
         a, b = 1.5, np.sqrt(0.75)
         pts = np.array([[a, a], [-a, -a], [b, -b], [-b, b]])
-        p = fit_pca(pts, 2)
+        comps = fit_pca(pts, 2)
         r2 = 1 / np.sqrt(2)
-        assert np.allclose(p.matrix[:, 0], [r2, r2], atol=1e-9)
-        assert np.allclose(p.matrix[:, 1], [r2, -r2], atol=1e-9)
+        assert np.allclose(comps[:, 0], [r2, r2], atol=1e-9)
+        assert np.allclose(comps[:, 1], [r2, -r2], atol=1e-9)
 
     def test_mean_maps_to_zero(self):
         gen = Rng(20).generator
         pts = gen.standard_normal((30, 5)) + 4.0
-        p = fit_pca(pts, 2)
+        comps = fit_pca(pts, 2)
         mean = pts.mean(axis=0)
-        out = sanitize_pca(dt(mean), p, mean)
+        out = sanitize_pca(dt(mean), comps, mean)
         assert np.allclose(out.values, 0.0, atol=1e-12)
 
     def test_projection_oracle(self):
         gen = Rng(21).generator
         pts = gen.standard_normal((40, 4))
-        p = fit_pca(pts, 2)
+        comps = fit_pca(pts, 2)
         mean = pts.mean(axis=0)
         y = gen.standard_normal(4)
-        out = sanitize_pca(dt(y), p, mean)
-        expected = [(y - mean) @ p.matrix[:, j] for j in range(2)]
+        out = sanitize_pca(dt(y), comps, mean)
+        expected = [(y - mean) @ comps[:, j] for j in range(2)]
         assert np.allclose(out.values, expected, atol=1e-12)
 
     def test_insufficient_data(self):

@@ -36,6 +36,11 @@ INVALID_CONFIGS = [
     {"noise_sigma": float("nan")},
     {"sanitizer": "asup", "adversary": "known-matrix"},
     {"master_seed": -1},
+    {"master_seed": None},
+    {"noise_sigma": None},
+    {"shift_margin": None},
+    {"unbounded_fresh_per_tuple": None},
+    {"agent_count": None},
 ]
 
 
