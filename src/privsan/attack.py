@@ -17,10 +17,21 @@ never the per-tuple matrix itself.  Reconstruction is matrix based:
 Each attack is one function from a (tuples x m) array of sanitized rows
 to (tuples x n) reconstructions; attacks that draw take one stream per
 row.  The per-tuple ``attack_*`` functions make a one-row call.
+
+``random_inverse`` is a two-stage pipeline over chunks of
+``ATTACK_CHUNK`` rows.  The calling thread makes every draw, retries
+included; a module-level thread pool of ``ATTACK_WORKERS`` (the usable
+cores) inverts the chunks, one SVD per draw, while the calling thread
+draws the next ones.  Row j's matrix comes only from its own stream and
+each SVD depends only on its own draw, so the result is the same bit
+for bit whatever the core count or the order the chunks finish in.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +47,30 @@ from .sanitize import (
 )
 
 ATTACK_RETRIES = 8
-ATTACK_CHUNK = 64    # rows per stacked pseudo-inverse; bounds the SVD workspace
+ATTACK_CHUNK = 24    # rows per stacked pseudo-inverse; bounds the SVD workspace
+
+
+def usable_cores() -> int:
+    """Cores this process may run on (its CPU affinity where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+ATTACK_WORKERS = usable_cores()
+_POOL = None
+_POOL_LOCK = threading.Lock()
+
+
+def _pool():
+    """The one inverting pool, built on first use: importing this module
+    loads no executor and starts no thread."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _POOL = ThreadPoolExecutor(ATTACK_WORKERS, thread_name_prefix="privsan-attack")
+        return _POOL
 
 
 @dataclass(frozen=True)
@@ -55,36 +89,56 @@ def _family_sample(n: int, m: int, distribution: EntryDistribution, rng: Rng) ->
     return sample_bounded_matrix(n, m, distribution, rng)
 
 
+def _draws(n: int, m: int, distribution: EntryDistribution, streams) -> np.ndarray:
+    return np.stack([_family_sample(n, m, distribution, r) for r in streams])
+
+
 def _pinv_transposes(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(B^T)^+ = B (B^T B)^{-1} for each stacked B, and a mask of the
-    draws whose Gram matrix B^T B has full rank."""
-    bt = np.swapaxes(b, 1, 2)
-    return pseudo_inverse(bt), np.linalg.matrix_rank(bt @ b) == b.shape[2]
+    draws whose Gram matrix B^T B has full rank.  The mask comes from
+    the pseudo-inverse's own SVD, with the threshold ``matrix_rank``
+    applies to B^T B: s_min^2 > s_max^2 * m * eps."""
+    pinv, sv = pseudo_inverse(np.swapaxes(b, 1, 2))
+    return pinv, sv[:, -1] ** 2 > sv[:, 0] ** 2 * (b.shape[2] * np.finfo(float).eps)
 
 
 def random_inverse(s: np.ndarray, n: int, distribution: EntryDistribution,
                    streams: list[Rng]) -> np.ndarray:
     """Reconstruct row j with the pseudo-inverse of a family draw from
     ``streams[j].child(0)``; a draw with a singular Gram matrix is
-    replaced from ``child(1)``, ``child(2)``, ... (bounded retries)."""
+    replaced from ``child(1)``, ``child(2)``, ... (bounded retries).
+    The first draws of up to ``ATTACK_WORKERS`` chunks are inverted on
+    the pool at once; retries are drawn and inverted on this thread."""
     m = s.shape[1]
     if m > n:
         raise DimensionMismatch(f"sanitized dim {m} exceeds ambient dim {n}")
     out = np.empty((len(streams), n))
-    for lo in range(0, len(streams), ATTACK_CHUNK):
-        chunk = streams[lo:lo + ATTACK_CHUNK]
-        pinv = np.empty((len(chunk), n, m))
-        todo = np.arange(len(chunk))
-        for attempt in range(ATTACK_RETRIES):
-            draws = [_family_sample(n, m, distribution, chunk[j].child(attempt)) for j in todo]
-            inv, full = _pinv_transposes(np.stack(draws))
-            pinv[todo[full]] = inv[full]
-            todo = todo[~full]
+    inflight = deque()
+
+    def finish() -> None:
+        rows, future = inflight.popleft()
+        chunk = streams[rows]
+        pinv, full = future.result()
+        todo = np.flatnonzero(~full)
+        for attempt in range(1, ATTACK_RETRIES):
             if todo.size == 0:
                 break
-        else:
+            inv, full = _pinv_transposes(
+                _draws(n, m, distribution, [chunk[j].child(attempt) for j in todo]))
+            pinv[todo[full]] = inv[full]
+            todo = todo[~full]
+        if todo.size:
             raise SingularSample("sampled matrix has rank-deficient Gram matrix")
-        out[lo:lo + ATTACK_CHUNK] = matvec_rows(pinv, s[lo:lo + ATTACK_CHUNK])
+        out[rows] = matvec_rows(pinv, s[rows])
+
+    for lo in range(0, len(streams), ATTACK_CHUNK):
+        rows = slice(lo, lo + ATTACK_CHUNK)
+        draws = _draws(n, m, distribution, [r.child(0) for r in streams[rows]])
+        if len(inflight) == ATTACK_WORKERS:
+            finish()
+        inflight.append((rows, _pool().submit(_pinv_transposes, draws)))
+    while inflight:
+        finish()
     return out
 
 
@@ -105,9 +159,13 @@ def known_matrix(s: np.ndarray, matrix: np.ndarray, mean: np.ndarray | None = No
 
 def naive_multiply(s: np.ndarray, n: int, distribution: EntryDistribution,
                    streams: list[Rng]) -> np.ndarray:
-    """Left-multiply row j by a raw family draw from ``streams[j]``."""
-    m = s.shape[1]
-    return matvec_rows(np.stack([_family_sample(n, m, distribution, r) for r in streams]), s)
+    """Left-multiply row j by a raw family draw from ``streams[j]``,
+    holding one chunk of draws at a time."""
+    out = np.empty((len(streams), n))
+    for lo in range(0, len(streams), ATTACK_CHUNK):
+        rows = slice(lo, lo + ATTACK_CHUNK)
+        out[rows] = matvec_rows(_draws(n, s.shape[1], distribution, streams[rows]), s[rows])
+    return out
 
 
 def identity(s: np.ndarray, n: int, shift: np.ndarray | None = None) -> np.ndarray:
@@ -125,8 +183,8 @@ def expected_inverse_map(n: int, m: int, distribution: EntryDistribution,
     once per repetition and applied to every tuple."""
     if samples < 1:
         raise ValueError("samples must be positive")
-    draws = [_family_sample(n, m, distribution, rng.child(j)) for j in range(samples)]
-    pinv, full = _pinv_transposes(np.stack(draws))
+    draws = _draws(n, m, distribution, [rng.child(j) for j in range(samples)])
+    pinv, full = _pinv_transposes(draws)
     if not full.all():
         raise SingularSample("sampled matrix has rank-deficient Gram matrix")
     return pinv.sum(axis=0) / samples

@@ -27,8 +27,11 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from . import dataio, timing, verify
+from .attack import ATTACK_WORKERS, usable_cores
 from .bounds import check_gamma
 from .errors import ConfigInvalid, GammaOutOfRange, PrivsanError, SchemaMismatch
 from .simulate import (
@@ -123,6 +126,17 @@ def _open_out(path: str) -> tuple[Path, str]:
     return out, datetime.now(timezone.utc).isoformat()
 
 
+def _environment() -> dict:
+    """What the numbers were computed with; kept in the manifest only."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "usable_cores": usable_cores(),
+        "attack_workers": ATTACK_WORKERS,
+    }
+
+
 def _write_outputs(out: Path, started: str, digest: str, files: dict[str, object]) -> None:
     """Write each result file, then ``manifest.json`` listing them.  A
     list of rows becomes a CSV with the first row's keys, in order, as
@@ -134,6 +148,7 @@ def _write_outputs(out: Path, started: str, digest: str, files: dict[str, object
         "finished_utc": datetime.now(timezone.utc).isoformat(),
         "version": __version__,
         "outputs": list(files),
+        "environment": _environment(),
     }
     for name, content in [*files.items(), ("manifest.json", manifest)]:
         with (out / name).open("w", encoding="utf-8", newline="") as fh:

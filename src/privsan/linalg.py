@@ -145,7 +145,14 @@ def sym_eigendecompose(s) -> tuple[np.ndarray, np.ndarray]:
     return w[order], v[:, order]
 
 
-def pseudo_inverse(a) -> np.ndarray:
+def pseudo_inverse(a) -> tuple[np.ndarray, np.ndarray]:
     """Moore-Penrose pseudo-inverse of a matrix, or of each matrix in a
-    stack, with singular values below 1e-10 * sigma_max treated as zero."""
-    return np.linalg.pinv(as_matrix(a) if np.ndim(a) == 2 else a, rcond=PINV_RCOND)
+    stack, with singular values below 1e-10 * sigma_max treated as zero;
+    returned with the singular values of its one SVD.  The inverse is
+    numpy's ``pinv`` formula applied to that SVD, so it equals
+    ``np.linalg.pinv(a, rcond=1e-10)`` bit for bit."""
+    a = as_matrix(a) if np.ndim(a) == 2 else a
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    large = s > PINV_RCOND * np.amax(s, axis=-1, keepdims=True)
+    inv = np.divide(1, s, where=large, out=np.zeros_like(s))
+    return np.matmul(np.swapaxes(vt, -1, -2), inv[..., None] * np.swapaxes(u, -1, -2)), s

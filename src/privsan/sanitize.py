@@ -157,12 +157,13 @@ def sample_bounded_matrices(count: int, n: int, m: int, distribution: EntryDistr
         raise ValueError(f"not a bounded-entry distribution: {distribution}")
     low = 0.0 if distribution is EntryDistribution.UNIT_UNIFORM else -1.0
     a = rng.uniform(low, 1.0, (count, n, m))
-    for _ in range(SAMPLE_RETRIES):
-        zero = np.flatnonzero(~a.any(axis=(1, 2)))
+    zero = np.flatnonzero(~a.any(axis=(1, 2)))
+    for _ in range(SAMPLE_RETRIES - 1):
         if zero.size == 0:
             break
         a[zero] = rng.uniform(low, 1.0, (zero.size, n, m))
-    else:
+        zero = zero[~a[zero].any(axis=(1, 2))]
+    if zero.size:
         raise DegenerateMatrix(f"all-zero draws {SAMPLE_RETRIES} times in a row")
     if betas is not None:
         a *= (betas / row_norms(a))[:, None, None]

@@ -1,9 +1,15 @@
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from privsan import attack
 from privsan.attack import (
+    ATTACK_CHUNK,
     ATTACK_RETRIES,
+    ATTACK_WORKERS,
     attack_identity,
     attack_known_matrix,
     attack_linear,
@@ -11,6 +17,7 @@ from privsan.attack import (
     attack_random_inverse,
     expected_inverse_map,
     known_matrix,
+    naive_multiply,
     random_inverse,
 )
 from privsan.errors import DimensionMismatch, SingularSample
@@ -106,6 +113,109 @@ class TestRandomInverseRetries:
         with pytest.raises(SingularSample):
             attack_random_inverse(st([0.3, 0.4]), 4, self.UNIT, Rng(42))
         assert attempts == list(range(ATTACK_RETRIES))
+
+
+class TestRandomInversePool:
+    UNIT = EntryDistribution.UNIT_UNIFORM
+
+    @pytest.mark.parametrize("workers", sorted({1, ATTACK_WORKERS, ATTACK_WORKERS + 2}))
+    def test_pool_equals_one_row_calls(self, monkeypatch, workers):
+        # Rank-deficient first draws in the first and the last chunk are
+        # redrawn from child(1) on the calling thread; with one worker,
+        # one per core or more workers than cores switching threads
+        # often, the pooled rows equal one-row calls bit for bit.
+        n, m = 7, 3
+        rows = (ATTACK_WORKERS + 2) * ATTACK_CHUNK + 5
+        bad = {1, rows - 2}
+        s = Rng(43).standard_normal((rows, m))
+        streams = [Rng(44).child(j) for j in range(rows)]
+        family_sample = attack._family_sample
+
+        def deficient_first_draw(n, m, distribution, rng):
+            row, attempt = rng.path[-2:]
+            if attempt == 0 and row in bad:
+                return np.ones((n, m))
+            return family_sample(n, m, distribution, rng)
+
+        monkeypatch.setattr(attack, "_family_sample", deficient_first_draw)
+        ones = [attack_random_inverse(st(s[j]), n, self.UNIT, streams[j]).reconstructed
+                for j in range(rows)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(workers) as pool:
+                monkeypatch.setattr(attack, "_POOL", pool)
+                monkeypatch.setattr(attack, "ATTACK_WORKERS", workers)
+                out = random_inverse(s, n, self.UNIT, streams)
+        finally:
+            sys.setswitchinterval(interval)
+        for j, one in enumerate(ones):
+            assert out[j].tobytes() == one.tobytes(), j
+        for j in bad:
+            b = sample_bounded_matrix(n, m, self.UNIT, streams[j].child(1))
+            assert out[j].tobytes() == (np.linalg.pinv(b.T, rcond=PINV_RCOND) @ s[j]).tobytes()
+
+    def test_rank_mask_from_the_svd_agrees_with_gram_rank(self, monkeypatch):
+        # s_min / s_max = 1e-9 puts s_min^2 / s_max^2 below m * eps, so
+        # the draw is redrawn from child(1); 1e-6 is kept.  Both decisions
+        # agree with matrix_rank of the Gram matrix B^T B.
+        n, m = 6, 3
+        u = np.linalg.qr(Rng(45).standard_normal((n, m)))[0]
+        v = np.linalg.qr(Rng(46).standard_normal((m, m)))[0]
+        planted = {0: u @ np.diag([1.0, 0.5, 1e-9]) @ v.T,
+                   1: u @ np.diag([1.0, 0.5, 1e-6]) @ v.T}
+        stack = np.stack([planted[0], planted[1]])
+        _, full = attack._pinv_transposes(stack)
+        gram_rank = np.linalg.matrix_rank(np.swapaxes(stack, 1, 2) @ stack)
+        assert full.tolist() == [False, True]
+        assert full.tolist() == (gram_rank == m).tolist()
+
+        family_sample = attack._family_sample
+
+        def planted_first_draw(n, m, distribution, rng):
+            row, attempt = rng.path[-2:]
+            return planted[row] if attempt == 0 else family_sample(n, m, distribution, rng)
+
+        monkeypatch.setattr(attack, "_family_sample", planted_first_draw)
+        s = Rng(47).standard_normal((2, m))
+        streams = [Rng(48).child(j) for j in range(2)]
+        out = random_inverse(s, n, self.UNIT, streams)
+        redrawn = sample_bounded_matrix(n, m, self.UNIT, streams[0].child(1))
+        assert out[0].tobytes() == (np.linalg.pinv(redrawn.T, rcond=PINV_RCOND) @ s[0]).tobytes()
+        kept = np.linalg.pinv(planted[1].T, rcond=PINV_RCOND) @ s[1]
+        assert out[1].tobytes() == kept.tobytes()
+
+
+class TestNaiveMultiply:
+    UNIT = EntryDistribution.UNIT_UNIFORM
+
+    def test_chunked_rows_equal_one_row_calls(self):
+        rows, n, m = 2 * ATTACK_CHUNK + 3, 6, 2
+        s = Rng(49).standard_normal((rows, m))
+        out = naive_multiply(s, n, self.UNIT, [Rng(50).child(j) for j in range(rows)])
+        for j in range(rows):
+            one = attack_naive_multiply(st(s[j]), n, self.UNIT, Rng(50).child(j))
+            assert out[j].tobytes() == one.reconstructed.tobytes(), j
+
+    def test_memory_holds_one_chunk_of_draws(self):
+        # Beyond the (rows x n) result, the peak is a few chunks of n x m
+        # draws at any row count.  The streams' generators belong to the
+        # caller and are built before measuring.
+        n, m = 50, 20
+        chunk_bytes = ATTACK_CHUNK * n * m * 8
+        extra = []
+        for rows in (4 * ATTACK_CHUNK, 32 * ATTACK_CHUNK):
+            s = Rng(51).standard_normal((rows, m))
+            streams = [Rng(52).child(j) for j in range(rows)]
+            for r in streams:
+                r.generator
+            tracemalloc.start()
+            try:
+                naive_multiply(s, n, self.UNIT, streams)
+                extra.append(tracemalloc.get_traced_memory()[1] - rows * n * 8)
+            finally:
+                tracemalloc.stop()
+        assert max(extra) < 3 * chunk_bytes, extra
 
 
 class TestKnownMatrix:

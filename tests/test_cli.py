@@ -37,6 +37,10 @@ class TestRunCommand:
         record = json.loads((out / "report.json").read_text())
         assert record["config_digest"] == manifest["config_digest"]
         assert len(record["per_repetition"]) == 2
+        env = manifest["environment"]
+        assert set(env) == {"numpy", "blas", "usable_cores", "attack_workers"}
+        assert set(env["blas"]) == {"name", "version"}
+        assert env["usable_cores"] >= 1 and env["attack_workers"] >= 1
 
     def test_csv_parses_back_to_json_values(self, tmp_path):
         cfg = write_cfg(tmp_path)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from privsan.errors import DimensionMismatch, NotSymmetric, RankDeficient, ZeroNormInput
 from privsan.linalg import (
+    PINV_RCOND,
     RESAMPLE_RETRIES,
     cosine,
     frobenius_norm,
@@ -158,21 +161,38 @@ class TestSymEigendecompose:
 class TestPseudoInverse:
     def test_invertible(self):
         a = np.array([[2.0, 1.0], [1.0, 3.0]])
-        assert np.allclose(pseudo_inverse(a), np.linalg.inv(a), atol=1e-12)
+        assert np.allclose(pseudo_inverse(a)[0], np.linalg.inv(a), atol=1e-12)
 
     def test_zero_matrix(self):
-        assert np.allclose(pseudo_inverse(np.zeros((3, 2))), np.zeros((2, 3)))
+        assert np.allclose(pseudo_inverse(np.zeros((3, 2)))[0], np.zeros((2, 3)))
 
     def test_tall_left_inverse(self):
         a = Rng(23).standard_normal((3, 2))
-        assert np.abs(pseudo_inverse(a) @ a - np.eye(2)).max() < 1e-10
+        assert np.abs(pseudo_inverse(a)[0] @ a - np.eye(2)).max() < 1e-10
 
     def test_penrose_identity(self):
         gen = Rng(29).generator
         for _ in range(20):
             a = gen.standard_normal((5, 3))
-            ap = pseudo_inverse(a)
+            ap = pseudo_inverse(a)[0]
             assert np.abs(a @ ap @ a - a).max() < 1e-7 * max(1.0, np.abs(a).max())
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(hst.data())
+    def test_equals_numpy_pinv_bit_for_bit(self, data):
+        # One SVD with numpy's pinv formula: the same bits as
+        # np.linalg.pinv, on matrices and stacks, full rank or not.
+        shape = tuple(data.draw(hst.lists(hst.integers(1, 7), min_size=2, max_size=2),
+                                label="shape"))
+        stack = data.draw(hst.sampled_from([(), (1,), (3,), (9,)]), label="stack")
+        gen = np.random.default_rng(data.draw(hst.integers(0, 2**32 - 1), label="seed"))
+        a = gen.standard_normal(stack + shape)
+        if data.draw(hst.booleans(), label="deficient"):
+            a[..., 0, :] = 0.0 if shape[0] == 1 else a[..., -1, :]
+        a *= 10.0 ** data.draw(hst.integers(-6, 6), label="scale")
+        pinv, singular_values = pseudo_inverse(a)
+        assert pinv.tobytes() == np.linalg.pinv(a, rcond=PINV_RCOND).tobytes()
+        assert singular_values.shape == stack + (min(shape),)
 
 
 class TestRngDeterminism:

@@ -162,8 +162,10 @@ class ZeroedDraws:
 
     def __init__(self, rng, zeroed):
         self.rng, self.zeroed = rng, list(zeroed)
+        self.draws = 0
 
     def uniform(self, low, high, size):
+        self.draws += 1
         draw = self.rng.uniform(low, high, size)
         if self.zeroed:
             draw[self.zeroed.pop(0)] = 0.0
@@ -186,6 +188,12 @@ class TestBoundedRedraws:
         with pytest.raises(DegenerateMatrix):
             sample_bounded_matrix(4, 2, EntryDistribution.SYMMETRIC_UNIFORM,
                                   ZeroedDraws(Rng(31), zeros + [[0]]))
+
+    def test_every_draw_taken_is_checked(self):
+        stream = ZeroedDraws(Rng(31), [[0]] * SAMPLE_RETRIES)
+        with pytest.raises(DegenerateMatrix):
+            sample_bounded_matrix(4, 2, EntryDistribution.SYMMETRIC_UNIFORM, stream)
+        assert stream.draws == SAMPLE_RETRIES
 
 
 class TestBrp:
