@@ -18,20 +18,14 @@ Each attack is one function from a (tuples x m) array of sanitized rows
 to (tuples x n) reconstructions; attacks that draw take one stream per
 row.  The per-tuple ``attack_*`` functions make a one-row call.
 
-``random_inverse`` is a two-stage pipeline over chunks of
-``ATTACK_CHUNK`` rows.  The calling thread makes every draw, retries
-included; a module-level thread pool of ``ATTACK_WORKERS`` (the usable
-cores) inverts the chunks, one SVD per draw, while the calling thread
-draws the next ones.  Row j's matrix comes only from its own stream and
-each SVD depends only on its own draw, so the result is the same bit
-for bit whatever the core count or the order the chunks finish in.
+``random_inverse`` runs on the calling thread, in chunks of
+``ATTACK_CHUNK`` rows.  Row j's matrix comes only from its own stream,
+and its reconstruction (B^T)^+ s = Q R^{-T} s comes from one reduced QR
+of that draw, so row j equals a one-row call bit for bit.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,30 +41,7 @@ from .sanitize import (
 )
 
 ATTACK_RETRIES = 8
-ATTACK_CHUNK = 24    # rows per stacked pseudo-inverse; bounds the SVD workspace
-
-
-def usable_cores() -> int:
-    """Cores this process may run on (its CPU affinity where the OS has one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-ATTACK_WORKERS = usable_cores()
-_POOL = None
-_POOL_LOCK = threading.Lock()
-
-
-def _pool():
-    """The one inverting pool, built on first use: importing this module
-    loads no executor and starts no thread."""
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            from concurrent.futures import ThreadPoolExecutor
-            _POOL = ThreadPoolExecutor(ATTACK_WORKERS, thread_name_prefix="privsan-attack")
-        return _POOL
+ATTACK_CHUNK = 24    # rows per stacked QR solve; bounds the draws held at once
 
 
 @dataclass(frozen=True)
@@ -93,52 +64,52 @@ def _draws(n: int, m: int, distribution: EntryDistribution, streams) -> np.ndarr
     return np.stack([_family_sample(n, m, distribution, r) for r in streams])
 
 
+def _full_rank(sv: np.ndarray) -> np.ndarray:
+    """Mask of the n x m draws whose Gram matrix B^T B has full rank,
+    from each draw's m singular values in descending order, with the
+    threshold ``matrix_rank`` applies to B^T B: s_min^2 > s_max^2 * m * eps."""
+    return sv[:, -1] ** 2 > sv[:, 0] ** 2 * (sv.shape[1] * np.finfo(float).eps)
+
+
 def _pinv_transposes(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(B^T)^+ = B (B^T B)^{-1} for each stacked B, and a mask of the
-    draws whose Gram matrix B^T B has full rank.  The mask comes from
-    the pseudo-inverse's own SVD, with the threshold ``matrix_rank``
-    applies to B^T B: s_min^2 > s_max^2 * m * eps."""
+    """(B^T)^+ = B (B^T B)^{-1} for each stacked B, and the full-rank
+    mask from the pseudo-inverse's own SVD."""
     pinv, sv = pseudo_inverse(np.swapaxes(b, 1, 2))
-    return pinv, sv[:, -1] ** 2 > sv[:, 0] ** 2 * (b.shape[2] * np.finfo(float).eps)
+    return pinv, _full_rank(sv)
+
+
+def _qr_reconstruct(b: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(B^T)^+ s = Q R^{-T} s for each stacked draw B = QR (reduced QR)
+    of full rank, paired row by row with ``s``, and the full-rank mask
+    from the singular values of R, which are B's; the other draws are
+    not solved.  Unlike B (B^T B)^{-1} s, this does not square the
+    condition number."""
+    q, r = np.linalg.qr(b)
+    full = _full_rank(np.linalg.svd(r, compute_uv=False))
+    z = np.linalg.solve(np.swapaxes(r[full], 1, 2), s[full, :, None])
+    return (q[full] @ z)[..., 0], full
 
 
 def random_inverse(s: np.ndarray, n: int, distribution: EntryDistribution,
                    streams: list[Rng]) -> np.ndarray:
     """Reconstruct row j with the pseudo-inverse of a family draw from
     ``streams[j].child(0)``; a draw with a singular Gram matrix is
-    replaced from ``child(1)``, ``child(2)``, ... (bounded retries).
-    The first draws of up to ``ATTACK_WORKERS`` chunks are inverted on
-    the pool at once; retries are drawn and inverted on this thread."""
+    replaced from ``child(1)``, ``child(2)``, ... (bounded retries)."""
     m = s.shape[1]
     if m > n:
         raise DimensionMismatch(f"sanitized dim {m} exceeds ambient dim {n}")
     out = np.empty((len(streams), n))
-    inflight = deque()
-
-    def finish() -> None:
-        rows, future = inflight.popleft()
-        chunk = streams[rows]
-        pinv, full = future.result()
-        todo = np.flatnonzero(~full)
-        for attempt in range(1, ATTACK_RETRIES):
+    for lo in range(0, len(streams), ATTACK_CHUNK):
+        todo = np.arange(lo, min(lo + ATTACK_CHUNK, len(streams)))
+        for attempt in range(ATTACK_RETRIES):
+            recon, full = _qr_reconstruct(
+                _draws(n, m, distribution, [streams[j].child(attempt) for j in todo]), s[todo])
+            out[todo[full]] = recon
+            todo = todo[~full]
             if todo.size == 0:
                 break
-            inv, full = _pinv_transposes(
-                _draws(n, m, distribution, [chunk[j].child(attempt) for j in todo]))
-            pinv[todo[full]] = inv[full]
-            todo = todo[~full]
-        if todo.size:
+        else:
             raise SingularSample("sampled matrix has rank-deficient Gram matrix")
-        out[rows] = matvec_rows(pinv, s[rows])
-
-    for lo in range(0, len(streams), ATTACK_CHUNK):
-        rows = slice(lo, lo + ATTACK_CHUNK)
-        draws = _draws(n, m, distribution, [r.child(0) for r in streams[rows]])
-        if len(inflight) == ATTACK_WORKERS:
-            finish()
-        inflight.append((rows, _pool().submit(_pinv_transposes, draws)))
-    while inflight:
-        finish()
     return out
 
 
@@ -228,6 +199,7 @@ def attack_identity(t: SanitizedTuple, shift: np.ndarray | None = None) -> Recon
     return ReconstructionResult(recon[0], t.agent_id, "identity")
 
 
-def attack_linear(t: SanitizedTuple, linear_map: np.ndarray,
-                  tag: str = "expected-inverse") -> ReconstructionResult:
-    return ReconstructionResult(linear(t.values[None], linear_map)[0], t.agent_id, tag)
+def attack_linear(t: SanitizedTuple, linear_map: np.ndarray) -> ReconstructionResult:
+    """Reconstruct with one fixed n x m map, as the expected-inverse attack does."""
+    return ReconstructionResult(linear(t.values[None], linear_map)[0], t.agent_id,
+                                "expected-inverse")

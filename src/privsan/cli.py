@@ -31,7 +31,6 @@ import numpy as np
 
 from . import __version__
 from . import dataio, timing, verify
-from .attack import ATTACK_WORKERS, usable_cores
 from .bounds import check_gamma
 from .errors import ConfigInvalid, GammaOutOfRange, PrivsanError, SchemaMismatch
 from .simulate import (
@@ -132,8 +131,8 @@ def _environment() -> dict:
     return {
         "numpy": np.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
-        "usable_cores": usable_cores(),
-        "attack_workers": ATTACK_WORKERS,
+        "usable_cores": (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                         else os.cpu_count() or 1),
     }
 
 

@@ -180,14 +180,14 @@ def sample_orthonormal_matrix(n: int, m: int, rng: Rng) -> np.ndarray:
 
 
 def bounded_projection(n: int, m: int, certificate: NormBoundCertificate | None,
-                       rng: Rng, distribution: EntryDistribution = EntryDistribution.UNIT_UNIFORM,
-                       ) -> ProjectionMatrix:
-    """Draw a bounded-entry projection matrix; with a certificate the
+                       rng: Rng) -> ProjectionMatrix:
+    """Draw a unit-uniform projection matrix; with a certificate the
     matrix is rescaled so its Frobenius norm equals the bound, and its
     measured norm is checked against it."""
     betas = None if certificate is None else np.array([certificate.frobenius_bound])
-    a = sample_bounded_matrices(1, n, m, distribution, rng, betas)[0]
-    return ProjectionMatrix(a, distribution, frobenius_norm(a), certificate)
+    unit = EntryDistribution.UNIT_UNIFORM
+    a = sample_bounded_matrices(1, n, m, unit, rng, betas)[0]
+    return ProjectionMatrix(a, unit, frobenius_norm(a), certificate)
 
 
 # Mechanisms on (tuples x n) arrays.

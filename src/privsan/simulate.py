@@ -263,7 +263,11 @@ def estimate_parameters(values: np.ndarray, matrices: np.ndarray) -> np.ndarray:
     if rank < q:
         raise RankDeficient(f"stacked observation matrices have rank {rank} < {q}")
     sums = values.reshape(agents, -1, n).sum(axis=1)
-    return np.linalg.solve(len(values) // agents * gram, flat.T @ sums.reshape(-1))
+    # Per agent, summed over agents in order: no BLAS call is long
+    # enough to be split across threads, so the bits do not depend on
+    # the BLAS thread count.
+    rhs = (sums[:, None, :] @ matrices)[:, 0, :].sum(axis=0)
+    return np.linalg.solve(len(values) // agents * gram, rhs)
 
 
 def _certificates(cfg: ExperimentConfig, data: SyntheticDataset,

@@ -29,6 +29,7 @@ TIMING_REPEATS = 15
 # a core's cache, and sees the same cache and allocator behaviour.
 BATCH_ENTRIES = 1_000_000
 ASUP_BATCH = 8       # asup orthonormalizes one n x n matrix per tuple
+ASUP_PRIVATE = 12    # private coordinates asup rotates, as in the default config
 
 
 @dataclass(frozen=True)
@@ -40,8 +41,7 @@ class TimingRow:
     seconds_per_tuple: float
 
 
-def measure(n_grid, m: int = 20, private_count: int = 12,
-            master_seed: int = 0) -> list[TimingRow]:
+def measure(n_grid, m: int = 20, master_seed: int = 0) -> list[TimingRow]:
     """Fastest per-tuple sanitization cost for each mechanism over a grid
     of input dimensions at a fixed target dimension, plus preprocessing
     costs for the fixed-matrix mechanisms."""
@@ -56,7 +56,7 @@ def measure(n_grid, m: int = 20, private_count: int = 12,
         betas = np.full(batch, beta)
         q = san.sample_orthonormal_matrix(n, m, rng)
         mean = y.mean(axis=0)
-        private = range(min(private_count, n))
+        private = range(min(ASUP_PRIVATE, n))
         cases += [
             ("nrp", "sanitize", n, batch, partial(san.nrp, y, m, rng, betas=betas)),
             ("brp", "sanitize", n, batch, partial(san.brp, y, q)),

@@ -12,7 +12,7 @@ from .bounds import jl_min_dimension, nrp_equivalent_dimension
 from .errors import NonPositiveResult
 from .metrics import distance_preservation_fraction
 from .rng import Rng
-from .sanitize import EntryDistribution, bounded_projection_for_check, subspace_projection_for_check
+from .sanitize import bounded_projection_for_check, subspace_projection_for_check
 
 
 @dataclass(frozen=True)
@@ -28,9 +28,8 @@ class PreservationTrial:
         return self.fraction_subspace >= 0.5 and self.fraction_bounded >= 0.5
 
 
-def preservation_trials(gamma: float, point_count: int, trials: int, master_seed: int,
-                        distribution: EntryDistribution = EntryDistribution.UNIT_UNIFORM,
-                        ) -> list[PreservationTrial]:
+def preservation_trials(gamma: float, point_count: int, trials: int,
+                        master_seed: int) -> list[PreservationTrial]:
     """Compare the two projection families at the dimension mandated by
     the preservation bound.
 
@@ -48,7 +47,7 @@ def preservation_trials(gamma: float, point_count: int, trials: int, master_seed
         rng = root.child(trial)
         points = rng.child(0).standard_normal((point_count, n))
         proj_sub = subspace_projection_for_check(points, m, rng.child(1))
-        proj_bnd = bounded_projection_for_check(points, m, rng.child(2), distribution)
+        proj_bnd = bounded_projection_for_check(points, m, rng.child(2))
         rows.append(PreservationTrial(
             trial=trial,
             projected_dim=m,
@@ -82,5 +81,6 @@ def equivalence_table(m1_values, gamma_values) -> list[EquivalenceRow]:
     return rows
 
 
-def gamma_grid(count: int = 100, low: float = 0.01, high: float = 0.40) -> np.ndarray:
-    return np.linspace(low, high, count)
+def gamma_grid() -> np.ndarray:
+    """The distortion grid of the equivalence table: 100 points on [0.01, 0.40]."""
+    return np.linspace(0.01, 0.40, 100)

@@ -1,6 +1,4 @@
-import sys
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,7 +7,6 @@ from privsan import attack
 from privsan.attack import (
     ATTACK_CHUNK,
     ATTACK_RETRIES,
-    ATTACK_WORKERS,
     attack_identity,
     attack_known_matrix,
     attack_linear,
@@ -94,12 +91,15 @@ class TestRandomInverseRetries:
 
         monkeypatch.setattr(attack, "_family_sample", deficient_first_draw)
         out = random_inverse(s, n, self.UNIT, streams)
+
+        def second_child_draw(n, m, distribution, rng):
+            return family_sample(n, m, distribution, Rng(rng.seed, rng.path[:-1] + (1,)))
+
+        # The oracle is a one-row call whose first draw is child(1)'s.
+        monkeypatch.setattr(attack, "_family_sample", second_child_draw)
         for j in range(rows):
-            if j in bad:
-                b = sample_bounded_matrix(n, m, self.UNIT, streams[j].child(1))
-                expected = np.linalg.pinv(b.T, rcond=PINV_RCOND) @ s[j]
-            else:
-                expected = clean[j]
+            expected = (attack_random_inverse(st(s[j]), n, self.UNIT, streams[j]).reconstructed
+                        if j in bad else clean[j])
             assert out[j].tobytes() == expected.tobytes()
 
     def test_deficient_draws_give_up_after_the_retries(self, monkeypatch):
@@ -115,57 +115,52 @@ class TestRandomInverseRetries:
         assert attempts == list(range(ATTACK_RETRIES))
 
 
-class TestRandomInversePool:
+class TestRandomInverseChunks:
     UNIT = EntryDistribution.UNIT_UNIFORM
 
-    @pytest.mark.parametrize("workers", sorted({1, ATTACK_WORKERS, ATTACK_WORKERS + 2}))
-    def test_pool_equals_one_row_calls(self, monkeypatch, workers):
+    def test_chunks_equal_one_row_calls(self, monkeypatch):
         # Rank-deficient first draws in the first and the last chunk are
-        # redrawn from child(1) on the calling thread; with one worker,
-        # one per core or more workers than cores switching threads
-        # often, the pooled rows equal one-row calls bit for bit.
+        # redrawn from child(1); every row equals a one-row call bit for
+        # bit, and each (row, attempt) is drawn once.
         n, m = 7, 3
-        rows = (ATTACK_WORKERS + 2) * ATTACK_CHUNK + 5
+        rows = 2 * ATTACK_CHUNK + 5
         bad = {1, rows - 2}
         s = Rng(43).standard_normal((rows, m))
         streams = [Rng(44).child(j) for j in range(rows)]
         family_sample = attack._family_sample
+        drawn = []
 
         def deficient_first_draw(n, m, distribution, rng):
             row, attempt = rng.path[-2:]
+            drawn.append((row, attempt))
             if attempt == 0 and row in bad:
                 return np.ones((n, m))
             return family_sample(n, m, distribution, rng)
 
         monkeypatch.setattr(attack, "_family_sample", deficient_first_draw)
-        ones = [attack_random_inverse(st(s[j]), n, self.UNIT, streams[j]).reconstructed
-                for j in range(rows)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(workers) as pool:
-                monkeypatch.setattr(attack, "_POOL", pool)
-                monkeypatch.setattr(attack, "ATTACK_WORKERS", workers)
-                out = random_inverse(s, n, self.UNIT, streams)
-        finally:
-            sys.setswitchinterval(interval)
-        for j, one in enumerate(ones):
+        out = random_inverse(s, n, self.UNIT, streams)
+        assert sorted(drawn) == sorted([(j, 0) for j in range(rows)] + [(j, 1) for j in bad])
+        for j in range(rows):
+            one = attack_random_inverse(st(s[j]), n, self.UNIT, streams[j]).reconstructed
             assert out[j].tobytes() == one.tobytes(), j
         for j in bad:
             b = sample_bounded_matrix(n, m, self.UNIT, streams[j].child(1))
-            assert out[j].tobytes() == (np.linalg.pinv(b.T, rcond=PINV_RCOND) @ s[j]).tobytes()
+            assert np.allclose(out[j], np.linalg.pinv(b.T, rcond=PINV_RCOND) @ s[j],
+                               rtol=1e-12, atol=0.0)
 
     def test_rank_mask_from_the_svd_agrees_with_gram_rank(self, monkeypatch):
         # s_min / s_max = 1e-9 puts s_min^2 / s_max^2 below m * eps, so
         # the draw is redrawn from child(1); 1e-6 is kept.  Both decisions
-        # agree with matrix_rank of the Gram matrix B^T B.
+        # agree with matrix_rank of the Gram matrix B^T B.  The kept row
+        # matches pinv to 1e-9 relative at condition number 1e6, which
+        # the normal equations B (B^T B)^{-1} s do not.
         n, m = 6, 3
         u = np.linalg.qr(Rng(45).standard_normal((n, m)))[0]
         v = np.linalg.qr(Rng(46).standard_normal((m, m)))[0]
         planted = {0: u @ np.diag([1.0, 0.5, 1e-9]) @ v.T,
                    1: u @ np.diag([1.0, 0.5, 1e-6]) @ v.T}
         stack = np.stack([planted[0], planted[1]])
-        _, full = attack._pinv_transposes(stack)
+        _, full = attack._qr_reconstruct(stack, np.ones((2, m)))
         gram_rank = np.linalg.matrix_rank(np.swapaxes(stack, 1, 2) @ stack)
         assert full.tolist() == [False, True]
         assert full.tolist() == (gram_rank == m).tolist()
@@ -181,9 +176,31 @@ class TestRandomInversePool:
         streams = [Rng(48).child(j) for j in range(2)]
         out = random_inverse(s, n, self.UNIT, streams)
         redrawn = sample_bounded_matrix(n, m, self.UNIT, streams[0].child(1))
-        assert out[0].tobytes() == (np.linalg.pinv(redrawn.T, rcond=PINV_RCOND) @ s[0]).tobytes()
+        assert np.allclose(out[0], np.linalg.pinv(redrawn.T, rcond=PINV_RCOND) @ s[0],
+                           rtol=1e-12, atol=0.0)
         kept = np.linalg.pinv(planted[1].T, rcond=PINV_RCOND) @ s[1]
-        assert out[1].tobytes() == kept.tobytes()
+        assert np.linalg.norm(out[1] - kept) <= 1e-9 * np.linalg.norm(kept)
+
+    def test_memory_holds_a_few_chunks_of_draws(self):
+        # Beyond the (rows x n) result, the peak is a few chunks of n x m
+        # draws at any row count: the stacked QR holds the draws, its own
+        # copy of them, Q and R at once.  The streams' generators belong
+        # to the caller and are built before measuring.
+        n, m = 50, 20
+        chunk_bytes = ATTACK_CHUNK * n * m * 8
+        extra = []
+        for rows in (4 * ATTACK_CHUNK, 32 * ATTACK_CHUNK):
+            s = Rng(53).standard_normal((rows, m))
+            streams = [Rng(54).child(j) for j in range(rows)]
+            for r in streams:
+                r.generator
+            tracemalloc.start()
+            try:
+                random_inverse(s, n, self.UNIT, streams)
+                extra.append(tracemalloc.get_traced_memory()[1] - rows * n * 8)
+            finally:
+                tracemalloc.stop()
+        assert max(extra) < 5 * chunk_bytes, extra
 
 
 class TestNaiveMultiply:
