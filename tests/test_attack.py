@@ -1,4 +1,6 @@
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -113,6 +115,48 @@ class TestRandomInverseRetries:
         with pytest.raises(SingularSample):
             attack_random_inverse(st([0.3, 0.4]), 4, self.UNIT, Rng(42))
         assert attempts == list(range(ATTACK_RETRIES))
+
+
+class TestRandomInversePool:
+    UNIT = EntryDistribution.UNIT_UNIFORM
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_pool_equals_one_row_calls(self, monkeypatch, workers):
+        # random_inverse keeps no state between calls: four callers on a
+        # pool of 1, 2 or 4 threads switching often, each with its own
+        # rows and streams and with rank-deficient first draws in the
+        # first and the last chunk, get rows equal to one-row calls bit
+        # for bit, the redrawn rows from child(1).
+        n, m = 7, 3
+        rows = 2 * ATTACK_CHUNK + 5
+        bad = {1, rows - 2}
+        cases = [(Rng(60 + k).standard_normal((rows, m)),
+                  [Rng(70 + k).child(j) for j in range(rows)]) for k in range(4)]
+        family_sample = attack._family_sample
+
+        def deficient_first_draw(n, m, distribution, rng):
+            row, attempt = rng.path[-2:]
+            if attempt == 0 and row in bad:
+                return np.ones((n, m))
+            return family_sample(n, m, distribution, rng)
+
+        monkeypatch.setattr(attack, "_family_sample", deficient_first_draw)
+        ones = [[attack_random_inverse(st(s[j]), n, self.UNIT, streams[j]).reconstructed
+                 for j in range(rows)] for s, streams in cases]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(workers) as pool:
+                outs = list(pool.map(lambda c: random_inverse(c[0], n, self.UNIT, c[1]), cases))
+        finally:
+            sys.setswitchinterval(interval)
+        for (s, streams), out, one in zip(cases, outs, ones):
+            for j in range(rows):
+                assert out[j].tobytes() == one[j].tobytes(), j
+            for j in bad:
+                b = sample_bounded_matrix(n, m, self.UNIT, streams[j].child(1))
+                assert np.allclose(out[j], np.linalg.pinv(b.T, rcond=PINV_RCOND) @ s[j],
+                                   rtol=1e-12, atol=0.0)
 
 
 class TestRandomInverseChunks:
