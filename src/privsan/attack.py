@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, SingularSample
-from .linalg import as_matrix, as_vector, matvec_rows, pseudo_inverse, zero_pad
+from .linalg import as_matrix, as_vector, full_rank, matvec_rows, pseudo_inverse, zero_pad
 from .rng import Rng
 from .sanitize import (
     EntryDistribution,
@@ -64,20 +64,6 @@ def _draws(n: int, m: int, distribution: EntryDistribution, streams) -> np.ndarr
     return np.stack([_family_sample(n, m, distribution, r) for r in streams])
 
 
-def _full_rank(sv: np.ndarray) -> np.ndarray:
-    """Mask of the n x m draws whose Gram matrix B^T B has full rank,
-    from each draw's m singular values in descending order, with the
-    threshold ``matrix_rank`` applies to B^T B: s_min^2 > s_max^2 * m * eps."""
-    return sv[:, -1] ** 2 > sv[:, 0] ** 2 * (sv.shape[1] * np.finfo(float).eps)
-
-
-def _pinv_transposes(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(B^T)^+ = B (B^T B)^{-1} for each stacked B, and the full-rank
-    mask from the pseudo-inverse's own SVD."""
-    pinv, sv = pseudo_inverse(np.swapaxes(b, 1, 2))
-    return pinv, _full_rank(sv)
-
-
 def _qr_reconstruct(b: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(B^T)^+ s = Q R^{-T} s for each stacked draw B = QR (reduced QR)
     of full rank, paired row by row with ``s``, and the full-rank mask
@@ -85,9 +71,9 @@ def _qr_reconstruct(b: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarra
     not solved.  Unlike B (B^T B)^{-1} s, this does not square the
     condition number."""
     q, r = np.linalg.qr(b)
-    full = _full_rank(np.linalg.svd(r, compute_uv=False))
+    full = full_rank(np.linalg.svd(r, compute_uv=False))
     z = np.linalg.solve(np.swapaxes(r[full], 1, 2), s[full, :, None])
-    return (q[full] @ z)[..., 0], full
+    return matvec_rows(q[full], z[..., 0]), full
 
 
 def random_inverse(s: np.ndarray, n: int, distribution: EntryDistribution,
@@ -119,7 +105,7 @@ def known_matrix(s: np.ndarray, matrix: np.ndarray, mean: np.ndarray | None = No
     ``mean`` the deviation from the mean is reconstructed and the mean
     added back; ``mean_in_tuple`` says the mechanism projected raw tuples
     (the mean's image is removed first) rather than centered ones."""
-    pinv, full = _pinv_transposes(matrix[None])
+    pinv, full = pseudo_inverse(matrix.T[None])
     if not full[0]:
         raise SingularSample("sampled matrix has rank-deficient Gram matrix")
     if mean is not None and mean_in_tuple:
@@ -130,12 +116,15 @@ def known_matrix(s: np.ndarray, matrix: np.ndarray, mean: np.ndarray | None = No
 
 def naive_multiply(s: np.ndarray, n: int, distribution: EntryDistribution,
                    streams: list[Rng]) -> np.ndarray:
-    """Left-multiply row j by a raw family draw from ``streams[j]``,
-    holding one chunk of draws at a time."""
+    """Left-multiply row j by a raw family draw from ``streams[j]``'s
+    address, holding one chunk of draws at a time.  Each draw comes from
+    a fresh stream at that address, so the caller's streams build no
+    generator."""
     out = np.empty((len(streams), n))
     for lo in range(0, len(streams), ATTACK_CHUNK):
         rows = slice(lo, lo + ATTACK_CHUNK)
-        out[rows] = matvec_rows(_draws(n, s.shape[1], distribution, streams[rows]), s[rows])
+        fresh = [Rng(r.seed, r.path) for r in streams[rows]]
+        out[rows] = matvec_rows(_draws(n, s.shape[1], distribution, fresh), s[rows])
     return out
 
 
@@ -155,7 +144,7 @@ def expected_inverse_map(n: int, m: int, distribution: EntryDistribution,
     if samples < 1:
         raise ValueError("samples must be positive")
     draws = _draws(n, m, distribution, [rng.child(j) for j in range(samples)])
-    pinv, full = _pinv_transposes(draws)
+    pinv, full = pseudo_inverse(np.swapaxes(draws, 1, 2))
     if not full.all():
         raise SingularSample("sampled matrix has rank-deficient Gram matrix")
     return pinv.sum(axis=0) / samples

@@ -19,9 +19,11 @@ functions of the configuration; timestamps live only in the manifest.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -140,7 +142,7 @@ def _write_outputs(out: Path, started: str, digest: str, files: dict[str, object
     """Write each result file, then ``manifest.json`` listing them.  A
     list of rows becomes a CSV with the first row's keys, in order, as
     the header and floats at 17 significant digits, which round-trips
-    float64; anything else becomes JSON."""
+    float64; anything else becomes JSON, with non-finite floats as null."""
     manifest = {
         "config_digest": digest,
         "started_utc": started,
@@ -153,12 +155,25 @@ def _write_outputs(out: Path, started: str, digest: str, files: dict[str, object
         with (out / name).open("w", encoding="utf-8", newline="") as fh:
             if isinstance(content, list):
                 header = list(content[0])
-                fh.write(",".join(header) + "\n")
-                for row in content:
-                    fh.write(",".join(f"{row[k]:.17g}" if isinstance(row[k], float)
-                                      else str(row[k]) for k in header) + "\n")
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(header)
+                writer.writerows([f"{row[k]:.17g}" if isinstance(row[k], float)
+                                  else str(row[k]) for k in header] for row in content)
             else:
-                fh.write(json.dumps(content, indent=2, sort_keys=True) + "\n")
+                fh.write(json.dumps(_finite_or_null(content), indent=2, sort_keys=True,
+                                    allow_nan=False) + "\n")
+
+
+def _finite_or_null(value):
+    """``value`` with every NaN or infinite float replaced by None, so
+    that it serializes as strict JSON (null)."""
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -239,12 +254,12 @@ def cmd_timing(args: argparse.Namespace) -> int:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     schema = dataio.DatasetSchema.from_json(args.schema)
+    digest = _digest({"data_sha256": hashlib.sha256(Path(args.data).read_bytes()).hexdigest(),
+                      "schema": dataclasses.asdict(schema), "raw": args.raw})
     out, started = _open_out(args.out)
     result = dataio.load_csv(args.data, schema, shift_nonnegative=not args.raw)
     names = [c.name for c in schema.retained]
     summary = dataio.summarize(result.values, names)
-    digest = _digest({"data_sha256": hashlib.sha256(Path(args.data).read_bytes()).hexdigest(),
-                      "schema": dataclasses.asdict(schema), "raw": args.raw})
     _write_outputs(out, started, digest, {
         "processed.csv": [dict(zip(names, row)) for row in result.values.tolist()],
         "summary.json": {
@@ -284,15 +299,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file (keys mirror ExperimentConfig)")
         p.add_argument("--seed", type=int, help="master seed override")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--mechanism", choices=list(MECHANISMS))
         p.add_argument("--radius-fraction", type=float, dest="radius_fraction")
         p.add_argument("--k-neighbors", type=int, dest="k_neighbors")
 
     p_run = sub.add_parser("run", help="run one experiment and write its report")
     common(p_run)
+    p_run.add_argument("--mechanism", choices=list(MECHANISMS))
     p_run.set_defaults(fn=cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="mechanism x agent-count grid")
+    # No abbreviations: ``--mechanism`` must not pass for ``--mechanisms``.
+    p_sweep = sub.add_parser("sweep", help="mechanism x agent-count grid", allow_abbrev=False)
     common(p_sweep)
     p_sweep.add_argument("--agents", help="comma-separated agent counts")
     p_sweep.add_argument("--mechanisms", help="comma-separated mechanism list")

@@ -13,10 +13,6 @@ class ZeroNormInput(PrivsanError):
     pass
 
 
-class NotSymmetric(PrivsanError):
-    pass
-
-
 class RankDeficient(PrivsanError):
     pass
 

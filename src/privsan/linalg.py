@@ -1,5 +1,5 @@
 """Dense numeric kernels: cosine similarity, norms, orthonormalization,
-symmetric eigendecomposition, and the Moore-Penrose pseudo-inverse.
+the Moore-Penrose pseudo-inverse and its full-rank test.
 
 All functions are pure and operate on float64 numpy arrays.  Vectors are
 1-d arrays, matrices 2-d row-major arrays, stacks 3-d.  Inputs from
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotSymmetric, RankDeficient, ZeroNormInput
+from .errors import DimensionMismatch, RankDeficient, ZeroNormInput
 from .rng import Rng
 
 PINV_RCOND = 1e-10
@@ -53,9 +53,10 @@ def row_norms(a: np.ndarray) -> np.ndarray:
 
 def matvec_rows(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Row j is ``a[j // r] @ x[j]`` for a (groups x p x n) stack ``a``,
-    where r = len(x) / groups consecutive rows share one matrix."""
+    where r = len(x) / groups consecutive rows share one matrix.  An
+    empty stack gives an empty (0 x p) result."""
     groups, p, n = a.shape
-    return (a[:, None] @ x.reshape(groups, -1, n, 1)).reshape(-1, p)
+    return (a[:, None] @ x.reshape(groups, len(x) // max(groups, 1), n, 1)).reshape(-1, p)
 
 
 def zero_pad(values, n: int) -> np.ndarray:
@@ -128,31 +129,23 @@ def _sign_fixed_qr(a) -> tuple[np.ndarray, np.ndarray]:
     return q * signs[:, None, :], mag.min(axis=1) > 1e-12 * np.maximum(mag.max(axis=1), 1e-300)
 
 
-def sym_eigendecompose(s) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix.
-
-    Returns (eigenvalues descending, eigenvector columns in matching
-    order).  Raises NotSymmetric when max|S - S^T| exceeds tolerance.
-    """
-    mat = as_matrix(s)
-    if mat.shape[0] != mat.shape[1]:
-        raise NotSymmetric(f"matrix is not square: {mat.shape}")
-    scale = max(1.0, float(np.abs(mat).max()))
-    if float(np.abs(mat - mat.T).max()) > 1e-9 * scale:
-        raise NotSymmetric("matrix is not symmetric within tolerance")
-    w, v = np.linalg.eigh(mat)
-    order = np.argsort(w)[::-1]
-    return w[order], v[:, order]
+def full_rank(sv: np.ndarray) -> np.ndarray:
+    """Whether a matrix, or each matrix of a stack, has full rank k, from
+    its k = min(rows, cols) singular values in descending order, with the
+    threshold ``matrix_rank`` applies to its k x k Gram matrix:
+    s_min^2 > s_max^2 * k * eps."""
+    return sv[..., -1] ** 2 > sv[..., 0] ** 2 * (sv.shape[-1] * np.finfo(float).eps)
 
 
 def pseudo_inverse(a) -> tuple[np.ndarray, np.ndarray]:
     """Moore-Penrose pseudo-inverse of a matrix, or of each matrix in a
     stack, with singular values below 1e-10 * sigma_max treated as zero;
-    returned with the singular values of its one SVD.  The inverse is
-    numpy's ``pinv`` formula applied to that SVD, so it equals
-    ``np.linalg.pinv(a, rcond=1e-10)`` bit for bit."""
+    returned with :func:`full_rank` of the singular values of its one
+    SVD.  The inverse is numpy's ``pinv`` formula applied to that SVD, so
+    it equals ``np.linalg.pinv(a, rcond=1e-10)`` bit for bit."""
     a = as_matrix(a) if np.ndim(a) == 2 else a
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     large = s > PINV_RCOND * np.amax(s, axis=-1, keepdims=True)
     inv = np.divide(1, s, where=large, out=np.zeros_like(s))
-    return np.matmul(np.swapaxes(vt, -1, -2), inv[..., None] * np.swapaxes(u, -1, -2)), s
+    pinv = np.matmul(np.swapaxes(vt, -1, -2), inv[..., None] * np.swapaxes(u, -1, -2))
+    return pinv, full_rank(s)

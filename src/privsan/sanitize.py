@@ -1,6 +1,7 @@
 """Sanitization mechanisms behind one common contract.
 
-Five mechanisms share the ``SanitizedTuple`` output type:
+Five mechanisms, each one function from a (tuples x n) array of rows to
+an array of sanitized rows:
 
 * norm-bounded random projection: a fresh bounded-entry matrix per
   tuple, rescaled so its Frobenius norm equals the certificate bound;
@@ -13,8 +14,8 @@ Five mechanisms share the ``SanitizedTuple`` output type:
 * rotated-noise addition: Gaussian noise on the private coordinates,
   rotated by a fresh random unitary; dimension preserving.
 
-Each mechanism is one function on a (tuples x n) array, which the
-runner calls; the per-tuple ``sanitize_*`` functions make one-row calls.
+The runner calls these functions; the per-tuple ``sanitize_*`` functions
+make one-row calls and wrap the row in a ``SanitizedTuple``.
 Projection matrices are plain n x m arrays; only :func:`bounded_projection`
 wraps its draw in a :class:`ProjectionMatrix` with the certificate it meets.
 
@@ -43,7 +44,6 @@ from .linalg import (
     matvec_rows,
     orthonormalize,
     row_norms,
-    sym_eigendecompose,
 )
 from .rng import Rng
 
@@ -102,18 +102,16 @@ class SanitizedTuple:
 
 @dataclass(frozen=True)
 class ProjectionMatrix:
-    """A bounded-entry n x m matrix with its entry distribution, its
-    Frobenius norm, and the certificate that norm must meet, if any."""
+    """An n x m projection matrix and the certificate its Frobenius norm
+    must meet, if any; the norm is measured and checked on construction."""
 
     matrix: np.ndarray
-    entry_distribution: EntryDistribution
-    frobenius: float
     bound_certificate: NormBoundCertificate | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", as_matrix(self.matrix))
         if self.bound_certificate is not None:
-            if abs(self.frobenius - self.bound_certificate.frobenius_bound) > 1e-12:
+            if abs(frobenius_norm(self.matrix) - self.bound_certificate.frobenius_bound) > 1e-12:
                 raise ValueError("Frobenius norm does not meet the certificate bound")
 
 
@@ -185,9 +183,8 @@ def bounded_projection(n: int, m: int, certificate: NormBoundCertificate | None,
     matrix is rescaled so its Frobenius norm equals the bound, and its
     measured norm is checked against it."""
     betas = None if certificate is None else np.array([certificate.frobenius_bound])
-    unit = EntryDistribution.UNIT_UNIFORM
-    a = sample_bounded_matrices(1, n, m, unit, rng, betas)[0]
-    return ProjectionMatrix(a, unit, frobenius_norm(a), certificate)
+    a = sample_bounded_matrices(1, n, m, EntryDistribution.UNIT_UNIFORM, rng, betas)[0]
+    return ProjectionMatrix(a, certificate)
 
 
 # Mechanisms on (tuples x n) arrays.
@@ -249,8 +246,8 @@ def fit_pca(dataset, m: int) -> np.ndarray:
         raise DimensionMismatch(f"need 1 <= m <= {n}, got {m}")
     centered = x - x.mean(axis=0)
     cov = centered.T @ centered / (x.shape[0] - 1)
-    _, vecs = sym_eigendecompose(cov)
-    comps = vecs[:, :m]
+    w, vecs = np.linalg.eigh(as_matrix(cov))
+    comps = vecs[:, np.argsort(w)[::-1][:m]]
     first = comps[np.argmax(np.abs(comps) > 1e-12, axis=0), np.arange(m)]
     return comps * np.where(first < 0, -1.0, 1.0)
 

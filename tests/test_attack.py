@@ -258,6 +258,12 @@ class TestNaiveMultiply:
             one = attack_naive_multiply(st(s[j]), n, self.UNIT, Rng(50).child(j))
             assert out[j].tobytes() == one.reconstructed.tobytes(), j
 
+    def test_caller_streams_build_no_generator(self):
+        rows = 2 * ATTACK_CHUNK + 3
+        streams = [Rng(55).child(j) for j in range(rows)]
+        naive_multiply(Rng(56).standard_normal((rows, 2)), 6, self.UNIT, streams)
+        assert [j for j, r in enumerate(streams) if "generator" in vars(r)] == []
+
     def test_memory_holds_one_chunk_of_draws(self):
         # Beyond the (rows x n) result, the peak is a few chunks of n x m
         # draws at any row count.  The streams' generators belong to the

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -57,6 +58,22 @@ class TestRunCommand:
         assert float(cells["displacement"]) == record["report"]["displacement"]
         assert float(cells["resemblance"]) == record["report"]["resemblance"]
         assert float(cells["utility"]) == record["utility_mean"]
+
+    def test_report_json_is_strict_json(self, tmp_path):
+        # 50 parameters from 5 x 10 observations of dimension 5 cannot be
+        # identified, so the robustness gap is NaN: null in JSON, nan in CSV.
+        cfg = write_cfg(tmp_path, {"agent_count": 5, "observations_per_agent": 10,
+                                   "input_dim": 5, "param_dim": 50, "target_dim": 2,
+                                   "private_count": 2, "k_neighbors": 3, "repetitions": 1})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        record = json.loads((out / "report.json").read_text(), parse_constant=reject)
+        assert record["robustness_gap_mean"] is None
+        assert ",nan," in (out / "report.csv").read_text()
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_cfg(tmp_path)
@@ -215,6 +232,15 @@ class TestSweepCommand:
             digests.append(manifest["config_digest"])
         assert digests[0] == digests[1] != digests[2]
 
+    def test_mechanism_flag_is_run_only(self, tmp_path):
+        # Every grid point sets its own mechanism, so sweep takes no --mechanism.
+        cfg = write_cfg(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(cfg), "--mechanism", "nrp",
+                  "--out", str(tmp_path / "s")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "s").exists()
+
     def test_invalid_grid_point_exits_2_before_any_run(self, tmp_path, monkeypatch):
         ran = []
         monkeypatch.setattr("privsan.simulate.run_experiment", ran.append)
@@ -283,6 +309,28 @@ class TestIngestCommand:
         assert len(summary["columns"]) == 50
         assert summary["private_positions"] == [0, 1, 2]
         assert (out / "processed.csv").exists()
+
+    def test_processed_csv_quotes_a_column_name_with_a_comma(self, tmp_path):
+        schema = tmp_path / "s.json"
+        schema.write_text('[{"name": "a,b"}, {"name": "c"}]', encoding="utf-8")
+        data = tmp_path / "d.csv"
+        data.write_text('"a,b",c\n1,2\n3,4\n', encoding="utf-8")
+        out = tmp_path / "i"
+        assert main(["ingest", "--data", str(data), "--schema", str(schema),
+                     "--out", str(out)]) == 0
+        with (out / "processed.csv").open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["a,b", "c"]
+        assert [len(row) for row in rows] == [2, 2, 2]
+
+    def test_missing_data_exits_2_before_creating_out(self, tmp_path, capsys):
+        schema = tmp_path / "s.json"
+        schema.write_text('[{"name": "x"}]', encoding="utf-8")
+        out = tmp_path / "i"
+        assert main(["ingest", "--data", str(tmp_path / "missing.csv"),
+                     "--schema", str(schema), "--out", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_schema_exits_2(self, tmp_path, capsys):
         assert main(["ingest", "--data", str(tmp_path / "a.csv"),

@@ -3,15 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from privsan.errors import DimensionMismatch, NotSymmetric, RankDeficient, ZeroNormInput
+from privsan.errors import DimensionMismatch, RankDeficient, ZeroNormInput
 from privsan.linalg import (
     PINV_RCOND,
     RESAMPLE_RETRIES,
     cosine,
     frobenius_norm,
+    matvec_rows,
     orthonormalize,
     pseudo_inverse,
-    sym_eigendecompose,
 )
 from privsan.rng import Rng
 
@@ -117,45 +117,16 @@ class TestOrthonormalize:
             orthonormalize(np.ones((2, 4)))
 
 
-class TestSymEigendecompose:
-    def test_diagonal(self):
-        w, v = sym_eigendecompose(np.diag([3.0, 1.0]))
-        assert np.allclose(w, [3, 1])
-        assert np.allclose(np.abs(v), np.eye(2), atol=1e-12)
+class TestMatvecRows:
+    def test_rows_sharing_a_matrix(self):
+        gen = Rng(31).generator
+        a, x = gen.standard_normal((3, 4, 2)), gen.standard_normal((6, 2))
+        out = matvec_rows(a, x)
+        for j in range(6):
+            assert out[j].tobytes() == (a[j // 2] @ x[j]).tobytes(), j
 
-    def test_hand_2x2(self):
-        # char poly (2-l)^2 - 1 = 0 -> l in {3, 1}
-        w, _ = sym_eigendecompose([[2, 1], [1, 2]])
-        assert np.allclose(w, [3, 1], atol=1e-12)
-
-    def test_identity(self):
-        w, _ = sym_eigendecompose(np.eye(5))
-        assert np.allclose(w, 1.0)
-
-    def test_descending_and_eigen_pairs(self):
-        gen = Rng(17).generator
-        b = gen.standard_normal((6, 6))
-        s = b + b.T
-        w, v = sym_eigendecompose(s)
-        assert np.all(np.diff(w) <= 1e-12)
-        for k in range(6):
-            lhs = s @ v[:, k]
-            rhs = w[k] * v[:, k]
-            assert np.abs(lhs - rhs).max() < 1e-7 * max(1.0, abs(w[k]))
-
-    def test_reconstruction(self):
-        gen = Rng(19).generator
-        b = gen.standard_normal((8, 8))
-        s = b + b.T
-        w, v = sym_eigendecompose(s)
-        rel = np.linalg.norm(v @ np.diag(w) @ v.T - s) / np.linalg.norm(s)
-        assert rel < 1e-7
-
-    def test_not_symmetric(self):
-        with pytest.raises(NotSymmetric):
-            sym_eigendecompose([[1, 2], [0, 1]])
-        with pytest.raises(NotSymmetric):
-            sym_eigendecompose(np.ones((2, 3)))
+    def test_empty_stack_gives_no_rows(self):
+        assert matvec_rows(np.empty((0, 4, 2)), np.empty((0, 2))).shape == (0, 4)
 
 
 class TestPseudoInverse:
@@ -181,18 +152,22 @@ class TestPseudoInverse:
     @given(hst.data())
     def test_equals_numpy_pinv_bit_for_bit(self, data):
         # One SVD with numpy's pinv formula: the same bits as
-        # np.linalg.pinv, on matrices and stacks, full rank or not.
+        # np.linalg.pinv, on matrices and stacks, full rank or not; the
+        # mask says which matrices have full rank.
         shape = tuple(data.draw(hst.lists(hst.integers(1, 7), min_size=2, max_size=2),
                                 label="shape"))
         stack = data.draw(hst.sampled_from([(), (1,), (3,), (9,)]), label="stack")
         gen = np.random.default_rng(data.draw(hst.integers(0, 2**32 - 1), label="seed"))
         a = gen.standard_normal(stack + shape)
-        if data.draw(hst.booleans(), label="deficient"):
+        deficient = data.draw(hst.booleans(), label="deficient")
+        if deficient:
             a[..., 0, :] = 0.0 if shape[0] == 1 else a[..., -1, :]
         a *= 10.0 ** data.draw(hst.integers(-6, 6), label="scale")
-        pinv, singular_values = pseudo_inverse(a)
+        pinv, full = pseudo_inverse(a)
         assert pinv.tobytes() == np.linalg.pinv(a, rcond=PINV_RCOND).tobytes()
-        assert singular_values.shape == stack + (min(shape),)
+        # A repeated or zero row lowers the rank only when rows <= cols.
+        rank_lost = deficient and shape[0] <= shape[1]
+        assert np.shape(full) == stack and np.all(full == (not rank_lost))
 
 
 class TestRngDeterminism:

@@ -48,9 +48,11 @@ def dt(values, private=(), agent="a0"):
 
 class TestProjectionMatrixInvariants:
     def test_certificate_norm_enforced(self):
+        # The norm is measured from the matrix: sqrt(3) misses the bound.
         with pytest.raises(ValueError):
-            ProjectionMatrix(np.eye(3), EntryDistribution.UNIT_UNIFORM,
-                             frobenius=2.0, bound_certificate=CERT)
+            ProjectionMatrix(np.eye(3), CERT)
+        scaled = np.eye(3) * (CERT.frobenius_bound / np.sqrt(3))
+        assert ProjectionMatrix(scaled, CERT).matrix.tobytes() == scaled.tobytes()
 
     def test_orthonormal_tag_enforced(self):
         with pytest.raises(ValueError):
@@ -261,9 +263,26 @@ class TestPca:
         expected = [(y - mean) @ comps[:, j] for j in range(2)]
         assert np.allclose(out.values, expected, atol=1e-12)
 
+    def test_components_are_descending_eigenvectors(self):
+        gen = Rng(22).generator
+        pts = gen.standard_normal((60, 6)) * np.array([6.0, 5.0, 4.0, 3.0, 2.0, 1.0])
+        comps = fit_pca(pts, 6)
+        centered = pts - pts.mean(axis=0)
+        cov = centered.T @ centered / (len(pts) - 1)
+        w = np.diag(comps.T @ cov @ comps)
+        assert np.all(np.diff(w) < 0)
+        assert np.abs(cov @ comps - comps * w).max() < 1e-9 * w[0]
+
     def test_insufficient_data(self):
         with pytest.raises(InsufficientData):
             fit_pca(np.array([[1.0, 2.0]]), 1)
+
+    def test_overflowing_covariance_rejected(self):
+        # The covariance of data near +-1e200 overflows to inf; the
+        # eigensolver would return NaN without raising.
+        pts = np.array([[1e200, -1e200], [-1e200, 1e200], [1e200, 1e200]])
+        with np.errstate(over="ignore"), pytest.raises(ValueError):
+            fit_pca(pts, 1)
 
 
 class TestAsup:
