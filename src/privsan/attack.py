@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, SingularSample
-from .linalg import as_matrix, as_vector, full_rank, matvec_rows, pseudo_inverse, zero_pad
+from .linalg import as_matrix, as_vector, full_rank, matvec_rows, zero_pad
 from .rng import Rng
 from .sanitize import (
     EntryDistribution,
@@ -67,11 +67,10 @@ def _draws(n: int, m: int, distribution: EntryDistribution, streams) -> np.ndarr
 def _qr_reconstruct(b: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(B^T)^+ s = Q R^{-T} s for each stacked draw B = QR (reduced QR)
     of full rank, paired row by row with ``s``, and the full-rank mask
-    from the singular values of R, which are B's; the other draws are
-    not solved.  Unlike B (B^T B)^{-1} s, this does not square the
-    condition number."""
+    of R, whose singular values are B's; the other draws are not solved.
+    Unlike B (B^T B)^{-1} s, this does not square the condition number."""
     q, r = np.linalg.qr(b)
-    full = full_rank(np.linalg.svd(r, compute_uv=False))
+    full = full_rank(r)
     z = np.linalg.solve(np.swapaxes(r[full], 1, 2), s[full, :, None])
     return matvec_rows(q[full], z[..., 0]), full
 
@@ -105,12 +104,11 @@ def known_matrix(s: np.ndarray, matrix: np.ndarray, mean: np.ndarray | None = No
     ``mean`` the deviation from the mean is reconstructed and the mean
     added back; ``mean_in_tuple`` says the mechanism projected raw tuples
     (the mean's image is removed first) rather than centered ones."""
-    pinv, full = pseudo_inverse(matrix.T[None])
-    if not full[0]:
+    if not full_rank(matrix):
         raise SingularSample("sampled matrix has rank-deficient Gram matrix")
     if mean is not None and mean_in_tuple:
         s = s - matrix.T @ mean
-    recon = matvec_rows(pinv, s)
+    recon = linear(s, np.linalg.pinv(matrix.T))
     return recon if mean is None else recon + mean
 
 
@@ -144,10 +142,9 @@ def expected_inverse_map(n: int, m: int, distribution: EntryDistribution,
     if samples < 1:
         raise ValueError("samples must be positive")
     draws = _draws(n, m, distribution, [rng.child(j) for j in range(samples)])
-    pinv, full = pseudo_inverse(np.swapaxes(draws, 1, 2))
-    if not full.all():
+    if not full_rank(draws).all():
         raise SingularSample("sampled matrix has rank-deficient Gram matrix")
-    return pinv.sum(axis=0) / samples
+    return np.linalg.pinv(np.swapaxes(draws, 1, 2)).sum(axis=0) / samples
 
 
 def linear(s: np.ndarray, linear_map: np.ndarray) -> np.ndarray:

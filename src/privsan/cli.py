@@ -115,6 +115,12 @@ def _digest(inputs: dict) -> str:
     return hashlib.sha256(json.dumps(inputs, sort_keys=True).encode()).hexdigest()
 
 
+def _file_sha256(path: str) -> str:
+    """sha256 of a file's bytes, read in fixed-size blocks."""
+    with open(path, "rb") as fh:
+        return hashlib.file_digest(fh, "sha256").hexdigest()
+
+
 def _open_out(path: str) -> tuple[Path, str]:
     """Create the output directory and return it with the start time.
     Commands call this after checking their own arguments and before
@@ -254,7 +260,8 @@ def cmd_timing(args: argparse.Namespace) -> int:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     schema = dataio.DatasetSchema.from_json(args.schema)
-    digest = _digest({"data_sha256": hashlib.sha256(Path(args.data).read_bytes()).hexdigest(),
+    dataio.check_header(args.data, schema)
+    digest = _digest({"data_sha256": _file_sha256(args.data),
                       "schema": dataclasses.asdict(schema), "raw": args.raw})
     out, started = _open_out(args.out)
     result = dataio.load_csv(args.data, schema, shift_nonnegative=not args.raw)

@@ -56,6 +56,8 @@ class DatasetSchema:
         names = [c.name for c in self.columns]
         if len(set(names)) != len(names):
             raise SchemaMismatch("duplicate column names in schema")
+        if not self.retained:
+            raise SchemaMismatch("schema keeps no column: every column is dropped")
 
     @property
     def retained(self) -> list[ColumnSpec]:
@@ -133,17 +135,9 @@ def load_csv(path: str | Path, schema: DatasetSchema,
     to be nonnegative; the applied shifts are returned.
     """
     path = Path(path)
-    # Undecodable bytes become lone surrogates, which the cell check below
-    # reports with their row and column.
-    with path.open(encoding="utf-8", errors="surrogateescape", newline="") as fh:
+    with _open_csv(path) as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaMismatch("file has no header row") from None
-        expected = [c.name for c in schema.columns]
-        if header != expected:
-            raise SchemaMismatch(f"header {header!r} does not match schema {expected!r}")
+        _check_header(reader, schema)
         keep = [(i, c) for i, c in enumerate(schema.columns) if c.kind != "drop"]
         rows = []
         for rownum, row in enumerate(reader, start=1):
@@ -179,6 +173,29 @@ def load_csv(path: str | Path, schema: DatasetSchema,
         shifts = np.where(minima < 0, -minima, 0.0)
         values = values + shifts
     return LoadResult(values, schema, shifts)
+
+
+def check_header(path: str | Path, schema: DatasetSchema) -> None:
+    """Raise :class:`SchemaMismatch` unless the file's header row names
+    the schema's columns in order; reads only that row."""
+    with _open_csv(Path(path)) as fh:
+        _check_header(csv.reader(fh), schema)
+
+
+def _open_csv(path: Path):
+    # Undecodable bytes become lone surrogates, which load_csv's cell
+    # check reports with their row and column.
+    return path.open(encoding="utf-8", errors="surrogateescape", newline="")
+
+
+def _check_header(reader, schema: DatasetSchema) -> None:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaMismatch("file has no header row") from None
+    expected = [c.name for c in schema.columns]
+    if header != expected:
+        raise SchemaMismatch(f"header {header!r} does not match schema {expected!r}")
 
 
 def summarize(values: np.ndarray,

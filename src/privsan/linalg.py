@@ -1,5 +1,5 @@
-"""Dense numeric kernels: cosine similarity, norms, orthonormalization,
-the Moore-Penrose pseudo-inverse and its full-rank test.
+"""Dense numeric kernels: cosine similarity, norms, orthonormalization
+and the full-rank test of a matrix to be inverted.
 
 All functions are pure and operate on float64 numpy arrays.  Vectors are
 1-d arrays, matrices 2-d row-major arrays, stacks 3-d.  Inputs from
@@ -18,7 +18,6 @@ import numpy as np
 from .errors import DimensionMismatch, RankDeficient, ZeroNormInput
 from .rng import Rng
 
-PINV_RCOND = 1e-10
 RESAMPLE_RETRIES = 8
 
 
@@ -129,23 +128,10 @@ def _sign_fixed_qr(a) -> tuple[np.ndarray, np.ndarray]:
     return q * signs[:, None, :], mag.min(axis=1) > 1e-12 * np.maximum(mag.max(axis=1), 1e-300)
 
 
-def full_rank(sv: np.ndarray) -> np.ndarray:
-    """Whether a matrix, or each matrix of a stack, has full rank k, from
-    its k = min(rows, cols) singular values in descending order, with the
-    threshold ``matrix_rank`` applies to its k x k Gram matrix:
+def full_rank(a: np.ndarray) -> np.ndarray:
+    """Whether a matrix, or each matrix of a stack, has full rank
+    k = min(rows, cols), from its singular values with the threshold
+    ``matrix_rank`` applies to its k x k Gram matrix:
     s_min^2 > s_max^2 * k * eps."""
+    sv = np.linalg.svd(a, compute_uv=False)
     return sv[..., -1] ** 2 > sv[..., 0] ** 2 * (sv.shape[-1] * np.finfo(float).eps)
-
-
-def pseudo_inverse(a) -> tuple[np.ndarray, np.ndarray]:
-    """Moore-Penrose pseudo-inverse of a matrix, or of each matrix in a
-    stack, with singular values below 1e-10 * sigma_max treated as zero;
-    returned with :func:`full_rank` of the singular values of its one
-    SVD.  The inverse is numpy's ``pinv`` formula applied to that SVD, so
-    it equals ``np.linalg.pinv(a, rcond=1e-10)`` bit for bit."""
-    a = as_matrix(a) if np.ndim(a) == 2 else a
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    large = s > PINV_RCOND * np.amax(s, axis=-1, keepdims=True)
-    inv = np.divide(1, s, where=large, out=np.zeros_like(s))
-    pinv = np.matmul(np.swapaxes(vt, -1, -2), inv[..., None] * np.swapaxes(u, -1, -2))
-    return pinv, full_rank(s)

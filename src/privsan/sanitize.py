@@ -254,29 +254,22 @@ def fit_pca(dataset, m: int) -> np.ndarray:
 
 # Per-tuple API: one-row calls into the mechanisms above.
 
-def sanitize_nrp(t: DataTuple, m: int, certificate: NormBoundCertificate, rng: Rng,
+def sanitize_nrp(t: DataTuple, m: int, certificate: NormBoundCertificate | None, rng: Rng,
                  distribution: EntryDistribution = EntryDistribution.UNIT_UNIFORM,
                  log: ReplayLog | None = None) -> SanitizedTuple:
-    """Norm-bounded projection with a fresh matrix for this call.
+    """Projection by a fresh matrix for this call, rescaled to the
+    certificate's Frobenius bound; with ``certificate=None`` the matrix
+    is not rescaled (the unbounded ablation, tagged ``nrp-unbounded``).
 
     ``rng`` must be a fresh child stream per call; reusing one defeats
     the per-instance randomness the mechanism relies on.
     """
-    beta = certificate.frobenius_bound
-    values, a = nrp(t.values[None], m, rng, distribution, np.array([beta]))
+    beta = None if certificate is None else certificate.frobenius_bound
+    betas = None if beta is None else np.array([beta])
+    values, a = nrp(t.values[None], m, rng, distribution, betas)
     if log is not None:
         log.record(t.agent_id, rng, distribution, beta, a[0])
-    return SanitizedTuple(values[0], t.agent_id, "nrp")
-
-
-def sanitize_nrp_unbounded(t: DataTuple, m: int, rng: Rng,
-                           distribution: EntryDistribution = EntryDistribution.UNIT_UNIFORM,
-                           log: ReplayLog | None = None) -> SanitizedTuple:
-    """:func:`sanitize_nrp` without the norm rescaling step."""
-    values, a = nrp(t.values[None], m, rng, distribution)
-    if log is not None:
-        log.record(t.agent_id, rng, distribution, None, a[0])
-    return SanitizedTuple(values[0], t.agent_id, "nrp-unbounded")
+    return SanitizedTuple(values[0], t.agent_id, "nrp-unbounded" if beta is None else "nrp")
 
 
 def sanitize_brp(t: DataTuple, q: np.ndarray) -> SanitizedTuple:

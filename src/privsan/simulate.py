@@ -15,7 +15,6 @@ count.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -55,6 +54,10 @@ ADVERSARIES = ("auto", "random-inverse", "expected-inverse", "known-matrix",
                "naive-inverse", "identity")
 # Entry distributions a config may name: the ones the projections draw.
 DISTRIBUTIONS = tuple(d.value for d in san.BOUNDED_DISTRIBUTIONS)
+# Largest magnitude of a float setting.  Squared norms in the synthetic
+# round overflow float64 near 1e150, and the certificate's (t / alpha)**2
+# sooner when an agent's largest tuple is short.
+FLOAT_LIMIT = 1e6
 SWEEP_AGENT_GRID = (50, 100, 200, 300, 400, 500, 600)
 SWEEP_MECHANISMS = ("nrp", "brp", "pca", "asup")
 SWEEP_COLUMNS = ("mechanism", "agents", "min_utility", "target_dim", "breach_count",
@@ -103,8 +106,8 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             require(value is not None or f.name == "breach_absolute_radius",
                     f"{f.name} must not be null")
-            require(not isinstance(value, float) or math.isfinite(value),
-                    f"{f.name} must be finite")
+            require(not isinstance(value, float) or abs(value) <= FLOAT_LIMIT,
+                    f"{f.name} must be finite and at most {FLOAT_LIMIT:g} in magnitude")
         for name in ("agent_count", "observations_per_agent", "repetitions", "k_neighbors",
                      "inverse_samples"):
             require(getattr(self, name) >= 1, f"{name} must be positive")
@@ -119,10 +122,16 @@ class ExperimentConfig:
                 f"known-matrix attack needs a fixed-matrix mechanism, not {self.sanitizer!r}")
         require(self.entry_distribution in DISTRIBUTIONS,
                 f"entry_distribution must be one of {', '.join(DISTRIBUTIONS)}")
+        # With one coordinate the nonnegativity shift makes the smallest
+        # tuple zero, and the utility of a zero tuple is undefined.
+        require(self.input_dim >= 2, "input_dim must be at least 2")
         require(1 <= self.target_dim <= self.input_dim, "need 1 <= target_dim <= input_dim")
         require(0 < self.min_utility <= 1, "min_utility must lie in (0, 1]")
         require(0 <= self.private_count <= self.input_dim,
                 "private_count must lie in [0, input_dim]")
+        # One agent's tuples coincide when its noise is below rounding, and
+        # then pca centers every tuple to zero, whose utility is undefined.
+        require(self.sanitizer != "pca" or self.agent_count >= 2, "pca needs at least two agents")
         require(self.agent_count * self.observations_per_agent > self.k_neighbors,
                 "need more tuples per round than k_neighbors")
         require(self.metric_coordinates in ("all", "private"),

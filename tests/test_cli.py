@@ -1,17 +1,26 @@
+import contextlib
 import csv
+import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from privsan import cli
 from privsan.cli import main
 from privsan.dataio import generate_lookalike
 from privsan.errors import InfeasibleBound
-from privsan.simulate import MECHANISMS
+from privsan.rng import Rng
+from privsan.simulate import ADVERSARIES, DISTRIBUTIONS, FLOAT_LIMIT, MECHANISMS
 from privsan.verify import PreservationTrial
 
 FAST_CFG = {
@@ -145,6 +154,10 @@ class TestRunCommand:
             {"shift_margin": None},
             {"unbounded_fresh_per_tuple": None},
             {"agent_count": None},
+            {"input_dim": 1, "target_dim": 1, "private_count": 0},
+            {"sanitizer": "pca", "agent_count": 1, "observations_per_agent": 20},
+            {"noise_sigma": 1e7},
+            {"cell_fraction": 1e308},
         ]
         for extra in cases:
             cfg = write_cfg(tmp_path, extra)
@@ -352,6 +365,36 @@ class TestIngestCommand:
                          "--out", str(tmp_path / "x")]) == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_bad_schema_or_header_exits_2_before_creating_out(self, tmp_path, capsys):
+        # An all-drop schema, a header that does not match the schema and a
+        # file with no header row are configuration errors.
+        cases = [('[{"name": "x", "kind": "drop"}, {"name": "y", "kind": "drop"}]', "x,y\n1,2\n"),
+                 ('[{"name": "x"}, {"name": "y"}]', "x,z\n1,2\n"),
+                 ('[{"name": "x"}, {"name": "y"}]', "")]
+        for k, (schema_text, data_text) in enumerate(cases):
+            schema, data = tmp_path / f"s{k}.json", tmp_path / f"d{k}.csv"
+            schema.write_text(schema_text, encoding="utf-8")
+            data.write_text(data_text, encoding="utf-8")
+            out = tmp_path / f"out{k}"
+            assert main(["ingest", "--data", str(data), "--schema", str(schema),
+                         "--out", str(out)]) == 2, k
+            err = capsys.readouterr().err
+            assert "configuration error" in err and "Traceback" not in err, k
+            assert not out.exists(), k
+
+    def test_data_hashed_in_blocks(self, tmp_path):
+        data = tmp_path / "big.csv"
+        payload = Rng(5).generator.bytes(8 << 20)
+        data.write_bytes(payload)
+        tracemalloc.start()
+        try:
+            digest = cli._file_sha256(str(data))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert digest == hashlib.sha256(payload).hexdigest()
+        assert peak < 2 << 20
+
     def test_bad_cell_exits_3(self, tmp_path, capsys):
         schema = tmp_path / "s.json"
         schema.write_text('[{"name": "x"}, {"name": "y"}]', encoding="utf-8")
@@ -386,3 +429,64 @@ class TestOutputDirectory:
             assert main(argv + ["--out", str(blocker / "out")]) == 2, argv[0]
             assert "configuration error" in capsys.readouterr().err, argv[0]
         assert ran == []
+
+
+# Values no config key accepts: no number, unparseable text, containers.
+WRONG_TYPED = hst.one_of(hst.none(), hst.booleans(), hst.text("abfinx-. ", max_size=3),
+                         hst.lists(hst.integers(0, 3), max_size=2), hst.just({}))
+OUT_OF_RANGE = [math.nan, math.inf, -math.inf, -1, 0, 1.5, -0.5]
+# Float keys also get magnitudes past FLOAT_LIMIT; integer keys do not,
+# because a huge count is a valid config too large to run here.
+FLOAT_OUT_OF_RANGE = OUT_OF_RANGE + [10 * FLOAT_LIMIT, 1e308, -1e308]
+FLOAT_KEYS = {"min_utility", "radius_fraction", "breach_absolute_radius", "noise_sigma",
+              "shift_margin", "cell_fraction", "asup_noise_cell_multiple"}
+
+
+@hst.composite
+def run_configs(draw):
+    """A small config with every key set, up to two of them to a wrong-typed
+    or out-of-range value."""
+    agents, nobs, n = draw(hst.integers(1, 5)), draw(hst.integers(1, 3)), draw(hst.integers(2, 6))
+    big = hst.floats(0.0, FLOAT_LIMIT)
+    cfg = {
+        "agent_count": agents, "observations_per_agent": nobs, "input_dim": n,
+        "param_dim": draw(hst.integers(1, 6)), "target_dim": draw(hst.integers(1, n)),
+        "private_count": draw(hst.integers(0, n)),
+        "min_utility": draw(hst.floats(1e-6, 1.0)),
+        "sanitizer": draw(hst.sampled_from(sorted(MECHANISMS))),
+        "adversary": draw(hst.sampled_from(ADVERSARIES)),
+        "entry_distribution": draw(hst.sampled_from(DISTRIBUTIONS)),
+        "repetitions": draw(hst.integers(1, 2)),
+        "master_seed": draw(hst.integers(0, 2**64)),
+        "radius_fraction": draw(hst.floats(1e-6, FLOAT_LIMIT)),
+        "k_neighbors": draw(hst.integers(1, max(1, agents * nobs - 1))),
+        "breach_absolute_radius": draw(hst.none() | big),
+        "metric_coordinates": draw(hst.sampled_from(["all", "private"])),
+        "noise_sigma": draw(big), "shift_margin": draw(big),
+        "cell_fraction": draw(hst.floats(1e-6, FLOAT_LIMIT)),
+        "asup_noise_cell_multiple": draw(big),
+        "inverse_samples": draw(hst.integers(1, 3)),
+        "unbounded_fresh_per_tuple": draw(hst.booleans()),
+    }
+    for key in draw(hst.lists(hst.sampled_from(sorted(cfg)), max_size=2, unique=True)):
+        bad = FLOAT_OUT_OF_RANGE if key in FLOAT_KEYS else OUT_OF_RANGE
+        cfg[key] = draw(WRONG_TYPED | hst.sampled_from(bad))
+    return cfg
+
+
+class TestRunConfigs:
+    @settings(max_examples=250, derandomize=True, database=None, deadline=None)
+    @given(run_configs())
+    def test_exits_0_or_2_before_any_output(self, cfg):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
+            path.write_text(json.dumps(cfg), encoding="utf-8")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(["run", "--config", str(path), "--out", str(out)])
+            assert code in (0, 2), err.getvalue()
+            assert "Traceback" not in err.getvalue()
+            if code == 0:
+                assert (out / "report.json").is_file()
+            else:
+                assert "configuration error" in err.getvalue() and not out.exists()

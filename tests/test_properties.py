@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from privsan import attack as atk
 from privsan import sanitize as san
 from privsan.bounds import compute_norm_bound
-from privsan.linalg import PINV_RCOND, cosine, frobenius_norm, orthonormalize, zero_pad
+from privsan.linalg import cosine, frobenius_norm, orthonormalize, zero_pad
 from privsan.metrics import utility, utility_scores
 from privsan.rng import Rng
 from privsan.sanitize import DataTuple, EntryDistribution, SanitizedTuple
@@ -80,7 +80,7 @@ def test_nrp_per_tuple_is_row_zero(shape, distribution, alpha):
     assert same_bits(one.values, batch[0])
     assert same_bits(one.values, a.T @ y[0])
 
-    one = san.sanitize_nrp_unbounded(tup(y[0]), m, fresh(1), distribution)
+    one = san.sanitize_nrp(tup(y[0]), m, None, fresh(1), distribution)
     batch, _ = san.nrp(y, m, fresh(1), distribution)
     a = san.sample_bounded_matrix(n, m, distribution, fresh(1))
     assert same_bits(one.values, batch[0])
@@ -150,7 +150,7 @@ def test_drawing_attacks_equal_per_tuple_loop(shape, family):
         assert same_bits(one, inverse[j])
         # QR is backward stable: forward error within a multiple of
         # cond(B) * eps of the pseudo-inverse solution.
-        expected = np.linalg.pinv(b.T, rcond=PINV_RCOND) @ s[j]
+        expected = np.linalg.pinv(b.T) @ s[j]
         bound = 100 * n * np.linalg.cond(b) * np.finfo(float).eps * np.linalg.norm(expected)
         assert np.linalg.norm(one - expected) <= bound
         one = atk.attack_naive_multiply(t, n, family, root.child(j)).reconstructed
@@ -169,7 +169,7 @@ def test_linear_attacks_rowwise(shape, with_mean, mean_in_tuple):
     lm = gen.child(3).standard_normal((n, m))
     known = atk.known_matrix(s, q, mean, mean_in_tuple)
     linear, ident = atk.linear(s, lm), atk.identity(s, n)
-    pinv_t = np.linalg.pinv(q.T, rcond=PINV_RCOND)
+    pinv_t = np.linalg.pinv(q.T)
     for j in range(rows):
         t = SanitizedTuple(s[j], "a0", "brp")
         expected = pinv_t @ (s[j] - q.T @ mean if with_mean and mean_in_tuple else s[j])
@@ -191,7 +191,7 @@ def test_expected_inverse_map_is_the_mean_of_draws(shape, family, samples):
     rng = Rng(seed)
     acc = np.zeros((n, m))
     for j in range(samples):
-        acc += np.linalg.pinv(family_draw(n, m, family, rng.child(j)).T, rcond=PINV_RCOND)
+        acc += np.linalg.pinv(family_draw(n, m, family, rng.child(j)).T)
     assert same_bits(atk.expected_inverse_map(n, m, family, samples, rng), acc / samples)
 
 

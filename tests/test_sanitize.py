@@ -31,7 +31,6 @@ from privsan.sanitize import (
     sanitize_brp,
     sanitize_identity,
     sanitize_nrp,
-    sanitize_nrp_unbounded,
     sanitize_pca,
     subspace_projection_for_check,
 )
@@ -144,18 +143,27 @@ class TestNrp:
 
 class TestNrpUnbounded:
     def test_zero_vector(self):
-        out = sanitize_nrp_unbounded(dt(np.zeros(4)), 2, Rng(13))
+        out = sanitize_nrp(dt(np.zeros(4)), 2, None, Rng(13))
         assert np.allclose(out.values, 0.0)
 
     def test_shape(self):
-        assert sanitize_nrp_unbounded(dt(np.ones(9)), 4, Rng(14)).dim == 4
+        assert sanitize_nrp(dt(np.ones(9)), 4, None, Rng(14)).dim == 4
 
     def test_two_dim_hand_product_no_scaling(self):
         y = dt([0.3, 0.8])
-        out = sanitize_nrp_unbounded(y, 1, Rng(15))
+        out = sanitize_nrp(y, 1, None, Rng(15))
         a = sample_bounded_matrix(2, 1, EntryDistribution.UNIT_UNIFORM, Rng(15))
         expected = a[0, 0] * 0.3 + a[1, 0] * 0.8
         assert out.values[0] == pytest.approx(expected, rel=1e-12)
+
+    def test_tag_and_null_bound_in_replay_log(self):
+        stream = io.StringIO()
+        out = sanitize_nrp(dt([0.4, 0.6]), 1, None, Rng(16), log=ReplayLog(stream))
+        entry = json.loads(stream.getvalue())
+        assert out.mechanism_tag == "nrp-unbounded"
+        assert entry["frobenius_bound"] is None
+        replayed = bounded_projection(2, 1, None, Rng(16))
+        assert entry["matrix_digest"] == matrix_digest(replayed.matrix)
 
 
 class ZeroedDraws:
