@@ -117,8 +117,11 @@ def _digest(inputs: dict) -> str:
 
 def _file_sha256(path: str) -> str:
     """sha256 of a file's bytes, read in fixed-size blocks."""
+    h = hashlib.sha256()
     with open(path, "rb") as fh:
-        return hashlib.file_digest(fh, "sha256").hexdigest()
+        for block in iter(lambda: fh.read(1 << 18), b""):
+            h.update(block)
+    return h.hexdigest()
 
 
 def _open_out(path: str) -> tuple[Path, str]:

@@ -58,6 +58,10 @@ DISTRIBUTIONS = tuple(d.value for d in san.BOUNDED_DISTRIBUTIONS)
 # round overflow float64 near 1e150, and the certificate's (t / alpha)**2
 # sooner when an agent's largest tuple is short.
 FLOAT_LIMIT = 1e6
+# Smallest noise_sigma for pca on one agent.  That agent's tuples differ
+# only by their noise, so below rounding (~1e-16 of a tuple) pca centers
+# every tuple to zero; 1e-9 stays far above it.
+PCA_ONE_AGENT_MIN_NOISE = 1e-9
 SWEEP_AGENT_GRID = (50, 100, 200, 300, 400, 500, 600)
 SWEEP_MECHANISMS = ("nrp", "brp", "pca", "asup")
 SWEEP_COLUMNS = ("mechanism", "agents", "min_utility", "target_dim", "breach_count",
@@ -122,16 +126,18 @@ class ExperimentConfig:
                 f"known-matrix attack needs a fixed-matrix mechanism, not {self.sanitizer!r}")
         require(self.entry_distribution in DISTRIBUTIONS,
                 f"entry_distribution must be one of {', '.join(DISTRIBUTIONS)}")
-        # With one coordinate the nonnegativity shift makes the smallest
-        # tuple zero, and the utility of a zero tuple is undefined.
+        # With one coordinate only shift_margin * std keeps the smallest
+        # shifted tuple off zero, and whether it clears rounding depends on
+        # the drawn round, not on the config; the utility of a zero tuple
+        # is undefined.  One coordinate also leaves nothing to reduce.
         require(self.input_dim >= 2, "input_dim must be at least 2")
         require(1 <= self.target_dim <= self.input_dim, "need 1 <= target_dim <= input_dim")
         require(0 < self.min_utility <= 1, "min_utility must lie in (0, 1]")
         require(0 <= self.private_count <= self.input_dim,
                 "private_count must lie in [0, input_dim]")
-        # One agent's tuples coincide when its noise is below rounding, and
-        # then pca centers every tuple to zero, whose utility is undefined.
-        require(self.sanitizer != "pca" or self.agent_count >= 2, "pca needs at least two agents")
+        require(self.sanitizer != "pca" or self.agent_count >= 2
+                or self.noise_sigma >= PCA_ONE_AGENT_MIN_NOISE,
+                f"pca on one agent needs noise_sigma >= {PCA_ONE_AGENT_MIN_NOISE:g}")
         require(self.agent_count * self.observations_per_agent > self.k_neighbors,
                 "need more tuples per round than k_neighbors")
         require(self.metric_coordinates in ("all", "private"),

@@ -155,7 +155,8 @@ class TestRunCommand:
             {"unbounded_fresh_per_tuple": None},
             {"agent_count": None},
             {"input_dim": 1, "target_dim": 1, "private_count": 0},
-            {"sanitizer": "pca", "agent_count": 1, "observations_per_agent": 20},
+            {"sanitizer": "pca", "agent_count": 1, "observations_per_agent": 20,
+             "noise_sigma": 1e-12},
             {"noise_sigma": 1e7},
             {"cell_fraction": 1e308},
         ]
@@ -165,6 +166,13 @@ class TestRunCommand:
             assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2, extra
             assert "configuration error" in capsys.readouterr().err
             assert not out.exists(), f"{extra} did work before failing"
+
+    def test_pca_on_one_agent_with_noise_runs(self, tmp_path):
+        cfg = write_cfg(tmp_path, {"sanitizer": "pca", "agent_count": 1,
+                                   "observations_per_agent": 20, "repetitions": 1})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "report.json").is_file()
 
     def test_misspelled_boolean_env_exits_2(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path, {"sanitizer": "nrp-unbounded"})
@@ -446,7 +454,7 @@ FLOAT_KEYS = {"min_utility", "radius_fraction", "breach_absolute_radius", "noise
 def run_configs(draw):
     """A small config with every key set, up to two of them to a wrong-typed
     or out-of-range value."""
-    agents, nobs, n = draw(hst.integers(1, 5)), draw(hst.integers(1, 3)), draw(hst.integers(2, 6))
+    agents, nobs, n = draw(hst.integers(1, 5)), draw(hst.integers(1, 3)), draw(hst.integers(1, 6))
     big = hst.floats(0.0, FLOAT_LIMIT)
     cfg = {
         "agent_count": agents, "observations_per_agent": nobs, "input_dim": n,
