@@ -20,7 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import GammaOutOfRange, InfeasibleBound, NonPositiveInput, NonPositiveResult
+from .errors import (
+    BoundOverflow,
+    GammaOutOfRange,
+    InfeasibleBound,
+    NonPositiveInput,
+    NonPositiveResult,
+)
 
 GAMMA_MAX = 0.405
 
@@ -77,17 +83,28 @@ def compute_norm_bound(min_utility: float, cell_side: float, alpha: float) -> No
     Raises InfeasibleBound when eps^2 - 1 + t^2/alpha^2 < 0, i.e. when
     the utility floor cannot be met at this data scale; the condition is
     surfaced rather than clamped because clamping would silently violate
-    the requested floor.
+    the requested floor.  Raises BoundOverflow when t or t/alpha exceeds
+    the float64 range, so that the certificate cannot be represented.
     """
     if not (0.0 < min_utility <= 1.0):
         raise NonPositiveInput(f"min_utility must lie in (0, 1], got {min_utility}")
     t = compute_t(cell_side, alpha)
-    disc = min_utility**2 - 1.0 + (t / alpha) ** 2
-    if disc < 0.0:
-        raise InfeasibleBound(
-            f"utility floor {min_utility} unreachable: eps^2 - 1 + t^2/alpha^2 = {disc:.6g} < 0"
-        )
-    root = min_utility + math.sqrt(disc)
+    ratio = float(t / alpha)    # a Python float, whose ** raises OverflowError
+    if math.isinf(ratio):
+        raise BoundOverflow(f"t/alpha overflows float64 at cell_side={cell_side}, alpha={alpha}")
+    try:
+        disc = min_utility**2 - 1.0 + ratio**2
+    except OverflowError:
+        # ratio > 1.3e154, so eps^2 - 1 in (-1, 0] is below half an ulp of
+        # ratio^2, and sqrt(disc) rounds to ratio itself.
+        root = min_utility + ratio
+    else:
+        if disc < 0.0:
+            raise InfeasibleBound(
+                f"utility floor {min_utility} unreachable: eps^2 - 1 + t^2/alpha^2 = "
+                f"{disc:.6g} < 0"
+            )
+        root = min_utility + math.sqrt(disc)
     beta = min(t, root)
     slack = max(root - 2.0 * min_utility, 0.0)
     return NormBoundCertificate(

@@ -25,6 +25,10 @@ class InfeasibleBound(PrivsanError):
     """The requested utility floor cannot be met under the grid constraint."""
 
 
+class BoundOverflow(PrivsanError):
+    """A certificate quantity exceeds the float64 range."""
+
+
 class GammaOutOfRange(PrivsanError):
     pass
 

@@ -125,7 +125,8 @@ def _sign_fixed_qr(a) -> tuple[np.ndarray, np.ndarray]:
     mag = np.abs(diag)
     signs = np.sign(diag)
     signs[signs == 0] = 1.0
-    return q * signs[:, None, :], mag.min(axis=1) > 1e-12 * np.maximum(mag.max(axis=1), 1e-300)
+    q *= signs[:, None, :]    # in place: a second stack would raise asup's peak memory
+    return q, mag.min(axis=1) > 1e-12 * np.maximum(mag.max(axis=1), 1e-300)
 
 
 def full_rank(a: np.ndarray) -> np.ndarray:

@@ -4,12 +4,15 @@ empirical distance-preservation fraction.
 
 Reconstruction metrics compare an actual point cloud with an aligned
 reconstructed cloud.  Resemblance's k-nearest-neighbor sets are exact.
-Each block of ``KNN_BLOCK`` rows gets its distances to all N points in
-one reused buffer, so memory is O(``KNN_BLOCK`` x N), not N x N.  A
-row's k-th distance is selected from the k column groups with the
-smallest minima rather than from all N columns; rows with exact ties
-at the k-th distance take the full row.  The distance-preservation
-fraction counts its pairs over the same row blocks.
+``knn_indices`` finds one cloud's sets and ``knn_overlap`` compares two,
+so a caller can find the actual cloud's sets once for several
+reconstructions.  Each block of ``KNN_BLOCK`` rows gets its distances
+to all N points in one reused buffer, so memory is O(``KNN_BLOCK`` x N)
+plus the N x k result, not N x N.  A row's k-th distance is selected
+from the k column groups with the smallest minima rather than from all
+N columns; rows with exact ties at the k-th distance take the full row.
+The distance-preservation fraction counts its pairs over the same row
+blocks.
 """
 
 from __future__ import annotations
@@ -149,8 +152,8 @@ def _tie_route(d: np.ndarray, k: int) -> np.ndarray:
     return np.nonzero(near)[1].reshape(-1, k)
 
 
-def _knn_indices(x: np.ndarray, sq: np.ndarray, lo: int, k: int,
-                 buf: np.ndarray, gram: np.ndarray) -> np.ndarray:
+def _knn_block(x: np.ndarray, sq: np.ndarray, lo: int, k: int,
+               buf: np.ndarray, gram: np.ndarray) -> np.ndarray:
     """(block rows x k) indices of each block row's k nearest other rows of
     ``x``: the ones :func:`_tie_route` selects from the clamped row.
 
@@ -183,11 +186,12 @@ def _knn_indices(x: np.ndarray, sq: np.ndarray, lo: int, k: int,
     return idx
 
 
-def resemblance(actual, recon, k: int = 10) -> float:
-    """Mean fractional overlap between each point's k-nearest-neighbor
-    index set in the actual cloud and in the reconstructed cloud."""
-    a, r = _paired(actual, recon)
-    n = a.shape[0]
+def knn_indices(x, k: int) -> np.ndarray:
+    """(N x k) indices of each row's k nearest other rows of the (N x d)
+    cloud ``x``, one block of ``KNN_BLOCK`` rows at a time; rows tied at
+    the k-th distance keep the lowest indices."""
+    x = as_matrix(x)
+    n = x.shape[0]
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     if n <= k:
@@ -197,13 +201,29 @@ def resemblance(actual, recon, k: int = 10) -> float:
     width = _group_width(n, k)
     buf = np.full((min(KNN_BLOCK, n), width, -(-n // width)), np.inf)
     gram = np.empty((min(KNN_BLOCK, n), n))
-    sq_a, sq_r = np.sum(a * a, axis=1), np.sum(r * r, axis=1)
-    shared = []
+    sq = np.sum(x * x, axis=1)
+    out = np.empty((n, k), dtype=np.intp)
     for lo in range(0, n, KNN_BLOCK):
-        ia = _knn_indices(a, sq_a, lo, k, buf, gram)
-        ir = _knn_indices(r, sq_r, lo, k, buf, gram)
-        shared.append(np.count_nonzero(ia[:, :, None] == ir[:, None, :], axis=(1, 2)))
-    return float(np.mean(np.concatenate(shared) / k))
+        out[lo:lo + KNN_BLOCK] = _knn_block(x, sq, lo, k, buf, gram)
+    return out
+
+
+def knn_overlap(actual_knn: np.ndarray, recon_knn: np.ndarray) -> float:
+    """Mean fraction of each row's k neighbors in ``actual_knn`` that it
+    also has in ``recon_knn``; both are :func:`knn_indices` results."""
+    shared = np.empty(len(actual_knn), dtype=np.intp)
+    for lo in range(0, len(actual_knn), KNN_BLOCK):
+        rows = slice(lo, lo + KNN_BLOCK)
+        shared[rows] = np.count_nonzero(actual_knn[rows, :, None] == recon_knn[rows, None, :],
+                                        axis=(1, 2))
+    return float(np.mean(shared / actual_knn.shape[1]))
+
+
+def resemblance(actual, recon, k: int = 10) -> float:
+    """Mean fractional overlap between each point's k-nearest-neighbor
+    index set in the actual cloud and in the reconstructed cloud."""
+    a, r = _paired(actual, recon)
+    return knn_overlap(knn_indices(a, k), knn_indices(r, k))
 
 
 def distance_preservation_fraction(points, projected, gamma: float) -> float:

@@ -11,11 +11,22 @@ random draw descends from ``master_seed`` through per-repetition,
 per-stage child streams, so a config determines its result bit for bit,
 and the first r repetitions are unchanged by raising the repetition
 count.
+
+One runner serves ``run_experiment`` (one mechanism) and ``run_sweep``
+(every mechanism at every agent count).  It loops over repetitions,
+then agent counts, then mechanisms, and holds one round at a time.  The
+mechanisms at one (repetition, agent count) share that round: its data,
+its fusion gram and the actual cloud's kNN sets.  The expected-inverse
+map draws from a stream that does not depend on the agent count, so one
+map per repetition and matrix family serves every round of the
+repetition.  A shared value is the one each mechanism would compute on
+its own, so sharing leaves every result unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -112,8 +123,8 @@ class ExperimentConfig:
                     f"{f.name} must not be null")
             require(not isinstance(value, float) or abs(value) <= FLOAT_LIMIT,
                     f"{f.name} must be finite and at most {FLOAT_LIMIT:g} in magnitude")
-        for name in ("agent_count", "observations_per_agent", "repetitions", "k_neighbors",
-                     "inverse_samples"):
+        for name in ("agent_count", "observations_per_agent", "param_dim", "repetitions",
+                     "k_neighbors", "inverse_samples"):
             require(getattr(self, name) >= 1, f"{name} must be positive")
         for name in ("radius_fraction", "cell_fraction"):
             require(getattr(self, name) > 0, f"{name} must be positive")
@@ -140,6 +151,12 @@ class ExperimentConfig:
                 f"pca on one agent needs noise_sigma >= {PCA_ONE_AGENT_MIN_NOISE:g}")
         require(self.agent_count * self.observations_per_agent > self.k_neighbors,
                 "need more tuples per round than k_neighbors")
+        # numpy cannot index an array with more elements than this.
+        require(max(self.agent_count * self.input_dim * self.param_dim,
+                    self.agent_count * self.observations_per_agent * self.input_dim)
+                <= np.iinfo(np.intp).max,
+                "agent_count x input_dim x max(param_dim, observations_per_agent) "
+                "exceeds the largest array numpy can index")
         require(self.metric_coordinates in ("all", "private"),
                 "metric_coordinates must be 'all' or 'private'")
         require(self.metric_coordinates == "all" or self.private_count > 0,
@@ -176,6 +193,16 @@ class SyntheticDataset:
     @property
     def observations_per_agent(self) -> int:
         return self.values.shape[0] // self.agent_count
+
+    @cached_property
+    def gram(self) -> np.ndarray | None:
+        """The round's :func:`fusion_gram`, or None when the observation
+        matrices cannot identify the parameter; built once per round and
+        shared by every mechanism's robustness gap."""
+        try:
+            return fusion_gram(self.matrices)
+        except RankDeficient:
+            return None
 
     @property
     def tuples(self) -> list[san.DataTuple]:
@@ -261,22 +288,33 @@ def generate_synthetic(cfg: ExperimentConfig, rng: Rng) -> SyntheticDataset:
     return SyntheticDataset(x, values, scale * h, cfg.private_count, shift * scale, scale)
 
 
-def estimate_parameters(values: np.ndarray, matrices: np.ndarray) -> np.ndarray:
-    """Least-squares fusion of a round: the x minimizing the summed
-    squared residuals ``values[j] - matrices[j // r] @ x`` over the
-    (tuples x n) observations, r = tuples / agents consecutive rows per
-    agent's (n x q) matrix.  Solves the per-agent normal equations, so
-    no (tuples x n)-row matrix is stacked; raises RankDeficient when the
-    stacked matrices have rank below q."""
-    agents, n, q = matrices.shape
-    if len(values) == 0 or len(values) % agents or values.shape[1] != n:
-        raise ValueError(f"need agents x observations rows of length {n}, "
-                         f"got shape {values.shape} for {agents} agents")
+def fusion_gram(matrices: np.ndarray) -> np.ndarray:
+    """The (q x q) gram of the agents' stacked (n x q) observation
+    matrices; raises RankDeficient when their rank is below q."""
+    q = matrices.shape[2]
     flat = matrices.reshape(-1, q)
     gram = flat.T @ flat
     rank = np.linalg.matrix_rank(gram, hermitian=True)
     if rank < q:
         raise RankDeficient(f"stacked observation matrices have rank {rank} < {q}")
+    return gram
+
+
+def estimate_parameters(values: np.ndarray, matrices: np.ndarray,
+                        gram: np.ndarray | None = None) -> np.ndarray:
+    """Least-squares fusion of a round: the x minimizing the summed
+    squared residuals ``values[j] - matrices[j // r] @ x`` over the
+    (tuples x n) observations, r = tuples / agents consecutive rows per
+    agent's (n x q) matrix.  Solves the per-agent normal equations, so
+    no (tuples x n)-row matrix is stacked.  ``gram`` is
+    ``fusion_gram(matrices)``, built here when not given, which raises
+    RankDeficient when the stacked matrices have rank below q."""
+    agents, n, _ = matrices.shape
+    if len(values) == 0 or len(values) % agents or values.shape[1] != n:
+        raise ValueError(f"need agents x observations rows of length {n}, "
+                         f"got shape {values.shape} for {agents} agents")
+    if gram is None:
+        gram = fusion_gram(matrices)
     sums = values.reshape(agents, -1, n).sum(axis=1)
     # Per agent, summed over agents in order: no BLAS call is long
     # enough to be split across threads, so the bits do not depend on
@@ -327,16 +365,20 @@ def _sanitize_round(cfg: ExperimentConfig, data: SyntheticDataset,
 
 
 def _attack_round(cfg: ExperimentConfig, sanitized: np.ndarray,
-                  ctx: _RoundContext, rng: Rng) -> np.ndarray:
-    """Reconstruct every sanitized tuple; returns a (tuples x n) array."""
-    n = cfg.input_dim
+                  ctx: _RoundContext, rng: Rng, maps: dict | None = None) -> np.ndarray:
+    """Reconstruct every sanitized tuple; returns a (tuples x n) array.
+    ``maps`` holds the repetition's expected-inverse maps by (family,
+    sanitized dim); a missing map is estimated and added."""
+    n, m = cfg.input_dim, sanitized.shape[1]
     mech = cfg.mechanism
     adv = mech.adversary if cfg.adversary == "auto" else cfg.adversary
     family = mech.family or cfg.distribution
     if adv == "expected-inverse":
-        lm = atk.expected_inverse_map(n, sanitized.shape[1], family, cfg.inverse_samples,
-                                      rng.child(0))
-        return atk.linear(sanitized, lm)
+        maps = {} if maps is None else maps
+        if (family, m) not in maps:
+            maps[family, m] = atk.expected_inverse_map(n, m, family, cfg.inverse_samples,
+                                                       rng.child(0))
+        return atk.linear(sanitized, maps[family, m])
     if adv in ("random-inverse", "naive-inverse"):
         attack = atk.random_inverse if adv == "random-inverse" else atk.naive_multiply
         return attack(sanitized, n, family, [rng.child(j) for j in range(len(sanitized))])
@@ -355,10 +397,10 @@ def _robustness_gap(cfg: ExperimentConfig, data: SyntheticDataset,
     observation matrices cannot identify the parameter."""
     # The fusion is linear, so one solve on the difference gives the
     # difference of the two estimates, and the shift cancels.
-    try:
-        return float(np.linalg.norm(estimate_parameters(data.values - recons, data.matrices)))
-    except RankDeficient:
+    if data.gram is None:
         return float("nan")
+    return float(np.linalg.norm(
+        estimate_parameters(data.values - recons, data.matrices, data.gram)))
 
 
 def _utility_means(cfg: ExperimentConfig, actual: np.ndarray,
@@ -368,30 +410,68 @@ def _utility_means(cfg: ExperimentConfig, actual: np.ndarray,
     return float(u.mean()), float((1.0 - u).mean())
 
 
-def run_repetition(cfg: ExperimentConfig, repetition: int) -> RepetitionMetrics:
-    rep_rng = Rng(cfg.master_seed).child(repetition)
-    data = generate_synthetic(cfg, rep_rng.child(0))
-    sanitized, ctx = _sanitize_round(cfg, data, rep_rng.child(1))
-    recons = _attack_round(cfg, sanitized, ctx, rep_rng.child(2))
+@dataclass(frozen=True)
+class _Round:
+    """One (repetition, agent count) round and what every mechanism run
+    on it shares: the metric columns of its raw tuples, their kNN sets,
+    and the repetition's expected-inverse maps (see :func:`_attack_round`),
+    one dict for all of the repetition's rounds."""
+    data: SyntheticDataset
+    actual: np.ndarray
+    actual_knn: np.ndarray
+    maps: dict
 
-    actual = data.values
+
+def _metric_columns(cfg: ExperimentConfig, values: np.ndarray) -> np.ndarray:
+    """The columns of a (tuples x n) array that the reconstruction metrics compare."""
     if cfg.metric_coordinates == "private":
-        cols = sorted(range(cfg.private_count))
-        eval_actual, eval_recons = actual[:, cols], recons[:, cols]
-    else:
-        eval_actual, eval_recons = actual, recons
-    breach = met.breach_count(eval_actual, eval_recons, cfg.radius_fraction,
+        return values[:, np.arange(cfg.private_count)]
+    return values
+
+
+def _new_round(cfg: ExperimentConfig, repetition: int, maps: dict) -> _Round:
+    data = generate_synthetic(cfg, Rng(cfg.master_seed).child(repetition).child(0))
+    actual = _metric_columns(cfg, data.values)
+    return _Round(data, actual, met.knn_indices(actual, cfg.k_neighbors), maps)
+
+
+def run_repetition(cfg: ExperimentConfig, repetition: int, rnd: _Round) -> RepetitionMetrics:
+    """Sanitize, attack and score the round ``rnd`` with ``cfg``'s mechanism."""
+    rep_rng = Rng(cfg.master_seed).child(repetition)
+    data = rnd.data
+    sanitized, ctx = _sanitize_round(cfg, data, rep_rng.child(1))
+    recons = _attack_round(cfg, sanitized, ctx, rep_rng.child(2), rnd.maps)
+
+    eval_recons = _metric_columns(cfg, recons)
+    breach = met.breach_count(rnd.actual, eval_recons, cfg.radius_fraction,
                               cfg.breach_absolute_radius)
-    disp = met.displacement(eval_actual, eval_recons)
-    resem = met.resemblance(eval_actual, eval_recons, cfg.k_neighbors)
-    u_mean, p_mean = _utility_means(cfg, actual, sanitized)
+    disp = met.displacement(rnd.actual, eval_recons)
+    resem = met.knn_overlap(rnd.actual_knn, met.knn_indices(eval_recons, cfg.k_neighbors))
+    u_mean, p_mean = _utility_means(cfg, data.values, sanitized)
     gap = _robustness_gap(cfg, data, recons)
     return RepetitionMetrics(repetition, breach, disp, resem, u_mean, p_mean, gap)
 
 
-def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Run all repetitions of one configuration and average the metrics."""
-    rows = [run_repetition(cfg, r) for r in range(cfg.repetitions)]
+def _run_points(points: list[ExperimentConfig]) -> list[list[RepetitionMetrics]]:
+    """Every repetition of every config in ``points``, which differ only in
+    sanitizer, adversary and agent count: for each repetition, for each
+    agent count, one round that every config with that count runs on.
+    Returns each config's repetitions, in order."""
+    runs: list[list[RepetitionMetrics]] = [[] for _ in points]
+    for r in range(points[0].repetitions):
+        maps: dict = {}
+        for nagents in dict.fromkeys(p.agent_count for p in points):
+            rnd = None    # the last round goes before the next is drawn
+            for cfg, run in zip(points, runs):
+                if cfg.agent_count == nagents:
+                    if rnd is None:
+                        rnd = _new_round(cfg, r, maps)
+                    run.append(run_repetition(cfg, r, rnd))
+    return runs
+
+
+def _average(cfg: ExperimentConfig, rows: list[RepetitionMetrics]) -> ExperimentResult:
+    """A config's result: the means of its repetitions, in repetition order."""
     rule = (f"absolute-{cfg.breach_absolute_radius:.17g}"
             if cfg.breach_absolute_radius is not None
             else f"relative-{cfg.radius_fraction:.17g}")
@@ -413,6 +493,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     )
 
 
+def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
+    """Run all repetitions of one configuration and average the metrics."""
+    return _average(cfg, _run_points([cfg])[0])
+
+
 def sweep_configs(cfg: ExperimentConfig, agent_grid, mechanisms) -> list[ExperimentConfig]:
     """The config of every (mechanism, agent count) grid point, mechanism
     major; building them validates each one."""
@@ -422,7 +507,9 @@ def sweep_configs(cfg: ExperimentConfig, agent_grid, mechanisms) -> list[Experim
 
 def run_sweep(cfg: ExperimentConfig, agent_grid=SWEEP_AGENT_GRID,
               mechanisms=SWEEP_MECHANISMS) -> list[dict]:
-    """One result row per (mechanism, agent count) grid point.  Every
-    grid point's config is validated before the first one runs."""
-    rows = [run_experiment(sub).row() for sub in sweep_configs(cfg, agent_grid, mechanisms)]
+    """One result row per (mechanism, agent count) grid point, mechanism
+    major.  Every grid point's config is validated before the first
+    round is drawn."""
+    points = sweep_configs(cfg, agent_grid, mechanisms)
+    rows = [_average(p, runs).row() for p, runs in zip(points, _run_points(points))]
     return [{key: row[key] for key in SWEEP_COLUMNS} for row in rows]

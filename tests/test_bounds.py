@@ -11,6 +11,7 @@ from privsan.bounds import (
     nrp_equivalent_dimension,
 )
 from privsan.errors import (
+    BoundOverflow,
     GammaOutOfRange,
     InfeasibleBound,
     NonPositiveInput,
@@ -91,6 +92,25 @@ class TestNormBound:
             assert cert.frobenius_bound <= 2 * eps + cert.slack + 1e-12
             assert cert.slack >= 0
             seen += 1
+
+    def test_huge_ratio_gives_the_formula_without_overflow(self):
+        # (t / alpha)^2 = 1e400 is past float64, but the root is not:
+        # sqrt(eps^2 - 1 + 1e400) rounds to 1e200.
+        cert = compute_norm_bound(0.5, 1e200, 1.0)
+        assert cert.scale_cap == 1e200
+        assert cert.frobenius_bound == 1e200
+        assert cert.slack == 1e200 + 0.5 - 1.0
+        # Just below the overflow the squared route keeps its bits.
+        cell = 1e154
+        ratio = cell + 1.0
+        cert = compute_norm_bound(0.5, cell, 1.0)
+        assert cert.slack == 0.5 + math.sqrt(0.5**2 - 1.0 + ratio**2) - 1.0
+
+    def test_unrepresentable_bound_raises(self):
+        # t / alpha = (1e300 / 1e-10 + 1) / 1e-10 is past float64.
+        for cell, alpha in ((1e300, 1e-10), (5e307, 0.5)):
+            with pytest.raises(BoundOverflow):
+                compute_norm_bound(0.5, cell, alpha)
 
     def test_monotone_in_utility_floor(self):
         cell, alpha = 0.3, 1.0

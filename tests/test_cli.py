@@ -159,6 +159,9 @@ class TestRunCommand:
              "noise_sigma": 1e-12},
             {"noise_sigma": 1e7},
             {"cell_fraction": 1e308},
+            {"param_dim": 0},
+            # A 309-digit agent count: more round elements than numpy can index.
+            {"agent_count": 1e308},
         ]
         for extra in cases:
             cfg = write_cfg(tmp_path, extra)
@@ -263,11 +266,12 @@ class TestSweepCommand:
         assert not (tmp_path / "s").exists()
 
     def test_invalid_grid_point_exits_2_before_any_run(self, tmp_path, monkeypatch):
+        # Every round, in run and sweep alike, starts by drawing its data.
         ran = []
-        monkeypatch.setattr("privsan.simulate.run_experiment", ran.append)
+        monkeypatch.setattr("privsan.simulate.generate_synthetic", lambda *a: ran.append(a))
         cfg = write_cfg(tmp_path, {"observations_per_agent": 1})
         for extra in (["--agents", "12,5"], ["--mechanisms", "nrp,bogus"],
-                      ["--agents", "12,x"]):
+                      ["--agents", "12,x"], ["--agents", f"12,{10**30}"]):
             assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]
                         + extra) == 2
         assert ran == []
@@ -418,6 +422,7 @@ class TestOutputDirectory:
     def test_out_under_a_file_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys):
         ran = []
         for target in ("privsan.simulate.run_experiment", "privsan.cli.run_experiment",
+                       "privsan.simulate.generate_synthetic",
                        "privsan.verify.preservation_trials", "privsan.timing.measure",
                        "privsan.dataio.load_csv"):
             monkeypatch.setattr(target, lambda *a, _name=target, **kw: ran.append(_name))

@@ -12,6 +12,8 @@ from privsan.metrics import (
     breach_count,
     displacement,
     distance_preservation_fraction,
+    knn_indices,
+    knn_overlap,
     resemblance,
     utility,
     zero_pad,
@@ -266,6 +268,31 @@ class TestResemblance:
                 tracemalloc.stop()
         assert peaks[1] < 64 * 2**20, peaks
         assert peaks[1] < 2.5 * peaks[0], peaks
+
+    def test_knn_indices_holds_row_blocks_and_its_result(self):
+        # Two (KNN_BLOCK x N) buffers and the temporaries of one block,
+        # plus the N x k result; an N x N distance matrix would be 16x
+        # this bound at N = 8,000.
+        k, peaks = 10, []
+        for n in (4000, 8000):
+            pts = Rng(19).generator.standard_normal((n, 50))
+            tracemalloc.start()
+            try:
+                knn_indices(pts, k)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert peaks[-1] < 3 * KNN_BLOCK * n * 8 + n * k * 8, (n, peaks)
+        assert peaks[1] < 2.2 * peaks[0], peaks
+
+    def test_resemblance_is_the_overlap_of_both_clouds_indices(self):
+        gen = Rng(20).generator
+        pts = gen.standard_normal((2 * KNN_BLOCK + 3, 4))
+        rec = pts + gen.standard_normal(pts.shape)
+        ia, ir = knn_indices(pts, 6), knn_indices(rec, 6)
+        assert ia.shape == (len(pts), 6)
+        assert knn_overlap(ia, ir) == resemblance(pts, rec, 6)
+        assert knn_overlap(ia, ia) == 1.0
 
     @settings(max_examples=80, deadline=None, database=None)
     @given(hst.data())

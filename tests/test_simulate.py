@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from privsan import attack, metrics, simulate
 from privsan.attack import expected_inverse_map, linear
 from privsan.errors import ConfigInvalid, RankDeficient
 from privsan.rng import Rng
@@ -41,6 +42,10 @@ INVALID_CONFIGS = [
     {"shift_margin": None},
     {"unbounded_fresh_per_tuple": None},
     {"agent_count": None},
+    {"param_dim": 0},
+    # A round's arrays would have more elements than numpy can index.
+    {"agent_count": 10**308},
+    {"agent_count": 2**40, "observations_per_agent": 2**20},
 ]
 
 
@@ -283,3 +288,56 @@ class TestRunSweep:
         a = run_sweep(cfg, agent_grid=(12,), mechanisms=("nrp",))
         b = run_sweep(cfg, agent_grid=(12,), mechanisms=("nrp",))
         assert a == b
+
+
+class TestSharedRounds:
+    MECHANISMS = ("nrp", "brp", "pca", "asup", "nrp-unbounded")
+
+    def _assert_sweep_equals_runs(self, cfg, grid):
+        rows = run_sweep(cfg, grid, self.MECHANISMS)
+        runs = [run_experiment(replace(cfg, sanitizer=m, agent_count=a, adversary="auto"))
+                for m in self.MECHANISMS for a in grid]
+        assert len(rows) == len(runs)
+        for row, res in zip(rows, runs):
+            whole = res.row()
+            assert row == {key: whole[key] for key in row}
+        return runs
+
+    def test_sweep_rows_equal_one_mechanism_runs(self):
+        base = ExperimentConfig(**FAST)
+        for cfg in (base, replace(base, metric_coordinates="private")):
+            self._assert_sweep_equals_runs(cfg, (12, 20))
+
+    def test_rank_deficient_round_beside_a_full_rank_one(self):
+        # 8 agents' 4 x 40 matrices stack to rank <= 32 < 40: the gap is NaN
+        # there, and only there.
+        cfg = ExperimentConfig(observations_per_agent=3, input_dim=4, param_dim=40,
+                               target_dim=2, private_count=2, repetitions=2, master_seed=3)
+        runs = self._assert_sweep_equals_runs(cfg, (8, 12))
+        for res in runs:
+            gaps = [r.robustness_gap for r in res.per_repetition]
+            deficient = res.config.agent_count == 8
+            assert np.isnan(res.robustness_gap_mean) == deficient
+            assert all(np.isnan(g) == deficient for g in gaps)
+
+    def test_each_round_and_map_is_built_once(self, monkeypatch):
+        calls = {"generate": 0, "map": 0, "knn": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(simulate, "generate_synthetic",
+                            counted("generate", simulate.generate_synthetic))
+        monkeypatch.setattr(attack, "expected_inverse_map",
+                            counted("map", attack.expected_inverse_map))
+        monkeypatch.setattr(metrics, "knn_indices", counted("knn", metrics.knn_indices))
+        run_sweep(ExperimentConfig(**FAST), (12, 20, 16), self.MECHANISMS)
+        reps, counts = FAST["repetitions"], 3
+        assert calls["generate"] == reps * counts
+        # nrp and nrp-unbounded share one map per repetition.
+        assert calls["map"] == reps
+        # One actual side per round, one reconstruction side per mechanism.
+        assert calls["knn"] == reps * counts * (1 + len(self.MECHANISMS))
