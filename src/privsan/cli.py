@@ -6,13 +6,15 @@ checks), ``timing`` (per-tuple cost model), ``ingest`` (CSV loading and
 summary).  Exit codes: 0 success, 2 configuration error (reported
 before any work starts; this includes a ``--config``, ``--schema`` or
 ``--data`` path that cannot be read and an ``--out`` directory that
-cannot be created), 3 runtime error, 4 ``verify`` found a violation;
-diagnostics go to standard error.
+cannot be created), 3 runtime error (an allocation numpy refuses
+included), 4 ``verify`` found a violation; diagnostics go to standard
+error.
 
 Configuration is a flat JSON object whose keys mirror
 :class:`privsan.simulate.ExperimentConfig`.  Precedence, highest first:
 command-line flags, ``PRIVSAN_<KEY>`` environment variables, the config
-file, built-in defaults.  Result files (CSV and JSON reports) are pure
+file, built-in defaults; a ``PRIVSAN_`` variable that names no key is
+a configuration error.  Result files (CSV and JSON reports) are pure
 functions of the configuration; timestamps live only in the manifest.
 """
 
@@ -47,8 +49,6 @@ from .simulate import (
 
 ENV_PREFIX = "PRIVSAN_"
 EXIT_CONFIG, EXIT_RUNTIME, EXIT_VIOLATIONS = 2, 3, 4
-BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
-            "0": False, "false": False, "no": False, "off": False}
 
 
 def _config_from_sources(args: argparse.Namespace) -> ExperimentConfig:
@@ -65,17 +65,13 @@ def _config_from_sources(args: argparse.Namespace) -> ExperimentConfig:
             if key not in fields:
                 raise ConfigInvalid(f"unknown config key {key!r}")
             values[key] = val
-    for name in fields:
-        env = os.environ.get(ENV_PREFIX + name.upper())
-        if env is not None:
-            values[name] = env
-    overrides = {
-        "master_seed": args.seed,
-        "sanitizer": getattr(args, "mechanism", None),
-        "radius_fraction": getattr(args, "radius_fraction", None),
-        "k_neighbors": getattr(args, "k_neighbors", None),
-    }
-    for key, val in overrides.items():
+    env_names = {ENV_PREFIX + name.upper(): name for name in fields}
+    for var, env in os.environ.items():
+        if var.startswith(ENV_PREFIX):
+            if var not in env_names:
+                raise ConfigInvalid(f"environment variable {var} names no config key")
+            values[env_names[var]] = env
+    for key, val in (("master_seed", args.seed), ("sanitizer", getattr(args, "mechanism", None))):
         if val is not None:
             values[key] = val
     coerced = {}
@@ -90,22 +86,14 @@ def _config_from_sources(args: argparse.Namespace) -> ExperimentConfig:
 def _coerce(annotation: str, value):
     if value is None:
         return None
-    kind = str(annotation)
-    if isinstance(value, bool) and kind != "bool":
-        raise ValueError(f"expected {kind}, got {value!r}")
-    if kind == "bool":
-        text = str(value).strip().lower()   # JSON true/false read as "true"/"false"
-        if text not in BOOLEANS:
-            raise ValueError(f"not a boolean: {value!r}")
-        return BOOLEANS[text]
-    if kind == "int":
+    if isinstance(value, bool):
+        raise ValueError(f"expected {annotation}, got {value!r}")
+    if annotation == "int":
         if isinstance(value, float) and not value.is_integer():
             raise ValueError(f"not an integer: {value!r}")
         return int(value)
-    if kind == "float":
+    if annotation == "float":
         return float(value)
-    if kind.startswith("float | None"):
-        return None if str(value).strip().lower() in ("", "none", "null") else float(value)
     return str(value)
 
 
@@ -309,8 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file (keys mirror ExperimentConfig)")
         p.add_argument("--seed", type=int, help="master seed override")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--radius-fraction", type=float, dest="radius_fraction")
-        p.add_argument("--k-neighbors", type=int, dest="k_neighbors")
 
     p_run = sub.add_parser("run", help="run one experiment and write its report")
     common(p_run)
@@ -357,8 +343,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigInvalid, SchemaMismatch, GammaOutOfRange, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except PrivsanError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
+    except (PrivsanError, MemoryError) as exc:
+        print(f"runtime error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -93,24 +93,15 @@ def _paired(actual, recon) -> tuple[np.ndarray, np.ndarray]:
     return a, r
 
 
-def breach_count(actual, recon, radius_fraction: float = 0.2,
-                 absolute_radius: float | None = None) -> float:
+def breach_count(actual, recon, radius_fraction: float = 0.2) -> float:
     """Fraction of reconstructions landing inside the neighborhood of
-    their original point.
-
-    The default neighborhood radius is ``radius_fraction`` times each
-    actual point's norm; passing ``absolute_radius`` switches to one
-    fixed radius for every point.
-    """
+    their original point, whose radius is ``radius_fraction`` times that
+    point's norm."""
     a, r = _paired(actual, recon)
-    if absolute_radius is None and radius_fraction <= 0:
+    if radius_fraction <= 0:
         raise ValueError("radius_fraction must be positive")
     err = np.linalg.norm(r - a, axis=1)
-    if absolute_radius is not None:
-        radii = np.full(a.shape[0], float(absolute_radius))
-    else:
-        radii = radius_fraction * np.linalg.norm(a, axis=1)
-    return float(np.mean(err <= radii))
+    return float(np.mean(err <= radius_fraction * np.linalg.norm(a, axis=1)))
 
 
 def displacement(actual, recon) -> float:

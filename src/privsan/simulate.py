@@ -100,7 +100,6 @@ class ExperimentConfig:
     # Metric settings
     radius_fraction: float = 0.2
     k_neighbors: int = 10
-    breach_absolute_radius: float | None = None
     metric_coordinates: str = "all"  # "all" or "private": which columns the
                                      # reconstruction metrics compare
     # Synthetic-data recipe
@@ -110,7 +109,6 @@ class ExperimentConfig:
     # Mechanism details
     asup_noise_cell_multiple: float = 0.35
     inverse_samples: int = 64        # draws behind the expected-inverse attack
-    unbounded_fresh_per_tuple: bool = False
 
     def __post_init__(self):
         def require(ok: bool, message: str) -> None:
@@ -119,8 +117,7 @@ class ExperimentConfig:
 
         for f in fields(self):
             value = getattr(self, f.name)
-            require(value is not None or f.name == "breach_absolute_radius",
-                    f"{f.name} must not be null")
+            require(value is not None, f"{f.name} must not be null")
             require(not isinstance(value, float) or abs(value) <= FLOAT_LIMIT,
                     f"{f.name} must be finite and at most {FLOAT_LIMIT:g} in magnitude")
         for name in ("agent_count", "observations_per_agent", "param_dim", "repetitions",
@@ -128,9 +125,8 @@ class ExperimentConfig:
             require(getattr(self, name) >= 1, f"{name} must be positive")
         for name in ("radius_fraction", "cell_fraction"):
             require(getattr(self, name) > 0, f"{name} must be positive")
-        for name in ("master_seed", "noise_sigma", "shift_margin", "asup_noise_cell_multiple",
-                     "breach_absolute_radius"):
-            require((getattr(self, name) or 0.0) >= 0, f"{name} must be nonnegative")
+        for name in ("master_seed", "noise_sigma", "shift_margin", "asup_noise_cell_multiple"):
+            require(getattr(self, name) >= 0, f"{name} must be nonnegative")
         require(self.sanitizer in MECHANISMS, f"unknown sanitizer {self.sanitizer!r}")
         require(self.adversary in ADVERSARIES, f"unknown adversary {self.adversary!r}")
         require(self.adversary != "known-matrix" or self.mechanism.adversary == "known-matrix",
@@ -350,8 +346,8 @@ def _sanitize_round(cfg: ExperimentConfig, data: SyntheticDataset,
         beta_per_tuple = np.repeat(betas, data.observations_per_agent)
         return san.nrp(y, m, rng, cfg.distribution, beta_per_tuple)[0], ctx
     if mech == "nrp-unbounded":
-        per = 1 if cfg.unbounded_fresh_per_tuple else data.observations_per_agent
-        return san.nrp(y, m, rng, cfg.distribution, rows_per_matrix=per)[0], ctx
+        return san.nrp(y, m, rng, cfg.distribution,
+                       rows_per_matrix=data.observations_per_agent)[0], ctx
     if mech == "brp":
         ctx.fixed_matrix = san.sample_orthonormal_matrix(n, m, rng.child(0))
         return san.brp(y, ctx.fixed_matrix), ctx
@@ -443,8 +439,7 @@ def run_repetition(cfg: ExperimentConfig, repetition: int, rnd: _Round) -> Repet
     recons = _attack_round(cfg, sanitized, ctx, rep_rng.child(2), rnd.maps)
 
     eval_recons = _metric_columns(cfg, recons)
-    breach = met.breach_count(rnd.actual, eval_recons, cfg.radius_fraction,
-                              cfg.breach_absolute_radius)
+    breach = met.breach_count(rnd.actual, eval_recons, cfg.radius_fraction)
     disp = met.displacement(rnd.actual, eval_recons)
     resem = met.knn_overlap(rnd.actual_knn, met.knn_indices(eval_recons, cfg.k_neighbors))
     u_mean, p_mean = _utility_means(cfg, data.values, sanitized)
@@ -472,14 +467,11 @@ def _run_points(points: list[ExperimentConfig]) -> list[list[RepetitionMetrics]]
 
 def _average(cfg: ExperimentConfig, rows: list[RepetitionMetrics]) -> ExperimentResult:
     """A config's result: the means of its repetitions, in repetition order."""
-    rule = (f"absolute-{cfg.breach_absolute_radius:.17g}"
-            if cfg.breach_absolute_radius is not None
-            else f"relative-{cfg.radius_fraction:.17g}")
     report = met.MetricReport(
         breach_count=float(np.mean([r.breach_count for r in rows])),
         displacement=float(np.mean([r.displacement for r in rows])),
         resemblance=float(np.mean([r.resemblance for r in rows])),
-        neighborhood_radius_rule=rule,
+        neighborhood_radius_rule=f"relative-{cfg.radius_fraction:.17g}",
         k_neighbors=cfg.k_neighbors,
         repetitions=cfg.repetitions,
     )

@@ -144,7 +144,6 @@ class TestRunCommand:
             {"noise_sigma": -0.1},
             {"shift_margin": -0.1},
             {"asup_noise_cell_multiple": -0.1},
-            {"breach_absolute_radius": -0.1},
             {"repetitions": 1.5},
             {"master_seed": -1},
             {"repetitions": True},
@@ -152,7 +151,6 @@ class TestRunCommand:
             {"master_seed": None},
             {"noise_sigma": None},
             {"shift_margin": None},
-            {"unbounded_fresh_per_tuple": None},
             {"agent_count": None},
             {"input_dim": 1, "target_dim": 1, "private_count": 0},
             {"sanitizer": "pca", "agent_count": 1, "observations_per_agent": 20,
@@ -177,23 +175,15 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "report.json").is_file()
 
-    def test_misspelled_boolean_env_exits_2(self, tmp_path, monkeypatch):
-        cfg = write_cfg(tmp_path, {"sanitizer": "nrp-unbounded"})
-        monkeypatch.setenv("PRIVSAN_UNBOUNDED_FRESH_PER_TUPLE", "ture")
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
-        monkeypatch.setenv("PRIVSAN_UNBOUNDED_FRESH_PER_TUPLE", "off")
-        out = tmp_path / "y"
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-        record = json.loads((out / "report.json").read_text())
-        assert record["config"]["unbounded_fresh_per_tuple"] is False
-
-    def test_json_boolean_for_a_boolean_key(self, tmp_path):
-        cfg = write_cfg(tmp_path, {"sanitizer": "nrp-unbounded",
-                                   "unbounded_fresh_per_tuple": True})
+    def test_env_variable_naming_no_key_exits_2(self, tmp_path, monkeypatch, capsys):
+        # A misspelled PRIVSAN_REPETITIONS must not leave repetitions at 2.
+        cfg = write_cfg(tmp_path, {"agent_count": 4, "input_dim": 4, "param_dim": 2,
+                                   "target_dim": 2, "private_count": 1, "k_neighbors": 2})
+        monkeypatch.setenv("PRIVSAN_REPETITION", "1")
         out = tmp_path / "x"
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-        record = json.loads((out / "report.json").read_text())
-        assert record["config"]["unbounded_fresh_per_tuple"] is True
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "PRIVSAN_REPETITION " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_mechanism_choices_come_from_the_table(self):
         parser = cli.build_parser()
@@ -215,21 +205,14 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
 
     def test_metric_flags_reach_config(self, tmp_path):
-        cfg = write_cfg(tmp_path)
+        cfg = write_cfg(tmp_path, {"radius_fraction": 0.5, "k_neighbors": 4})
         out = tmp_path / "out"
-        main(["run", "--config", str(cfg), "--out", str(out),
-              "--radius-fraction", "0.5", "--k-neighbors", "4"])
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         record = json.loads((out / "report.json").read_text())
         assert record["config"]["radius_fraction"] == 0.5
         assert record["config"]["k_neighbors"] == 4
         assert record["report"]["neighborhood_radius_rule"].startswith("relative-0.5")
-
-    def test_absolute_radius_config_key(self, tmp_path):
-        cfg = write_cfg(tmp_path, {"breach_absolute_radius": 0.25})
-        out = tmp_path / "out"
-        main(["run", "--config", str(cfg), "--out", str(out)])
-        record = json.loads((out / "report.json").read_text())
-        assert record["report"]["neighborhood_radius_rule"].startswith("absolute-0.25")
+        assert record["report"]["k_neighbors"] == 4
 
 
 class TestSweepCommand:
@@ -303,6 +286,18 @@ class TestVerifyCommand:
         code = main(["verify", "--trials", "1", "--out", str(tmp_path / "v")])
         assert code == cli.EXIT_VIOLATIONS == 4
         assert "VIOLATIONS FOUND" in capsys.readouterr().err
+
+    def test_memory_error_exits_3(self, tmp_path, monkeypatch, capsys):
+        # numpy raises a MemoryError subclass naming the size it could not
+        # allocate; a bare MemoryError has no message, so its name is printed.
+        for error in (MemoryError("Unable to allocate 2.53 TiB"), MemoryError()):
+            def fail(*args):
+                raise error
+
+            monkeypatch.setattr(cli.verify, "preservation_trials", fail)
+            assert main(["verify", "--trials", "1", "--out", str(tmp_path / "v")]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith(f"runtime error: {str(error) or 'MemoryError'}\n"), err
 
 
 class TestTimingCommand:
@@ -451,8 +446,8 @@ OUT_OF_RANGE = [math.nan, math.inf, -math.inf, -1, 0, 1.5, -0.5]
 # Float keys also get magnitudes past FLOAT_LIMIT; integer keys do not,
 # because a huge count is a valid config too large to run here.
 FLOAT_OUT_OF_RANGE = OUT_OF_RANGE + [10 * FLOAT_LIMIT, 1e308, -1e308]
-FLOAT_KEYS = {"min_utility", "radius_fraction", "breach_absolute_radius", "noise_sigma",
-              "shift_margin", "cell_fraction", "asup_noise_cell_multiple"}
+FLOAT_KEYS = {"min_utility", "radius_fraction", "noise_sigma", "shift_margin", "cell_fraction",
+              "asup_noise_cell_multiple"}
 
 
 @hst.composite
@@ -473,13 +468,11 @@ def run_configs(draw):
         "master_seed": draw(hst.integers(0, 2**64)),
         "radius_fraction": draw(hst.floats(1e-6, FLOAT_LIMIT)),
         "k_neighbors": draw(hst.integers(1, max(1, agents * nobs - 1))),
-        "breach_absolute_radius": draw(hst.none() | big),
         "metric_coordinates": draw(hst.sampled_from(["all", "private"])),
         "noise_sigma": draw(big), "shift_margin": draw(big),
         "cell_fraction": draw(hst.floats(1e-6, FLOAT_LIMIT)),
         "asup_noise_cell_multiple": draw(big),
         "inverse_samples": draw(hst.integers(1, 3)),
-        "unbounded_fresh_per_tuple": draw(hst.booleans()),
     }
     for key in draw(hst.lists(hst.sampled_from(sorted(cfg)), max_size=2, unique=True)):
         bad = FLOAT_OUT_OF_RANGE if key in FLOAT_KEYS else OUT_OF_RANGE

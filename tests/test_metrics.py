@@ -164,11 +164,6 @@ class TestBreachCount:
         vals = [breach_count(actual, recon, f) for f in fractions]
         assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
 
-    def test_absolute_mode(self):
-        actual = np.array([[1.0, 0.0], [5.0, 0.0]])
-        recon = np.array([[1.0, 0.4], [5.0, 0.6]])
-        assert breach_count(actual, recon, absolute_radius=0.5) == 0.5
-
     def test_empty(self):
         with pytest.raises(EmptyDataset):
             breach_count([], [])

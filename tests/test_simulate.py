@@ -33,14 +33,12 @@ INVALID_CONFIGS = [
     {"noise_sigma": -0.1},
     {"shift_margin": -0.1},
     {"asup_noise_cell_multiple": -0.1},
-    {"breach_absolute_radius": -0.1},
     {"noise_sigma": float("nan")},
     {"sanitizer": "asup", "adversary": "known-matrix"},
     {"master_seed": -1},
     {"master_seed": None},
     {"noise_sigma": None},
     {"shift_margin": None},
-    {"unbounded_fresh_per_tuple": None},
     {"agent_count": None},
     {"param_dim": 0},
     # A round's arrays would have more elements than numpy can index.
@@ -224,14 +222,6 @@ class TestRunExperiment:
                                entry_distribution="symmetric-uniform")
         res = run_experiment(cfg)
         assert res.report.displacement > 0
-
-    def test_unbounded_fresh_flag_changes_result(self):
-        base = ExperimentConfig(agent_count=15, observations_per_agent=3,
-                                repetitions=2, master_seed=5,
-                                sanitizer="nrp-unbounded")
-        static = run_experiment(base)
-        fresh = run_experiment(replace(base, unbounded_fresh_per_tuple=True))
-        assert static.report != fresh.report
 
     def test_config_validation(self):
         with pytest.raises(ConfigInvalid):
