@@ -11,12 +11,12 @@ never the per-tuple matrix itself.  Reconstruction is matrix based:
   fixed and public, optionally re-adding a known mean;
 * ``naive_multiply``: left-multiplication by a raw family draw, kept as
   an ablation of the pseudo-inverse step;
-* ``identity``: neutral reconstruction for dimension-preserving
-  mechanisms, optionally mean-shift corrected.
+* ``identity``: neutral reconstruction for dimension-preserving mechanisms.
 
 Each attack is one function from a (tuples x m) array of sanitized rows
 to (tuples x n) reconstructions; attacks that draw take one stream per
-row.  The per-tuple ``attack_*`` functions make a one-row call.
+row.  The per-tuple ``attack_random_inverse`` and ``attack_linear`` make
+one-row calls; the other attacks are array-only.
 
 ``random_inverse`` runs on the calling thread, in chunks of
 ``ATTACK_CHUNK`` rows.  Row j's matrix comes only from its own stream,
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, SingularSample
-from .linalg import as_matrix, as_vector, full_rank, matvec_rows, zero_pad
+from .linalg import as_vector, full_rank, matvec_rows, zero_pad
 from .rng import Rng
 from .sanitize import (
     EntryDistribution,
@@ -126,11 +126,9 @@ def naive_multiply(s: np.ndarray, n: int, distribution: EntryDistribution,
     return out
 
 
-def identity(s: np.ndarray, n: int, shift: np.ndarray | None = None) -> np.ndarray:
-    """Each sanitized row, zero-padded to length n, plus ``shift`` when
-    the attacker knows a systematic offset."""
-    recon = zero_pad(s, n)
-    return recon.copy() if shift is None else recon + shift
+def identity(s: np.ndarray, n: int) -> np.ndarray:
+    """Each sanitized row, zero-padded to length n."""
+    return zero_pad(s, n).copy()
 
 
 def expected_inverse_map(n: int, m: int, distribution: EntryDistribution,
@@ -162,27 +160,6 @@ def attack_random_inverse(t: SanitizedTuple, n: int, distribution: EntryDistribu
     """Reconstruct with the pseudo-inverse of a fresh family draw."""
     recon = random_inverse(t.values[None], n, distribution, [rng])
     return ReconstructionResult(recon[0], t.agent_id, "random-inverse")
-
-
-def attack_known_matrix(t: SanitizedTuple, matrix: np.ndarray, mean: np.ndarray | None = None,
-                        mean_in_tuple: bool = False) -> ReconstructionResult:
-    """White-box reconstruction with the true fixed n x m matrix."""
-    mean = None if mean is None else as_vector(mean)
-    recon = known_matrix(t.values[None], as_matrix(matrix), mean, mean_in_tuple)
-    return ReconstructionResult(recon[0], t.agent_id, "known-matrix")
-
-
-def attack_naive_multiply(t: SanitizedTuple, n: int, distribution: EntryDistribution,
-                          rng: Rng) -> ReconstructionResult:
-    """Left-multiply by a raw family draw, skipping the inverse."""
-    recon = naive_multiply(t.values[None], n, distribution, [rng])
-    return ReconstructionResult(recon[0], t.agent_id, "naive-multiply")
-
-
-def attack_identity(t: SanitizedTuple, shift: np.ndarray | None = None) -> ReconstructionResult:
-    """Take the sanitized tuple as the reconstruction, plus ``shift``."""
-    recon = identity(t.values[None], t.dim, None if shift is None else as_vector(shift))
-    return ReconstructionResult(recon[0], t.agent_id, "identity")
 
 
 def attack_linear(t: SanitizedTuple, linear_map: np.ndarray) -> ReconstructionResult:

@@ -56,7 +56,7 @@ def _config_from_sources(args: argparse.Namespace) -> ExperimentConfig:
     values: dict = {}
     if args.config:
         try:
-            raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            raw = json.loads(Path(args.config).read_text(encoding="utf-8-sig"))
         except ValueError as exc:
             raise ConfigInvalid(f"config file is not valid UTF-8 JSON: {exc}") from None
         if not isinstance(raw, dict):
@@ -78,7 +78,7 @@ def _config_from_sources(args: argparse.Namespace) -> ExperimentConfig:
     for key, val in values.items():
         try:
             coerced[key] = _coerce(fields[key].type, val)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigInvalid(f"bad value for {key!r}: {exc}") from None
     return ExperimentConfig(**coerced)
 
@@ -205,6 +205,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     check_gamma(args.gamma)
     if args.points < 2 or args.trials < 1 or args.seed < 0:
         raise ConfigInvalid("need --points >= 2, --trials >= 1 and --seed >= 0")
+    need = verify.trial_peak_bytes(args.gamma, args.points)
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > memory:
+        raise ConfigInvalid(f"one trial needs about {need / 1e9:.3g} GB, more than the "
+                            f"{memory / 1e9:.3g} GB of physical memory")
     out, started = _open_out(args.out)
     trials = verify.preservation_trials(args.gamma, args.points, args.trials, args.seed)
     table = verify.equivalence_table((2, 10, 100, 1000, 10_000, 100_000),

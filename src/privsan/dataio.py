@@ -69,7 +69,7 @@ class DatasetSchema:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "DatasetSchema":
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             try:
                 raw = json.load(fh)
             except ValueError as exc:
@@ -183,9 +183,9 @@ def check_header(path: str | Path, schema: DatasetSchema) -> None:
 
 
 def _open_csv(path: Path):
-    # Undecodable bytes become lone surrogates, which load_csv's cell
-    # check reports with their row and column.
-    return path.open(encoding="utf-8", errors="surrogateescape", newline="")
+    # A leading byte-order mark is dropped.  Undecodable bytes become lone
+    # surrogates, which load_csv's cell check reports with their row and column.
+    return path.open(encoding="utf-8-sig", errors="surrogateescape", newline="")
 
 
 def _check_header(reader, schema: DatasetSchema) -> None:

@@ -14,8 +14,8 @@ an array of sanitized rows:
 * rotated-noise addition: Gaussian noise on the private coordinates,
   rotated by a fresh random unitary; dimension preserving.
 
-The runner calls these functions; the per-tuple ``sanitize_*`` functions
-make one-row calls and wrap the row in a ``SanitizedTuple``.
+The runner calls these functions; the baselines are array-only, and the
+per-tuple ``sanitize_nrp`` and ``sanitize_identity`` make one-row calls.
 Projection matrices are plain n x m arrays; only :func:`bounded_projection`
 wraps its draw in a :class:`ProjectionMatrix` with the certificate it meets.
 
@@ -81,10 +81,6 @@ class DataTuple:
         if bad:
             raise ValueError(f"private indices out of range: {bad}")
 
-    @property
-    def dim(self) -> int:
-        return int(self.values.size)
-
 
 @dataclass(frozen=True)
 class SanitizedTuple:
@@ -94,10 +90,6 @@ class SanitizedTuple:
 
     def __post_init__(self):
         object.__setattr__(self, "values", as_vector(self.values))
-
-    @property
-    def dim(self) -> int:
-        return int(self.values.size)
 
 
 @dataclass(frozen=True)
@@ -270,33 +262,6 @@ def sanitize_nrp(t: DataTuple, m: int, certificate: NormBoundCertificate | None,
     if log is not None:
         log.record(t.agent_id, rng, distribution, beta, a[0])
     return SanitizedTuple(values[0], t.agent_id, "nrp-unbounded" if beta is None else "nrp")
-
-
-def sanitize_brp(t: DataTuple, q: np.ndarray) -> SanitizedTuple:
-    """Projection by the experiment's fixed n x m matrix, whose columns
-    must be orthonormal."""
-    q = as_matrix(q)
-    gram_err = float(np.abs(q.T @ q - np.eye(q.shape[1])).max())
-    if gram_err > 1e-9:
-        raise ValueError(f"columns not orthonormal: max deviation {gram_err:.3g}")
-    if t.dim != q.shape[0]:
-        raise DimensionMismatch(f"tuple has length {t.dim}, matrix expects {q.shape[0]}")
-    return SanitizedTuple(brp(t.values[None], q)[0], t.agent_id, "brp")
-
-
-def sanitize_pca(t: DataTuple, components: np.ndarray, mean: np.ndarray) -> SanitizedTuple:
-    """Project the centered tuple onto the fitted n x m components."""
-    components, mean = as_matrix(components), as_vector(mean)
-    if t.dim != mean.size or t.dim != components.shape[0]:
-        raise DimensionMismatch("tuple, mean and components disagree on dimension")
-    return SanitizedTuple(pca(t.values[None], components, mean)[0], t.agent_id, "pca")
-
-
-def sanitize_asup(t: DataTuple, noise_scale: float, rng: Rng) -> SanitizedTuple:
-    """Noise addition on the private coordinates, rotated by a fresh
-    random unitary; ``noise_scale`` = 0 returns the input unchanged."""
-    values = asup(t.values[None], noise_scale, t.private_indices, rng)
-    return SanitizedTuple(values[0], t.agent_id, "asup")
 
 
 def sanitize_identity(t: DataTuple) -> SanitizedTuple:

@@ -10,7 +10,7 @@ import numpy as np
 
 from .bounds import jl_min_dimension, nrp_equivalent_dimension
 from .errors import NonPositiveResult
-from .metrics import distance_preservation_fraction
+from .metrics import KNN_BLOCK, distance_preservation_fraction
 from .rng import Rng
 from .sanitize import bounded_projection_for_check, subspace_projection_for_check
 
@@ -56,6 +56,14 @@ def preservation_trials(gamma: float, point_count: int, trials: int,
             fraction_bounded=distance_preservation_fraction(points, proj_bnd, gamma),
         ))
     return rows
+
+
+def trial_peak_bytes(gamma: float, point_count: int) -> int:
+    """Upper estimate of the bytes one preservation trial holds at once:
+    four float64 copies each of an n x m projection matrix, of the
+    (points x n) points and of a ``KNN_BLOCK``-row block of distances."""
+    m = jl_min_dimension(point_count, gamma)
+    return 32 * (2 * m * m + point_count * 2 * m + KNN_BLOCK * point_count)
 
 
 @dataclass(frozen=True)

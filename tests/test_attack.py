@@ -9,12 +9,10 @@ from privsan import attack
 from privsan.attack import (
     ATTACK_CHUNK,
     ATTACK_RETRIES,
-    attack_identity,
-    attack_known_matrix,
     attack_linear,
-    attack_naive_multiply,
     attack_random_inverse,
     expected_inverse_map,
+    identity,
     known_matrix,
     naive_multiply,
     random_inverse,
@@ -254,8 +252,8 @@ class TestNaiveMultiply:
         s = Rng(49).standard_normal((rows, m))
         out = naive_multiply(s, n, self.UNIT, [Rng(50).child(j) for j in range(rows)])
         for j in range(rows):
-            one = attack_naive_multiply(st(s[j]), n, self.UNIT, Rng(50).child(j))
-            assert out[j].tobytes() == one.reconstructed.tobytes(), j
+            one = naive_multiply(s[j:j + 1], n, self.UNIT, [Rng(50).child(j)])[0]
+            assert out[j].tobytes() == one.tobytes(), j
 
     def test_caller_streams_build_no_generator(self):
         rows = 2 * ATTACK_CHUNK + 3
@@ -288,8 +286,8 @@ class TestKnownMatrix:
     def test_orthonormal_square_exact(self):
         q = sample_orthonormal_matrix(4, 4, Rng(7))
         y = Rng(8).standard_normal(4)
-        out = attack_known_matrix(st(q.T @ y), q)
-        assert np.allclose(out.reconstructed, y, atol=1e-9)
+        out = known_matrix((q.T @ y)[None], q)[0]
+        assert np.allclose(out, y, atol=1e-9)
 
     def test_component_projection_identity(self):
         # Projection onto components plus mean reproduces a point lying
@@ -297,38 +295,40 @@ class TestKnownMatrix:
         q = sample_orthonormal_matrix(5, 2, Rng(9))
         mean = Rng(10).standard_normal(5)
         y = mean + q @ np.array([0.4, -1.2])
-        t = st(q.T @ (y - mean))
-        out = attack_known_matrix(t, q, mean)
-        assert np.allclose(out.reconstructed, y, atol=1e-9)
+        out = known_matrix((q.T @ (y - mean))[None], q, mean)[0]
+        assert np.allclose(out, y, atol=1e-9)
 
     def test_mean_in_tuple_centers_first(self):
         q = sample_orthonormal_matrix(6, 3, Rng(11))
         mean = np.full(6, 2.0)
         y = mean + q @ np.array([1.0, 0.5, -0.3])
-        t = st(q.T @ y)  # projection of the raw tuple
-        out = attack_known_matrix(t, q, mean, mean_in_tuple=True)
-        assert np.allclose(out.reconstructed, y, atol=1e-9)
+        # The sanitized row is the projection of the raw tuple.
+        out = known_matrix((q.T @ y)[None], q, mean, mean_in_tuple=True)[0]
+        assert np.allclose(out, y, atol=1e-9)
 
     def test_tall_case_against_hand_pseudo_inverse(self):
         gen = Rng(12).generator
         a = gen.standard_normal((3, 2))
-        t = st([0.5, 1.5])
-        out = attack_known_matrix(t, a)
-        expected = a @ (inv2(a.T @ a) @ t.values)
-        assert np.allclose(out.reconstructed, expected, atol=1e-9)
+        s = np.array([0.5, 1.5])
+        out = known_matrix(s[None], a)[0]
+        expected = a @ (inv2(a.T @ a) @ s)
+        assert np.allclose(out, expected, atol=1e-9)
+
+    def test_rank_deficient_matrix_raises(self):
+        with pytest.raises(SingularSample):
+            known_matrix(np.array([[0.5, 1.5]]), np.ones((3, 2)))
 
 
 class TestOtherAttacks:
     def test_naive_multiply_shape(self):
-        out = attack_naive_multiply(st([1.0, 2.0]), 5,
-                                    EntryDistribution.UNIT_UNIFORM, Rng(13))
-        assert out.reconstructed.size == 5
+        out = naive_multiply(np.array([[1.0, 2.0]]), 5,
+                             EntryDistribution.UNIT_UNIFORM, [Rng(13)])
+        assert out.shape == (1, 5)
 
-    def test_identity_and_shift(self):
-        t = st([1.0, 2.0], tag="asup")
-        assert np.array_equal(attack_identity(t).reconstructed, t.values)
-        shifted = attack_identity(t, shift=np.array([0.5, -0.5]))
-        assert np.allclose(shifted.reconstructed, [1.5, 1.5])
+    def test_identity_zero_pads(self):
+        s = np.array([[1.0, 2.0]])
+        assert np.array_equal(identity(s, 2), s)
+        assert np.array_equal(identity(s, 4), [[1.0, 2.0, 0.0, 0.0]])
 
     def test_expected_inverse_converges_to_mc_mean(self):
         lm = expected_inverse_map(6, 2, EntryDistribution.UNIT_UNIFORM, 16, Rng(14))
@@ -351,7 +351,7 @@ class TestDirectionalSeparation:
         # fresh norm-bounded projections strictly exceeds that of the
         # white-box attack on one fixed orthonormal projection.
         from privsan.bounds import compute_norm_bound
-        from privsan.sanitize import bounded_projection, sanitize_brp, DataTuple
+        from privsan.sanitize import bounded_projection, brp
 
         n, m, trials = 30, 10, 100
         gen = Rng(15).generator
@@ -366,7 +366,6 @@ class TestDirectionalSeparation:
             rec_fresh = attack_random_inverse(
                 t_fresh, n, EntryDistribution.UNIT_UNIFORM, Rng(18).child(i))
             d_fresh.append(np.linalg.norm(rec_fresh.reconstructed - y))
-            t_fixed = sanitize_brp(DataTuple(y, frozenset(), "a"), q)
-            rec_fixed = attack_known_matrix(t_fixed, q)
-            d_fixed.append(np.linalg.norm(rec_fixed.reconstructed - y))
+            rec_fixed = known_matrix(brp(y[None], q), q)[0]
+            d_fixed.append(np.linalg.norm(rec_fixed - y))
         assert np.mean(d_fresh) > np.mean(d_fixed)

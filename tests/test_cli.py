@@ -160,6 +160,8 @@ class TestRunCommand:
             {"param_dim": 0},
             # A 309-digit agent count: more round elements than numpy can index.
             {"agent_count": 1e308},
+            # A JSON integer too large to convert to a float.
+            {"min_utility": 10**400},
         ]
         for extra in cases:
             cfg = write_cfg(tmp_path, extra)
@@ -167,6 +169,15 @@ class TestRunCommand:
             assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2, extra
             assert "configuration error" in capsys.readouterr().err
             assert not out.exists(), f"{extra} did work before failing"
+
+    def test_config_with_byte_order_mark(self, tmp_path):
+        cfg = write_cfg(tmp_path)
+        bom = tmp_path / "bom.json"
+        bom.write_bytes(b"\xef\xbb\xbf" + cfg.read_bytes())
+        for path, out in ((cfg, tmp_path / "plain"), (bom, tmp_path / "bom")):
+            assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        assert (tmp_path / "bom/report.csv").read_bytes() == \
+            (tmp_path / "plain/report.csv").read_bytes()
 
     def test_pca_on_one_agent_with_noise_runs(self, tmp_path):
         cfg = write_cfg(tmp_path, {"sanitizer": "pca", "agent_count": 1,
@@ -280,6 +291,34 @@ class TestVerifyCommand:
         assert main(["verify", "--seed", "-1", "--out", str(tmp_path / "v")]) == 2
         assert not (tmp_path / "v").exists()
 
+    def test_trial_too_large_for_memory_exits_2(self, tmp_path, monkeypatch, capsys):
+        # At gamma 0.01 one trial's n x m matrix alone is 2.8 TB.
+        def fail(*args):
+            raise AssertionError("preservation_trials ran")
+
+        monkeypatch.setattr(cli.verify, "preservation_trials", fail)
+        out = tmp_path / "v"
+        tracemalloc.start()
+        try:
+            code = main(["verify", "--gamma", "0.01", "--points", "100", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "physical memory" in capsys.readouterr().err
+        assert not out.exists()
+        assert peak < 1 << 20, peak
+
+    @pytest.mark.parametrize("gamma,points", [(0.2, 100), (0.3, 100), (0.3, 2000)])
+    def test_peak_estimate_bounds_one_trial(self, gamma, points):
+        tracemalloc.start()
+        try:
+            cli.verify.preservation_trials(gamma, points, 1, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cli.verify.trial_peak_bytes(gamma, points) <= 3 * peak
+
     def test_violation_exits_4(self, tmp_path, monkeypatch, capsys):
         failing = [PreservationTrial(0, 10, 20, 0.4, 0.9)]
         monkeypatch.setattr(cli.verify, "preservation_trials", lambda *args: failing)
@@ -329,6 +368,20 @@ class TestIngestCommand:
         assert len(summary["columns"]) == 50
         assert summary["private_positions"] == [0, 1, 2]
         assert (out / "processed.csv").exists()
+
+    def test_byte_order_mark_is_read(self, tmp_path):
+        # A BOM-prefixed copy of the data and of the schema ingests to the
+        # same processed.csv.
+        generate_lookalike(tmp_path / "c.csv", tmp_path / "c.schema.json", rows=5, seed=3)
+        for name in ("c.csv", "c.schema.json"):
+            data = (tmp_path / name).read_bytes()
+            (tmp_path / f"bom-{name}").write_bytes(b"\xef\xbb\xbf" + data)
+        for prefix in ("", "bom-"):
+            assert main(["ingest", "--data", str(tmp_path / f"{prefix}c.csv"),
+                         "--schema", str(tmp_path / f"{prefix}c.schema.json"),
+                         "--out", str(tmp_path / f"{prefix}out")]) == 0
+        assert (tmp_path / "bom-out/processed.csv").read_bytes() == \
+            (tmp_path / "out/processed.csv").read_bytes()
 
     def test_processed_csv_quotes_a_column_name_with_a_comma(self, tmp_path):
         schema = tmp_path / "s.json"

@@ -2,10 +2,12 @@
 mechanism.
 
 Every sanitizer, attack and the utility has one implementation on a
-(tuples x dim) array; the per-tuple functions are one-row calls into it.
-Over random small shapes these tests check, bit for bit, that each
-per-tuple function equals the row of its array function that used the
-same random stream, and that both equal the plain single-tuple formula
+(tuples x dim) array; the per-tuple functions (``sanitize_nrp``,
+``sanitize_identity``, ``attack_random_inverse``, ``attack_linear`` and
+``utility``) are one-row calls into it.  Over random small shapes these
+tests check, bit for bit, that each per-tuple function and each one-row
+array call equals the row of the batch call that used the same random
+stream, and that both equal the plain single-tuple formula
 (``A.T @ y``, ``B @ s``, ...); the random-inverse attack's QR solve
 comes within a multiple of cond(B) * eps of ``pinv(B.T) @ s``.  They
 also check that the runner's rounds are those array functions, and that
@@ -55,8 +57,8 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def tup(values, private=()):
-    return DataTuple(values, frozenset(private), "a0")
+def tup(values):
+    return DataTuple(values, frozenset(), "a0")
 
 
 def family_draw(n, m, distribution, rng):
@@ -96,9 +98,9 @@ def test_fixed_matrix_mechanisms_rowwise(shape):
     mean = Rng(seed).child(2).standard_normal(n)
     brp, pca, ident = san.brp(y, q), san.pca(y, q, mean), san.identity(y)
     for j in range(rows):
-        assert same_bits(san.sanitize_brp(tup(y[j]), q).values, brp[j])
+        assert same_bits(san.brp(y[j:j + 1], q)[0], brp[j])
         assert same_bits(brp[j], q.T @ y[j])
-        assert same_bits(san.sanitize_pca(tup(y[j]), q, mean).values, pca[j])
+        assert same_bits(san.pca(y[j:j + 1], q, mean)[0], pca[j])
         assert same_bits(pca[j], q.T @ (y[j] - mean))
         assert same_bits(san.sanitize_identity(tup(y[j])).values, ident[j])
 
@@ -111,15 +113,15 @@ def test_asup_rowwise(shape, scale, private_count):
     y = Rng(seed).child(0).uniform(0.0, 1.0, (rows, n))
     fresh = Rng(seed).child   # each use below starts the same stream afresh
 
-    # Per tuple: noise first, then the rotation, both from one stream.
-    one = san.sanitize_asup(tup(y[0], private), scale, fresh(1))
+    # One row: noise first, then the rotation, both from one stream.
+    one = san.asup(y[:1], scale, private, fresh(1))[0]
     stream = fresh(1)
     expected = y[0].copy()
     if private:
         z = np.zeros(n)
         z[list(private)] = scale * stream.standard_normal(len(private))
         expected = y[0] + orthonormalize(stream.standard_normal((n, n)), stream) @ z
-    assert same_bits(one.values, expected)
+    assert same_bits(one, expected)
 
     # Batched: all rows' noise first, then all rotations.
     batch = san.asup(y, scale, private, fresh(1))
@@ -153,7 +155,7 @@ def test_drawing_attacks_equal_per_tuple_loop(shape, family):
         expected = np.linalg.pinv(b.T) @ s[j]
         bound = 100 * n * np.linalg.cond(b) * np.finfo(float).eps * np.linalg.norm(expected)
         assert np.linalg.norm(one - expected) <= bound
-        one = atk.attack_naive_multiply(t, n, family, root.child(j)).reconstructed
+        one = atk.naive_multiply(s[j:j + 1], n, family, [root.child(j)])[0]
         assert same_bits(one, naive[j])
         assert same_bits(one, family_draw(n, m, family, root.child(j)) @ s[j])
 
@@ -175,12 +177,11 @@ def test_linear_attacks_rowwise(shape, with_mean, mean_in_tuple):
         expected = pinv_t @ (s[j] - q.T @ mean if with_mean and mean_in_tuple else s[j])
         if with_mean:
             expected = expected + mean
-        assert same_bits(atk.attack_known_matrix(t, q, mean, mean_in_tuple).reconstructed,
-                         known[j])
+        assert same_bits(atk.known_matrix(s[j:j + 1], q, mean, mean_in_tuple)[0], known[j])
         assert same_bits(known[j], expected)
         assert same_bits(atk.attack_linear(t, lm).reconstructed, linear[j])
         assert same_bits(linear[j], lm @ s[j])
-        assert same_bits(atk.attack_identity(t).reconstructed, s[j])
+        assert same_bits(atk.identity(s[j:j + 1], n)[0], ident[j])
         assert same_bits(ident[j], zero_pad(s[j], n))
 
 
