@@ -4,19 +4,17 @@ The attacker sees sanitized tuples and knows which mechanism produced
 them, including the entry distribution of the projection matrices, but
 never the per-tuple matrix itself.  Reconstruction is matrix based:
 
-* ``random_inverse``: pseudo-inverse of one fresh family draw per tuple;
+* ``random_inverse``: pseudo-inverse of one fresh draw from the entry
+  distribution per tuple;
 * ``expected_inverse_map`` / ``linear``: Monte-Carlo estimate of the
   expected pseudo-inverse, one fixed map applied to every tuple;
 * ``known_matrix``: white-box baseline for mechanisms whose matrix is
-  fixed and public, optionally re-adding a known mean;
-* ``naive_multiply``: left-multiplication by a raw family draw, kept as
-  an ablation of the pseudo-inverse step;
-* ``identity``: neutral reconstruction for dimension-preserving mechanisms.
+  fixed and public, optionally re-adding a known mean.
 
 Each attack is one function from a (tuples x m) array of sanitized rows
 to (tuples x n) reconstructions; attacks that draw take one stream per
 row.  The per-tuple ``attack_random_inverse`` and ``attack_linear`` make
-one-row calls; the other attacks are array-only.
+one-row calls; ``known_matrix`` is array-only.
 
 ``random_inverse`` runs on the calling thread, in chunks of
 ``ATTACK_CHUNK`` rows.  Row j's matrix comes only from its own stream,
@@ -31,14 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, SingularSample
-from .linalg import as_vector, full_rank, matvec_rows, zero_pad
+from .linalg import as_vector, full_rank, matvec_rows
 from .rng import Rng
-from .sanitize import (
-    EntryDistribution,
-    SanitizedTuple,
-    sample_bounded_matrix,
-    sample_orthonormal_matrix,
-)
+from .sanitize import EntryDistribution, SanitizedTuple, sample_bounded_matrix
 
 ATTACK_RETRIES = 8
 ATTACK_CHUNK = 24    # rows per stacked QR solve; bounds the draws held at once
@@ -55,8 +48,6 @@ class ReconstructionResult:
 
 
 def _family_sample(n: int, m: int, distribution: EntryDistribution, rng: Rng) -> np.ndarray:
-    if distribution is EntryDistribution.GAUSSIAN_QR:
-        return sample_orthonormal_matrix(n, m, rng)
     return sample_bounded_matrix(n, m, distribution, rng)
 
 
@@ -77,8 +68,8 @@ def _qr_reconstruct(b: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 def random_inverse(s: np.ndarray, n: int, distribution: EntryDistribution,
                    streams: list[Rng]) -> np.ndarray:
-    """Reconstruct row j with the pseudo-inverse of a family draw from
-    ``streams[j].child(0)``; a draw with a singular Gram matrix is
+    """Reconstruct row j with the pseudo-inverse of a ``distribution``
+    draw from ``streams[j].child(0)``; a draw with a singular Gram matrix is
     replaced from ``child(1)``, ``child(2)``, ... (bounded retries)."""
     m = s.shape[1]
     if m > n:
@@ -112,28 +103,9 @@ def known_matrix(s: np.ndarray, matrix: np.ndarray, mean: np.ndarray | None = No
     return recon if mean is None else recon + mean
 
 
-def naive_multiply(s: np.ndarray, n: int, distribution: EntryDistribution,
-                   streams: list[Rng]) -> np.ndarray:
-    """Left-multiply row j by a raw family draw from ``streams[j]``'s
-    address, holding one chunk of draws at a time.  Each draw comes from
-    a fresh stream at that address, so the caller's streams build no
-    generator."""
-    out = np.empty((len(streams), n))
-    for lo in range(0, len(streams), ATTACK_CHUNK):
-        rows = slice(lo, lo + ATTACK_CHUNK)
-        fresh = [Rng(r.seed, r.path) for r in streams[rows]]
-        out[rows] = matvec_rows(_draws(n, s.shape[1], distribution, fresh), s[rows])
-    return out
-
-
-def identity(s: np.ndarray, n: int) -> np.ndarray:
-    """Each sanitized row, zero-padded to length n."""
-    return zero_pad(s, n).copy()
-
-
 def expected_inverse_map(n: int, m: int, distribution: EntryDistribution,
                          samples: int, rng: Rng) -> np.ndarray:
-    """Monte-Carlo estimate of E[(B^T)^+] over the known family, from
+    """Monte-Carlo estimate of E[(B^T)^+] over ``distribution``, from
     the draws of ``rng.child(0)`` ... ``rng.child(samples - 1)``: the
     n x m map of the expectation-based linear reconstruction, estimated
     once per repetition and applied to every tuple."""
@@ -157,7 +129,7 @@ def linear(s: np.ndarray, linear_map: np.ndarray) -> np.ndarray:
 
 def attack_random_inverse(t: SanitizedTuple, n: int, distribution: EntryDistribution,
                           rng: Rng) -> ReconstructionResult:
-    """Reconstruct with the pseudo-inverse of a fresh family draw."""
+    """Reconstruct with the pseudo-inverse of a fresh ``distribution`` draw."""
     recon = random_inverse(t.values[None], n, distribution, [rng])
     return ReconstructionResult(recon[0], t.agent_id, "random-inverse")
 

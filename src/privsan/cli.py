@@ -5,10 +5,11 @@ grid), ``verify`` (distance-preservation and dimension-equivalence
 checks), ``timing`` (per-tuple cost model), ``ingest`` (CSV loading and
 summary).  Exit codes: 0 success, 2 configuration error (reported
 before any work starts; this includes a ``--config``, ``--schema`` or
-``--data`` path that cannot be read and an ``--out`` directory that
-cannot be created), 3 runtime error (an allocation numpy refuses
-included), 4 ``verify`` found a violation; diagnostics go to standard
-error.
+``--data`` path that cannot be read, an ``--out`` directory that
+cannot be created and a ``verify`` or ``timing`` run estimated to
+exceed physical memory), 3 runtime error (an allocation numpy refuses
+and a result file that cannot be written included), 4 ``verify`` found
+a violation; diagnostics go to standard error.
 
 Configuration is a flat JSON object whose keys mirror
 :class:`privsan.simulate.ExperimentConfig`.  Precedence, highest first:
@@ -36,7 +37,7 @@ import numpy as np
 from . import __version__
 from . import dataio, timing, verify
 from .bounds import check_gamma
-from .errors import ConfigInvalid, GammaOutOfRange, PrivsanError, SchemaMismatch
+from .errors import ConfigInvalid, GammaOutOfRange, OutputUnwritable, PrivsanError, SchemaMismatch
 from .simulate import (
     MECHANISMS,
     SWEEP_AGENT_GRID,
@@ -124,6 +125,15 @@ def _open_out(path: str) -> tuple[Path, str]:
     return out, datetime.now(timezone.utc).isoformat()
 
 
+def _check_memory(need: int, what: str) -> None:
+    """Refuse, as a configuration error, a run whose estimated peak of
+    ``need`` bytes exceeds physical memory."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > memory:
+        raise ConfigInvalid(f"{what} needs about {need / 1e9:.3g} GB, more than the "
+                            f"{memory / 1e9:.3g} GB of physical memory")
+
+
 def _environment() -> dict:
     """What the numbers were computed with; kept in the manifest only."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -139,7 +149,8 @@ def _write_outputs(out: Path, started: str, digest: str, files: dict[str, object
     """Write each result file, then ``manifest.json`` listing them.  A
     list of rows becomes a CSV with the first row's keys, in order, as
     the header and floats at 17 significant digits, which round-trips
-    float64; anything else becomes JSON, with non-finite floats as null."""
+    float64; anything else becomes JSON, with non-finite floats as null.
+    A file that cannot be written raises OutputUnwritable, naming it."""
     manifest = {
         "config_digest": digest,
         "started_utc": started,
@@ -149,16 +160,19 @@ def _write_outputs(out: Path, started: str, digest: str, files: dict[str, object
         "environment": _environment(),
     }
     for name, content in [*files.items(), ("manifest.json", manifest)]:
-        with (out / name).open("w", encoding="utf-8", newline="") as fh:
-            if isinstance(content, list):
-                header = list(content[0])
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(header)
-                writer.writerows([f"{row[k]:.17g}" if isinstance(row[k], float)
-                                  else str(row[k]) for k in header] for row in content)
-            else:
-                fh.write(json.dumps(_finite_or_null(content), indent=2, sort_keys=True,
-                                    allow_nan=False) + "\n")
+        try:
+            with (out / name).open("w", encoding="utf-8", newline="") as fh:
+                if isinstance(content, list):
+                    header = list(content[0])
+                    writer = csv.writer(fh, lineterminator="\n")
+                    writer.writerow(header)
+                    writer.writerows([f"{row[k]:.17g}" if isinstance(row[k], float)
+                                      else str(row[k]) for k in header] for row in content)
+                else:
+                    fh.write(json.dumps(_finite_or_null(content), indent=2, sort_keys=True,
+                                        allow_nan=False) + "\n")
+        except OSError as exc:
+            raise OutputUnwritable(f"cannot write {out / name}: {exc.strerror or exc}") from None
 
 
 def _finite_or_null(value):
@@ -205,11 +219,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     check_gamma(args.gamma)
     if args.points < 2 or args.trials < 1 or args.seed < 0:
         raise ConfigInvalid("need --points >= 2, --trials >= 1 and --seed >= 0")
-    need = verify.trial_peak_bytes(args.gamma, args.points)
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > memory:
-        raise ConfigInvalid(f"one trial needs about {need / 1e9:.3g} GB, more than the "
-                            f"{memory / 1e9:.3g} GB of physical memory")
+    _check_memory(verify.trial_peak_bytes(args.gamma, args.points), "one trial")
     out, started = _open_out(args.out)
     trials = verify.preservation_trials(args.gamma, args.points, args.trials, args.seed)
     table = verify.equivalence_table((2, 10, 100, 1000, 10_000, 100_000),
@@ -239,6 +249,7 @@ def cmd_timing(args: argparse.Namespace) -> int:
     if len(set(n_grid)) < 2 or not (1 <= args.target_dim <= min(n_grid)) or args.seed < 0:
         raise ConfigInvalid("need two or more distinct input dims, each >= --target-dim >= 1, "
                             "and --seed >= 0")
+    _check_memory(timing.measure_peak_bytes(n_grid, args.target_dim), "the timing run")
     out, started = _open_out(args.out)
     rows = timing.measure(n_grid, m=args.target_dim, master_seed=args.seed)
     slope_rows = []

@@ -65,6 +65,10 @@ class SchemaMismatch(PrivsanError):
     pass
 
 
+class OutputUnwritable(PrivsanError):
+    """A result file could not be written after the work was done."""
+
+
 class ParseError(PrivsanError):
     def __init__(self, row: int, column: str, message: str = ""):
         self.row = row

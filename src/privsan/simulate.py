@@ -6,6 +6,8 @@ One experiment repetition models one sensing round: every agent draws
 its observations through a linear observation model, sanitizes them with
 the configured mechanism, the fusion-center adversary reconstructs them,
 and the reconstruction metrics are evaluated over the round's tuples.
+The adversary knows the mechanism and its entry distribution but not a
+matrix drawn per tuple; ``MECHANISMS`` names each mechanism's attack.
 Reported metrics are means over the configured repetitions.  Every
 random draw descends from ``master_seed`` through per-repetition,
 per-stage child streams, so a config determines its result bit for bit,
@@ -18,9 +20,9 @@ then agent counts, then mechanisms, and holds one round at a time.  The
 mechanisms at one (repetition, agent count) share that round: its data,
 its fusion gram and the actual cloud's kNN sets.  The expected-inverse
 map draws from a stream that does not depend on the agent count, so one
-map per repetition and matrix family serves every round of the
-repetition.  A shared value is the one each mechanism would compute on
-its own, so sharing leaves every result unchanged.
+map per repetition serves every round of the repetition.  A shared
+value is the one each mechanism would compute on its own, so sharing
+leaves every result unchanged.
 """
 
 from __future__ import annotations
@@ -42,13 +44,12 @@ from .rng import Rng
 @dataclass(frozen=True)
 class Mechanism:
     """One sanitizer's entry in the mechanism table: the attack ``auto``
-    picks (``known-matrix`` only where the matrix is fixed and public),
-    the matrix family the drawing attacks sample (None: the config's
-    entry distribution), and the entry distributions under which raw and
-    sanitized tuples share a quadrant, so utility is clipped to [0, 1]."""
+    picks (``expected-inverse`` where the matrix is drawn per tuple,
+    ``known-matrix`` where it is fixed and public, ``identity`` where
+    the dimension is kept), and the entry distributions under which raw
+    and sanitized tuples share a quadrant, so utility is clipped to [0, 1]."""
 
     adversary: str
-    family: san.EntryDistribution | None = None
     same_quadrant: frozenset = frozenset()
 
 
@@ -56,15 +57,14 @@ _NONNEGATIVE = frozenset({san.EntryDistribution.UNIT_UNIFORM})
 MECHANISMS = {
     "nrp": Mechanism("expected-inverse", same_quadrant=_NONNEGATIVE),
     "nrp-unbounded": Mechanism("expected-inverse", same_quadrant=_NONNEGATIVE),
-    "brp": Mechanism("known-matrix", family=san.EntryDistribution.GAUSSIAN_QR),
-    "pca": Mechanism("known-matrix", family=san.EntryDistribution.GAUSSIAN_QR),
+    "brp": Mechanism("known-matrix"),
+    "pca": Mechanism("known-matrix"),
     "asup": Mechanism("identity"),
     "identity": Mechanism("identity", same_quadrant=frozenset(san.EntryDistribution)),
 }
-ADVERSARIES = ("auto", "random-inverse", "expected-inverse", "known-matrix",
-               "naive-inverse", "identity")
-# Entry distributions a config may name: the ones the projections draw.
-DISTRIBUTIONS = tuple(d.value for d in san.BOUNDED_DISTRIBUTIONS)
+# ``auto`` is the mechanism's own attack; ``random-inverse`` ablates ``expected-inverse``.
+ADVERSARIES = ("auto", "random-inverse")
+DISTRIBUTIONS = tuple(d.value for d in san.EntryDistribution)
 # Largest magnitude of a float setting.  Squared norms in the synthetic
 # round overflow float64 near 1e150, and the certificate's (t / alpha)**2
 # sooner when an agent's largest tuple is short.
@@ -128,9 +128,10 @@ class ExperimentConfig:
         for name in ("master_seed", "noise_sigma", "shift_margin", "asup_noise_cell_multiple"):
             require(getattr(self, name) >= 0, f"{name} must be nonnegative")
         require(self.sanitizer in MECHANISMS, f"unknown sanitizer {self.sanitizer!r}")
-        require(self.adversary in ADVERSARIES, f"unknown adversary {self.adversary!r}")
-        require(self.adversary != "known-matrix" or self.mechanism.adversary == "known-matrix",
-                f"known-matrix attack needs a fixed-matrix mechanism, not {self.sanitizer!r}")
+        require(self.adversary in ADVERSARIES, f"adversary must be one of "
+                f"{', '.join(ADVERSARIES)}, not {self.adversary!r}")
+        require(self.adversary == "auto" or self.mechanism.adversary == "expected-inverse",
+                f"random-inverse attack needs nrp or nrp-unbounded, not {self.sanitizer!r}")
         require(self.entry_distribution in DISTRIBUTIONS,
                 f"entry_distribution must be one of {', '.join(DISTRIBUTIONS)}")
         # With one coordinate only shift_margin * std keeps the smallest
@@ -362,27 +363,27 @@ def _sanitize_round(cfg: ExperimentConfig, data: SyntheticDataset,
 
 def _attack_round(cfg: ExperimentConfig, sanitized: np.ndarray,
                   ctx: _RoundContext, rng: Rng, maps: dict | None = None) -> np.ndarray:
-    """Reconstruct every sanitized tuple; returns a (tuples x n) array.
-    ``maps`` holds the repetition's expected-inverse maps by (family,
+    """Reconstruct every sanitized tuple; returns a (tuples x n) array,
+    for a dimension-preserving mechanism ``sanitized`` itself.  ``maps``
+    holds the repetition's expected-inverse maps by (entry distribution,
     sanitized dim); a missing map is estimated and added."""
     n, m = cfg.input_dim, sanitized.shape[1]
-    mech = cfg.mechanism
-    adv = mech.adversary if cfg.adversary == "auto" else cfg.adversary
-    family = mech.family or cfg.distribution
+    adv = cfg.mechanism.adversary if cfg.adversary == "auto" else cfg.adversary
+    dist = cfg.distribution
     if adv == "expected-inverse":
         maps = {} if maps is None else maps
-        if (family, m) not in maps:
-            maps[family, m] = atk.expected_inverse_map(n, m, family, cfg.inverse_samples,
-                                                       rng.child(0))
-        return atk.linear(sanitized, maps[family, m])
-    if adv in ("random-inverse", "naive-inverse"):
-        attack = atk.random_inverse if adv == "random-inverse" else atk.naive_multiply
-        return attack(sanitized, n, family, [rng.child(j) for j in range(len(sanitized))])
+        if (dist, m) not in maps:
+            maps[dist, m] = atk.expected_inverse_map(n, m, dist, cfg.inverse_samples,
+                                                     rng.child(0))
+        return atk.linear(sanitized, maps[dist, m])
+    if adv == "random-inverse":
+        streams = [rng.child(j) for j in range(len(sanitized))]
+        return atk.random_inverse(sanitized, n, dist, streams)
     if adv == "known-matrix":
         # brp projects raw tuples; pca projects tuples centered on the mean.
         return atk.known_matrix(sanitized, ctx.fixed_matrix, ctx.mean,
                                 mean_in_tuple=cfg.sanitizer == "brp")
-    return atk.identity(sanitized, n)
+    return sanitized
 
 
 def _robustness_gap(cfg: ExperimentConfig, data: SyntheticDataset,
@@ -492,8 +493,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
 def sweep_configs(cfg: ExperimentConfig, agent_grid, mechanisms) -> list[ExperimentConfig]:
     """The config of every (mechanism, agent count) grid point, mechanism
-    major; building them validates each one."""
-    return [replace(cfg, sanitizer=mech, agent_count=nagents, adversary="auto")
+    major; building them validates each one.  Each point runs its
+    mechanism's own attack, so ``cfg``'s adversary must be ``auto``."""
+    if cfg.adversary != "auto":
+        raise ConfigInvalid(f"sweep runs each mechanism's own attack; adversary must be "
+                            f"'auto', not {cfg.adversary!r}")
+    return [replace(cfg, sanitizer=mech, agent_count=nagents)
             for mech in mechanisms for nagents in agent_grid]
 
 

@@ -77,6 +77,15 @@ def measure(n_grid, m: int = 20, master_seed: int = 0) -> list[TimingRow]:
             for (mech, phase, n, per_call, _), seconds in zip(cases, best)]
 
 
+def measure_peak_bytes(n_grid, m: int = 20) -> int:
+    """Upper estimate of the bytes :func:`measure` holds at once: five
+    ``ASUP_BATCH`` x n x n stacks at the largest n (asup's draw, its QR
+    and its rotations), two projection draws of ``BATCH_ENTRIES``
+    entries, and the tuples and bounds of every grid point."""
+    return 8 * (5 * ASUP_BATCH * max(n_grid) ** 2 + 2 * BATCH_ENTRIES
+                + 2 * len(n_grid) * BATCH_ENTRIES // m)
+
+
 def loglog_slope(rows: list[TimingRow], mechanism: str, phase: str = "sanitize") -> float:
     """Least-squares slope of log(seconds) against log(input_dim)."""
     pts = [(r.input_dim, r.seconds_per_tuple) for r in rows

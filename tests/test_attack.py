@@ -12,9 +12,7 @@ from privsan.attack import (
     attack_linear,
     attack_random_inverse,
     expected_inverse_map,
-    identity,
     known_matrix,
-    naive_multiply,
     random_inverse,
 )
 from privsan.errors import DimensionMismatch, SingularSample
@@ -244,44 +242,6 @@ class TestRandomInverseChunks:
         assert max(extra) < 5 * chunk_bytes, extra
 
 
-class TestNaiveMultiply:
-    UNIT = EntryDistribution.UNIT_UNIFORM
-
-    def test_chunked_rows_equal_one_row_calls(self):
-        rows, n, m = 2 * ATTACK_CHUNK + 3, 6, 2
-        s = Rng(49).standard_normal((rows, m))
-        out = naive_multiply(s, n, self.UNIT, [Rng(50).child(j) for j in range(rows)])
-        for j in range(rows):
-            one = naive_multiply(s[j:j + 1], n, self.UNIT, [Rng(50).child(j)])[0]
-            assert out[j].tobytes() == one.tobytes(), j
-
-    def test_caller_streams_build_no_generator(self):
-        rows = 2 * ATTACK_CHUNK + 3
-        streams = [Rng(55).child(j) for j in range(rows)]
-        naive_multiply(Rng(56).standard_normal((rows, 2)), 6, self.UNIT, streams)
-        assert [j for j, r in enumerate(streams) if "generator" in vars(r)] == []
-
-    def test_memory_holds_one_chunk_of_draws(self):
-        # Beyond the (rows x n) result, the peak is a few chunks of n x m
-        # draws at any row count.  The streams' generators belong to the
-        # caller and are built before measuring.
-        n, m = 50, 20
-        chunk_bytes = ATTACK_CHUNK * n * m * 8
-        extra = []
-        for rows in (4 * ATTACK_CHUNK, 32 * ATTACK_CHUNK):
-            s = Rng(51).standard_normal((rows, m))
-            streams = [Rng(52).child(j) for j in range(rows)]
-            for r in streams:
-                r.generator
-            tracemalloc.start()
-            try:
-                naive_multiply(s, n, self.UNIT, streams)
-                extra.append(tracemalloc.get_traced_memory()[1] - rows * n * 8)
-            finally:
-                tracemalloc.stop()
-        assert max(extra) < 3 * chunk_bytes, extra
-
-
 class TestKnownMatrix:
     def test_orthonormal_square_exact(self):
         q = sample_orthonormal_matrix(4, 4, Rng(7))
@@ -320,16 +280,6 @@ class TestKnownMatrix:
 
 
 class TestOtherAttacks:
-    def test_naive_multiply_shape(self):
-        out = naive_multiply(np.array([[1.0, 2.0]]), 5,
-                             EntryDistribution.UNIT_UNIFORM, [Rng(13)])
-        assert out.shape == (1, 5)
-
-    def test_identity_zero_pads(self):
-        s = np.array([[1.0, 2.0]])
-        assert np.array_equal(identity(s, 2), s)
-        assert np.array_equal(identity(s, 4), [[1.0, 2.0, 0.0, 0.0]])
-
     def test_expected_inverse_converges_to_mc_mean(self):
         lm = expected_inverse_map(6, 2, EntryDistribution.UNIT_UNIFORM, 16, Rng(14))
         acc = np.zeros((6, 2))

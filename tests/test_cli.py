@@ -215,6 +215,17 @@ class TestRunCommand:
         cfg = write_cfg(tmp_path)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
 
+    def test_unwritable_result_file_exits_3(self, tmp_path, capsys):
+        # The result files are written after the work is done, so a file
+        # that cannot be written is a runtime error and names the file.
+        out = tmp_path / "out"
+        (out / "report.csv").mkdir(parents=True)
+        cfg = write_cfg(tmp_path, {"repetitions": 1})
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"runtime error: cannot write {out / 'report.csv'}: "), err
+        assert "Traceback" not in err
+
     def test_metric_flags_reach_config(self, tmp_path):
         cfg = write_cfg(tmp_path, {"radius_fraction": 0.5, "k_neighbors": 4})
         out = tmp_path / "out"
@@ -269,6 +280,16 @@ class TestSweepCommand:
             assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]
                         + extra) == 2
         assert ran == []
+        assert not (tmp_path / "s").exists()
+
+    def test_adversary_other_than_auto_exits_2(self, tmp_path, monkeypatch, capsys):
+        # Every grid point runs its mechanism's own attack, so an adversary
+        # the sweep would ignore is refused before --out is created.
+        monkeypatch.setenv("PRIVSAN_ADVERSARY", "random-inverse")
+        cfg = write_cfg(tmp_path)
+        assert main(["sweep", "--config", str(cfg), "--agents", "12", "--mechanisms", "nrp",
+                     "--out", str(tmp_path / "s")]) == 2
+        assert "adversary must be 'auto'" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
 
@@ -352,6 +373,70 @@ class TestTimingCommand:
             assert main(["timing", "--n-grid", grid, "--out", str(tmp_path / "t")]) == 2
         assert main(["timing", "--seed", "-1", "--out", str(tmp_path / "t")]) == 2
         assert not (tmp_path / "t").exists()
+
+    def test_run_too_large_for_memory_exits_2(self, tmp_path, monkeypatch, capsys):
+        # At n = 100,000 asup's draw of eight n x n matrices alone is 640 GB.
+        def fail(*args, **kwargs):
+            raise AssertionError("measure ran")
+
+        monkeypatch.setattr(cli.timing, "measure", fail)
+        out = tmp_path / "t"
+        tracemalloc.start()
+        try:
+            code = main(["timing", "--n-grid", "128,100000", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "physical memory" in capsys.readouterr().err
+        assert not out.exists()
+        assert peak < 1 << 20, peak
+
+    @pytest.mark.parametrize("grid", [[128, 256], [128, 512]])
+    def test_peak_estimate_bounds_the_run(self, grid):
+        tracemalloc.start()
+        try:
+            cli.timing.measure(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cli.timing.measure_peak_bytes(grid) <= 3 * peak
+
+
+class TestAdversaryMatrix:
+    """The attack follows the threat model: ``auto`` runs each mechanism's
+    own attack, and ``random-inverse`` runs only on the mechanisms that
+    draw a secret matrix per tuple.  Every other pair is refused."""
+
+    SANITIZERS = ("nrp", "nrp-unbounded", "brp", "pca", "asup", "identity")
+    ACCEPTED = [(mech, "auto") for mech in SANITIZERS] + [
+        ("nrp", "random-inverse"), ("nrp-unbounded", "random-inverse")]
+    REMOVED = ("expected-inverse", "known-matrix", "naive-inverse", "identity")
+
+    def test_accepted_pairs_run(self, tmp_path):
+        assert ADVERSARIES == ("auto", "random-inverse")
+        assert sorted(MECHANISMS) == sorted(self.SANITIZERS)
+        for mech, adv in self.ACCEPTED:
+            cfg = write_cfg(tmp_path, {"sanitizer": mech, "adversary": adv, "repetitions": 1})
+            out = tmp_path / f"{mech}-{adv}"
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0, (mech, adv)
+            report = json.loads((out / "report.json").read_text())["report"]
+            assert 0.0 <= report["breach_count"] <= 1.0, (mech, adv)
+
+    def test_every_other_pair_exits_2_before_out(self, tmp_path, capsys):
+        refused = [(mech, adv) for mech in self.SANITIZERS
+                   for adv in ("auto", "random-inverse") + self.REMOVED
+                   if (mech, adv) not in self.ACCEPTED]
+        assert len(refused) == 4 + 6 * len(self.REMOVED)
+        out = tmp_path / "out"
+        for mech, adv in refused:
+            cfg = write_cfg(tmp_path, {"sanitizer": mech, "adversary": adv})
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2, (mech, adv)
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error:"), (mech, adv, err)
+            if adv in self.REMOVED:
+                assert "adversary must be one of auto, random-inverse" in err, err
+            assert not out.exists(), (mech, adv)
 
 
 class TestIngestCommand:

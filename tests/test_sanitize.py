@@ -14,7 +14,6 @@ from privsan.linalg import cosine, frobenius_norm
 from privsan.metrics import distance_preservation_fraction, zero_pad
 from privsan.rng import Rng
 from privsan.sanitize import (
-    BOUNDED_DISTRIBUTIONS,
     DataTuple,
     SAMPLE_RETRIES,
     EntryDistribution,
@@ -324,7 +323,7 @@ class TestPreservationPaths:
         assert np.mean(ratio) == pytest.approx(1.0, abs=0.15)
 
     @settings(max_examples=40, deadline=None, database=None)
-    @given(st.sampled_from(BOUNDED_DISTRIBUTIONS), st.integers(1, 30), st.integers(1, 30),
+    @given(st.sampled_from(EntryDistribution), st.integers(1, 30), st.integers(1, 30),
            st.integers(0, 2**32 - 1))
     def test_bounded_check_is_variance_normalized(self, distribution, n, m, seed):
         # Projecting the identity returns the matrix.  Its entries are the
