@@ -121,12 +121,21 @@ def _sign_fixed_qr(a) -> tuple[np.ndarray, np.ndarray]:
     which makes the factor unique and, for Gaussian input, uniformly
     distributed over frames; plus a mask of the full-rank matrices."""
     q, r = np.linalg.qr(a)
-    diag = np.diagonal(r, axis1=1, axis2=2)
+    signs, full = r_diagonal_signs(r)
+    q *= signs[..., None, :]    # in place: a second stack would raise asup's peak memory
+    return q, full
+
+
+def r_diagonal_signs(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For the R factor of a QR, or each of a stack: the signs that make
+    diag(R) nonnegative (+1 for a zero), and whether R is numerically
+    full rank (its smallest diagonal magnitude above 1e-12 times its
+    largest)."""
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
     mag = np.abs(diag)
     signs = np.sign(diag)
     signs[signs == 0] = 1.0
-    q *= signs[:, None, :]    # in place: a second stack would raise asup's peak memory
-    return q, mag.min(axis=1) > 1e-12 * np.maximum(mag.max(axis=1), 1e-300)
+    return signs, mag.min(axis=-1) > 1e-12 * np.maximum(mag.max(axis=-1), 1e-300)
 
 
 def full_rank(a: np.ndarray) -> np.ndarray:

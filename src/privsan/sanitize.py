@@ -18,11 +18,6 @@ The runner calls these functions; the baselines are array-only, and the
 per-tuple ``sanitize_nrp`` and ``sanitize_identity`` make one-row calls.
 Projection matrices are plain n x m arrays; only :func:`bounded_projection`
 wraps its draw in a :class:`ProjectionMatrix` with the certificate it meets.
-
-Production projections and the distance-preservation verification
-helpers at the bottom are deliberately separate code paths: the former
-rescale to the certificate bound, the latter use the variance-normalized
-convention that the preservation guarantees assume.
 """
 
 from __future__ import annotations
@@ -53,14 +48,6 @@ SAMPLE_RETRIES = 8
 class EntryDistribution(str, Enum):
     UNIT_UNIFORM = "unit-uniform"        # iid entries on [0, 1)
     SYMMETRIC_UNIFORM = "symmetric-uniform"  # iid entries on (-1, 1)
-
-
-# (mean, standard deviation) of one entry, used by the variance-normalized
-# verification path.
-_ENTRY_MOMENTS = {
-    EntryDistribution.UNIT_UNIFORM: (0.5, (1.0 / 12.0) ** 0.5),
-    EntryDistribution.SYMMETRIC_UNIFORM: (0.0, (1.0 / 3.0) ** 0.5),
-}
 
 
 @dataclass(frozen=True)
@@ -122,7 +109,7 @@ class ReplayLog:
             "agent_id": agent_id,
             "seed": rng.seed,
             "path": list(rng.path),
-            "distribution": distribution.value,
+            "distribution": EntryDistribution(distribution).value,
             "frobenius_bound": bound,
             "matrix_digest": matrix_digest(matrix),
         }
@@ -140,7 +127,9 @@ def sample_bounded_matrices(count: int, n: int, m: int, distribution: EntryDistr
     """``count`` n x m matrices with iid entries from a bounded
     distribution, in one draw from ``rng``; all-zero matrices are
     redrawn (bounded retries).  With ``betas`` matrix i is rescaled so
-    its Frobenius norm equals ``betas[i]``."""
+    its Frobenius norm equals ``betas[i]``.  ``distribution`` may be an
+    :class:`EntryDistribution` or its string value."""
+    distribution = EntryDistribution(distribution)
     low = 0.0 if distribution is EntryDistribution.UNIT_UNIFORM else -1.0
     a = rng.uniform(low, 1.0, (count, n, m))
     zero = np.flatnonzero(~a.any(axis=(1, 2)))
@@ -205,16 +194,26 @@ def pca(y: np.ndarray, components: np.ndarray, mean: np.ndarray) -> np.ndarray:
 def asup(y: np.ndarray, noise_scale: float, private_indices, rng: Rng) -> np.ndarray:
     """Gaussian noise on the private coordinates of every row, rotated by
     a fresh random unitary per row.  All rows' noise is drawn from
-    ``rng`` first, then all rotations."""
+    ``rng`` first, then all rotations.
+
+    The noise is zero past k = max(private) + 1, so the rotation Q z
+    reads only Q's first k columns: the sign-fixed reduced QR of the
+    first k columns of each row's n x n Gaussian draw.  The full draw is
+    still made, so the stream is that of forming all of Q."""
     if noise_scale < 0:
         raise ValueError("noise_scale must be nonnegative")
+    rows, n = y.shape
     idx = sorted(private_indices)
+    if idx and not (0 <= idx[0] and idx[-1] < n):
+        raise ValueError(f"private indices must lie in [0, {n}), got {idx}")
     if noise_scale == 0.0 or not idx:
         return y.copy()
-    rows, n = y.shape
-    z = np.zeros((rows, n))
+    k = idx[-1] + 1
+    z = np.zeros((rows, k))
     z[:, idx] = noise_scale * rng.standard_normal((rows, len(idx)))
-    return y + matvec_rows(orthonormalize(rng.standard_normal((rows, n, n)), rng), z)
+    # The copy lets the n x n draw go before the QR runs.
+    g = np.ascontiguousarray(rng.standard_normal((rows, n, n))[:, :, :k])
+    return y + matvec_rows(orthonormalize(g, rng), z)
 
 
 def identity(y: np.ndarray) -> np.ndarray:
@@ -264,29 +263,3 @@ def sanitize_identity(t: DataTuple) -> SanitizedTuple:
     """Debug mechanism: no sanitization at all."""
     return SanitizedTuple(identity(t.values[None])[0], t.agent_id, "identity")
 
-
-# ---------------------------------------------------------------------------
-# Distance-preservation verification path (variance-normalized projections).
-
-
-def subspace_projection_for_check(points: np.ndarray, m: int, rng: Rng) -> np.ndarray:
-    """Project rows of ``points`` onto a uniformly random m-dimensional
-    subspace, scaled by sqrt(n/m) so squared lengths are preserved in
-    expectation."""
-    x = as_matrix(points)
-    n = x.shape[1]
-    return (x @ sample_orthonormal_matrix(n, m, rng)) * np.sqrt(n / m)
-
-
-def bounded_projection_for_check(points: np.ndarray, m: int, rng: Rng,
-                                 distribution: EntryDistribution = EntryDistribution.UNIT_UNIFORM,
-                                 ) -> np.ndarray:
-    """Project rows of ``points`` with a bounded-entry matrix brought to
-    the standard variance convention: entries centered, unit variance,
-    projection scaled by 1/sqrt(m)."""
-    x = as_matrix(points)
-    n = x.shape[1]
-    mu, sigma = _ENTRY_MOMENTS[distribution]
-    a = sample_bounded_matrix(n, m, distribution, rng)
-    a = (a - mu) / (sigma * np.sqrt(m))
-    return x @ a

@@ -28,7 +28,7 @@ TIMING_REPEATS = 15
 # shrinks as n grows, so every grid point draws the same 8 MB, more than
 # a core's cache, and sees the same cache and allocator behaviour.
 BATCH_ENTRIES = 1_000_000
-ASUP_BATCH = 8       # asup orthonormalizes one n x n matrix per tuple
+ASUP_BATCH = 8       # asup draws one n x n matrix per tuple
 ASUP_PRIVATE = 12    # private coordinates asup rotates, as in the default config
 
 
@@ -78,11 +78,13 @@ def measure(n_grid, m: int = 20, master_seed: int = 0) -> list[TimingRow]:
 
 
 def measure_peak_bytes(n_grid, m: int = 20) -> int:
-    """Upper estimate of the bytes :func:`measure` holds at once: five
-    ``ASUP_BATCH`` x n x n stacks at the largest n (asup's draw, its QR
-    and its rotations), two projection draws of ``BATCH_ENTRIES``
-    entries, and the tuples and bounds of every grid point."""
-    return 8 * (5 * ASUP_BATCH * max(n_grid) ** 2 + 2 * BATCH_ENTRIES
+    """Upper estimate of the bytes :func:`measure` holds at once: at the
+    largest n, asup's ``ASUP_BATCH`` x n x n draw and the n x k columns
+    it keeps of it (k = ``ASUP_PRIVATE``), two projection draws of
+    ``BATCH_ENTRIES`` entries, and the tuples and bounds of every grid
+    point."""
+    n = max(n_grid)
+    return 8 * (ASUP_BATCH * n * (n + min(ASUP_PRIVATE, n)) + 2 * BATCH_ENTRIES
                 + 2 * len(n_grid) * BATCH_ENTRIES // m)
 
 

@@ -1,6 +1,12 @@
 """Empirical checks of the distance-preservation guarantees and of the
 dimension-equivalence relation between orthonormal and bounded-entry
-projections."""
+projections.
+
+The projections here are not the production ones of
+:mod:`privsan.sanitize`, and are kept apart from them on purpose: those
+rescale to the certificate bound, these use the variance-normalized
+convention that the preservation guarantees assume.
+"""
 
 from __future__ import annotations
 
@@ -9,10 +15,51 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import jl_min_dimension, nrp_equivalent_dimension
-from .errors import NonPositiveResult
+from .errors import NonPositiveResult, RankDeficient
+from .linalg import RESAMPLE_RETRIES, as_matrix, r_diagonal_signs
 from .metrics import KNN_BLOCK, distance_preservation_fraction
 from .rng import Rng
-from .sanitize import bounded_projection_for_check, subspace_projection_for_check
+from .sanitize import EntryDistribution, sample_bounded_matrix
+
+# (mean, standard deviation) of one entry of each bounded distribution.
+_ENTRY_MOMENTS = {
+    EntryDistribution.UNIT_UNIFORM: (0.5, (1.0 / 12.0) ** 0.5),
+    EntryDistribution.SYMMETRIC_UNIFORM: (0.0, (1.0 / 3.0) ** 0.5),
+}
+
+
+def subspace_projection_for_check(points: np.ndarray, m: int, rng: Rng) -> np.ndarray:
+    """Project rows of ``points`` onto a uniformly random m-dimensional
+    subspace, scaled by sqrt(n/m) so squared lengths are preserved in
+    expectation.
+
+    The frame is Q D from the QR G = Q R of an n x m Gaussian draw, with
+    D the signs of diag(R), as :func:`~privsan.sanitize.sample_orthonormal_matrix`
+    draws it.  Q is never formed: x Q = x G R^-1, one product and one
+    m x m solve.  A rank-deficient draw is redrawn from ``rng``."""
+    x = as_matrix(points)
+    n = x.shape[1]
+    for _ in range(RESAMPLE_RETRIES + 1):
+        g = rng.standard_normal((n, m))
+        r = np.linalg.qr(g, mode="r")
+        signs, full = r_diagonal_signs(r)
+        if full:
+            return np.linalg.solve(r.T, (x @ g).T).T * (signs * np.sqrt(n / m))
+    raise RankDeficient(f"no full-rank sample after {RESAMPLE_RETRIES} retries")
+
+
+def bounded_projection_for_check(points: np.ndarray, m: int, rng: Rng,
+                                 distribution: EntryDistribution = EntryDistribution.UNIT_UNIFORM,
+                                 ) -> np.ndarray:
+    """Project rows of ``points`` with a bounded-entry matrix brought to
+    the standard variance convention: entries centered, unit variance,
+    projection scaled by 1/sqrt(m)."""
+    x = as_matrix(points)
+    n = x.shape[1]
+    mu, sigma = _ENTRY_MOMENTS[EntryDistribution(distribution)]
+    a = sample_bounded_matrix(n, m, distribution, rng)
+    a = (a - mu) / (sigma * np.sqrt(m))
+    return x @ a
 
 
 @dataclass(frozen=True)

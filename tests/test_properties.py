@@ -96,6 +96,15 @@ def test_fixed_matrix_mechanisms_rowwise(shape):
         assert same_bits(san.sanitize_identity(tup(y[j])).values, ident[j])
 
 
+def asup_draws(stream, rows, n, private, scale):
+    """The draws ``asup`` takes from ``stream``, in its order: every
+    row's noise on the private coordinates in ascending order, then
+    every row's n x n Gaussian rotation draw."""
+    z = np.zeros((rows, n))
+    z[:, sorted(private)] = scale * stream.standard_normal((rows, len(private)))
+    return z, stream.standard_normal((rows, n, n))
+
+
 @PROPERTY
 @given(shapes(), st.floats(0.01, 1.0), st.integers(0, 12))
 def test_asup_rowwise(shape, scale, private_count):
@@ -104,27 +113,49 @@ def test_asup_rowwise(shape, scale, private_count):
     y = Rng(seed).child(0).uniform(0.0, 1.0, (rows, n))
     fresh = Rng(seed).child   # each use below starts the same stream afresh
 
-    # One row: noise first, then the rotation, both from one stream.
-    one = san.asup(y[:1], scale, private, fresh(1))[0]
-    stream = fresh(1)
-    expected = y[0].copy()
-    if private:
-        z = np.zeros(n)
-        z[list(private)] = scale * stream.standard_normal(len(private))
-        expected = y[0] + orthonormalize(stream.standard_normal((n, n)), stream) @ z
-    assert same_bits(one, expected)
-
-    # Batched: all rows' noise first, then all rotations.
     batch = san.asup(y, scale, private, fresh(1))
     if not private:
         assert same_bits(batch, y)
         return
-    stream = fresh(1)
-    z = np.zeros((rows, n))
-    z[:, list(private)] = scale * stream.standard_normal((rows, len(private)))
-    g = stream.standard_normal((rows, n, n))
+    # Row j is y[j] + Q_k z[j][:k], where Q_k is the one-matrix reduced
+    # QR of the first k = max(private) + 1 columns of row j's draw.
+    k = max(private) + 1
+    z, g = asup_draws(fresh(1), rows, n, private, scale)
     for j in range(rows):
-        assert same_bits(batch[j], y[j] + orthonormalize(g[j]) @ z[j])
+        assert same_bits(batch[j], y[j] + orthonormalize(g[j][:, :k]) @ z[j][:k])
+    # A one-row call is that formula on the first row's draws.
+    z, g = asup_draws(fresh(1), 1, n, private, scale)
+    one = san.asup(y[:1], scale, private, fresh(1))[0]
+    assert same_bits(one, y[0] + orthonormalize(g[0][:, :k]) @ z[0][:k])
+
+
+@PROPERTY
+@given(shapes(), st.floats(0.01, 1.0), st.sets(st.integers(0, 11), min_size=1))
+def test_asup_equals_the_full_rotation(shape, scale, private):
+    # The reduced factor is the first k columns of the full sign-fixed Q,
+    # up to rounding: |asup - (y + Q z)| <= 1e-13 max(1, |z|) per row.
+    rows, n, _, seed = shape
+    private = {i for i in private if i < n} or {0}
+    y = Rng(seed).child(0).uniform(0.0, 1.0, (rows, n))
+    batch = san.asup(y, scale, private, Rng(seed).child(1))
+    z, g = asup_draws(Rng(seed).child(1), rows, n, private, scale)
+    for j in range(rows):
+        full = y[j] + orthonormalize(g[j]) @ z[j]
+        assert np.linalg.norm(batch[j] - full) <= 1e-13 * max(1.0, np.linalg.norm(z[j]))
+
+
+@PROPERTY
+@given(shapes(), st.sets(st.integers(0, 11), min_size=1))
+def test_asup_leaves_the_stream_where_the_full_draw_did(shape, private):
+    # Taking only k columns of the rotation still draws all n x n, so
+    # later draws from the same stream do not move.
+    rows, n, _, seed = shape
+    private = {i for i in private if i < n} or {0}
+    stream = Rng(seed).child(1)
+    san.asup(np.ones((rows, n)), 0.5, private, stream)
+    expected = Rng(seed).child(1)
+    asup_draws(expected, rows, n, private, 0.5)
+    assert same_bits(stream.standard_normal(8), expected.standard_normal(8))
 
 
 @PROPERTY

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from privsan import sanitize
 from privsan.bounds import compute_norm_bound
-from privsan.errors import DegenerateMatrix, DimensionMismatch, InsufficientData
+from privsan.errors import DegenerateMatrix, DimensionMismatch, InsufficientData, RankDeficient
 from privsan.linalg import cosine, frobenius_norm
 from privsan.metrics import distance_preservation_fraction, zero_pad
 from privsan.rng import Rng
@@ -20,7 +20,6 @@ from privsan.sanitize import (
     ProjectionMatrix,
     ReplayLog,
     bounded_projection,
-    bounded_projection_for_check,
     fit_pca,
     matrix_digest,
     sample_bounded_matrices,
@@ -28,8 +27,8 @@ from privsan.sanitize import (
     sample_orthonormal_matrix,
     sanitize_identity,
     sanitize_nrp,
-    subspace_projection_for_check,
 )
+from privsan.verify import bounded_projection_for_check, subspace_projection_for_check
 
 CERT = compute_norm_bound(0.5, 0.1, 1.0)
 # Each bounded entry distribution draws iid Uniform[low, high) entries.
@@ -198,6 +197,32 @@ class TestBoundedRedraws:
         assert stream.draws == SAMPLE_RETRIES
 
 
+class TestDistributionByValue:
+    # EntryDistribution is a str enum, so its string values are accepted
+    # wherever a member is, and mean the same distribution.
+    def test_string_form_draws_on_unit_interval(self):
+        a = sample_bounded_matrix(4, 3, "unit-uniform", Rng(32))
+        assert np.all((a >= 0.0) & (a < 1.0))
+        member = sample_bounded_matrix(4, 3, EntryDistribution.UNIT_UNIFORM, Rng(32))
+        assert a.tobytes() == member.tobytes()
+        y = np.ones((2, 4))
+        by_value, _ = sanitize.nrp(y, 3, Rng(33), "unit-uniform")
+        by_member, _ = sanitize.nrp(y, 3, Rng(33), EntryDistribution.UNIT_UNIFORM)
+        assert by_value.tobytes() == by_member.tobytes()
+        log = ReplayLog()
+        out = sanitize_nrp(dt(np.ones(4)), 3, CERT, Rng(34), "unit-uniform", log)
+        assert out.values.tobytes() == sanitize_nrp(dt(np.ones(4)), 3, CERT, Rng(34)).values.tobytes()
+        assert log.entries[0]["distribution"] == "unit-uniform"
+
+    def test_unknown_string_raises(self):
+        with pytest.raises(ValueError):
+            sample_bounded_matrix(4, 3, "gaussian", Rng(35))
+        with pytest.raises(ValueError):
+            sanitize.nrp(np.ones((1, 4)), 3, Rng(35), "unit_uniform")
+        with pytest.raises(ValueError):
+            sanitize_nrp(dt(np.ones(4)), 3, CERT, Rng(35), "uniform")
+
+
 class TestBrp:
     def test_coordinate_projection(self):
         out = sanitize.brp(np.array([[1.0, 2.0, 3.0, 4.0, 5.0]]), np.eye(5)[:, :3])[0]
@@ -287,6 +312,14 @@ class TestAsup:
     def test_dimension_preserved(self):
         assert sanitize.asup(np.ones((1, 7)), 0.5, {0, 1, 2}, Rng(23)).shape == (1, 7)
 
+    @pytest.mark.parametrize("private", [{-1}, {0, -2}, {7}, {2, 9}])
+    def test_private_index_out_of_range_raises(self, private):
+        # k = max(private) + 1 sizes the rotation, and a negative index
+        # would wrap to the last coordinates.
+        for scale in (0.5, 0.0):
+            with pytest.raises(ValueError, match="private indices"):
+                sanitize.asup(np.ones((2, 7)), scale, private, Rng(36))
+
     def test_moment_oracle(self):
         # E|out - in|^2 = scale^2 * |private| since the rotation is
         # norm preserving.
@@ -314,6 +347,42 @@ class TestPreservationPaths:
         proj = subspace_projection_for_check(pts, 30, rng.child(0))
         ratio = np.linalg.norm(proj, axis=1) ** 2 / np.linalg.norm(pts, axis=1) ** 2
         assert np.mean(ratio) == pytest.approx(1.0, abs=0.15)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(st.integers(1, 20), st.integers(0, 20), st.integers(1, 8),
+           st.integers(0, 2**32 - 1))
+    def test_subspace_check_is_the_sign_fixed_frame(self, m, extra, points, seed):
+        # x Q D from R alone equals the product with the formed frame that
+        # sample_orthonormal_matrix draws from the same stream, to within
+        # the triangular solve's rounding, which grows with cond(R).
+        n = m + extra
+        x = Rng(seed).child(0).standard_normal((points, n))
+        proj = subspace_projection_for_check(x, m, Rng(seed).child(1))
+        formed = x @ sample_orthonormal_matrix(n, m, Rng(seed).child(1)) * np.sqrt(n / m)
+        cond = np.linalg.cond(Rng(seed).child(1).standard_normal((n, m)))
+        scale = np.sqrt(n / m) * np.linalg.norm(x, axis=1, keepdims=True)
+        assert np.all(np.abs(proj - formed) <= 8 * np.finfo(float).eps * n * cond * scale)
+
+    def test_subspace_check_redraws_a_rank_deficient_frame(self):
+        # A zeroed Gaussian draw fails the rank test on diag(R) and is
+        # redrawn from the same stream, as sample_orthonormal_matrix does.
+        class ZeroedNormals:
+            def __init__(self, rng, zeroed):
+                self.rng, self.zeroed = rng, zeroed
+
+            def standard_normal(self, size):
+                draw = self.rng.standard_normal(size)
+                if self.zeroed:
+                    self.zeroed -= 1
+                    draw[..., -1] = 0.0
+                return draw
+
+        x = Rng(37).standard_normal((3, 8))
+        proj = subspace_projection_for_check(x, 4, ZeroedNormals(Rng(38), 2))
+        formed = x @ sample_orthonormal_matrix(8, 4, ZeroedNormals(Rng(38), 2)) * np.sqrt(2.0)
+        np.testing.assert_allclose(proj, formed, rtol=0, atol=1e-12)
+        with pytest.raises(RankDeficient):
+            subspace_projection_for_check(x, 4, ZeroedNormals(Rng(38), 9))
 
     def test_bounded_unbiased_scaling(self):
         rng = Rng(26)
