@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, SingularSample
-from .linalg import as_vector, full_rank, matvec_rows
+from .linalg import as_matrix, as_vector, full_rank, matvec_rows
 from .rng import Rng
 from .sanitize import EntryDistribution, SanitizedTuple, sample_bounded_matrix
 
@@ -70,7 +70,14 @@ def random_inverse(s: np.ndarray, n: int, distribution: EntryDistribution,
                    streams: list[Rng]) -> np.ndarray:
     """Reconstruct row j with the pseudo-inverse of a ``distribution``
     draw from ``streams[j].child(0)``; a draw with a singular Gram matrix is
-    replaced from ``child(1)``, ``child(2)``, ... (bounded retries)."""
+    replaced from ``child(1)``, ``child(2)``, ... (bounded retries).  A
+    non-finite entry raises ValueError."""
+    return _random_inverse(as_matrix(s), n, distribution, streams)
+
+
+def _random_inverse(s: np.ndarray, n: int, distribution: EntryDistribution,
+                    streams: list[Rng]) -> np.ndarray:
+    """:func:`random_inverse` on a finite (rows x m) float array."""
     m = s.shape[1]
     if m > n:
         raise DimensionMismatch(f"sanitized dim {m} exceeds ambient dim {n}")
@@ -120,6 +127,8 @@ def expected_inverse_map(n: int, m: int, distribution: EntryDistribution,
 def linear(s: np.ndarray, linear_map: np.ndarray) -> np.ndarray:
     """Apply one n x m map to every sanitized row."""
     lm = np.asarray(linear_map, dtype=float)
+    if lm.ndim != 2:
+        raise DimensionMismatch(f"expected an n x m map, got shape {lm.shape}")
     if lm.shape[1] != s.shape[1]:
         raise DimensionMismatch(f"map expects dim {lm.shape[1]}, tuple has {s.shape[1]}")
     return matvec_rows(lm[None], s)
@@ -130,7 +139,8 @@ def linear(s: np.ndarray, linear_map: np.ndarray) -> np.ndarray:
 def attack_random_inverse(t: SanitizedTuple, n: int, distribution: EntryDistribution,
                           rng: Rng) -> ReconstructionResult:
     """Reconstruct with the pseudo-inverse of a fresh ``distribution`` draw."""
-    recon = random_inverse(t.values[None], n, distribution, [rng])
+    # SanitizedTuple has checked t.values; no second finiteness pass.
+    recon = _random_inverse(t.values[None], n, distribution, [rng])
     return ReconstructionResult(recon[0], t.agent_id, "random-inverse")
 
 

@@ -6,11 +6,34 @@ Reconstruction metrics compare an actual point cloud with an aligned
 reconstructed cloud.  Resemblance's k-nearest-neighbor sets are exact.
 ``knn_indices`` finds one cloud's sets and ``knn_overlap`` compares two,
 so a caller can find the actual cloud's sets once for several
-reconstructions.  Each block of ``KNN_BLOCK`` rows gets its distances
-to all N points in one reused buffer, so memory is O(``KNN_BLOCK`` x N)
-plus the N x k result, not N x N.  A row's k-th distance is selected
-from the k column groups with the smallest minima rather than from all
-N columns; rows with exact ties at the k-th distance take the full row.
+reconstructions.
+
+``knn_indices`` screens in float32 and ranks in float64.  Let y be the
+cloud scaled by a power of two so that its largest entry lies in
+[1/2, 1) (exact), and c the centred cloud, scaled likewise and rounded
+to float32.  One sgemm per block of ``KNN_BLOCK`` rows writes
+s_ij = |c_j|^2 - 2 c_i.c_j into a reused float32 buffer; the minima of
+its column groups bound each row's k-th distance from above.  Rounding
+moves s_ij + |c_i|^2 from the exact scaled |y_i - y_j|^2 by at most
+
+    E_i = 2 gamma_{d+4} (r_i + R)^2,   gamma_m = m u / (1 - m u),  u = 2^-24,
+
+where r_i = |c_i| and R is the largest r: gamma_{d+1} bounds the
+(d+1)-term product in any summation order, 3u the cast to float32 and
+the rounded norm, and the factor 2 the second-order and underflow terms
+(R >= 1/2).  The refine's float64 distance (sq_i + sq_j) - 2 y_i.y_j
+moves from the exact one by at most F_i = 2 gamma_{d+2} (|y_i| + Y)^2
+with u = 2^-53 and Y the largest |y|, taken in c's scale.  If G_i is
+row i's k-th smallest group minimum, k columns have s_ij <= G_i, so the
+row's k-th refine distance is at most G_i + |c_i|^2 + E_i + F_i, and
+every column among its k nearest has s_ij <= G_i + 2 (E_i + F_i): the
+row's threshold, rounded up to float32.  The columns under it get
+float64 distances from y, clamped at 0 and ranked by (distance, column)
+once per call, so ties keep the lowest indices.  A row with more than
+4k candidates takes its exact full row instead, ``KNN_BLOCK // 4`` rows
+at a time: a far outlier can shrink a tight cluster below float32's
+resolution.  Memory is O(``KNN_BLOCK`` x N + N d + N k), not N x N.
+
 The distance-preservation fraction counts its pairs over the same row
 blocks.
 """
@@ -18,6 +41,7 @@ blocks.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +51,9 @@ from .errors import EmptyDataset, InsufficientPoints
 from .linalg import as_matrix, row_cosines, zero_pad
 from .sanitize import DataTuple, SanitizedTuple
 
-KNN_BLOCK = 256    # rows per block of the kNN distance matrix; bounds its memory
+KNN_BLOCK = 256    # rows per block of the kNN screen; bounds its memory
+_FAR = 2.0**100    # screen value of padding columns and of each row's own column
+_MAPPED_BYTES = 2**20    # kNN scratch arrays this large live in their own memory map
 
 
 @dataclass(frozen=True)
@@ -110,7 +136,7 @@ def displacement(actual, recon) -> float:
     return float(np.mean(np.linalg.norm(r - a, axis=1)))
 
 
-def _squared_distances(x: np.ndarray, sq: np.ndarray, rows: slice,
+def _squared_distances(x: np.ndarray, sq: np.ndarray, rows: slice | np.ndarray,
                        out: np.ndarray | None = None,
                        gram: np.ndarray | None = None) -> np.ndarray:
     """Unclamped squared distances from rows ``rows`` of ``x`` to every row,
@@ -129,73 +155,148 @@ def _group_width(n: int, k: int) -> int:
     return max(1, min(math.isqrt(n // (4 * k)), n // (k + 1)))
 
 
-def _tie_route(d: np.ndarray, k: int) -> np.ndarray:
-    """Each row's k smallest of ``d``: the entries below the k-th value,
-    then the lowest-index ones tied at it, as (rows x k) column indices."""
-    smallest = np.partition(d, k - 1, axis=1)[:, :k]
-    kth = smallest[:, -1:]
-    need = np.count_nonzero(smallest == kth, axis=1)
-    # flatnonzero is row-major: a tie's rank in its row is its offset from the row's first.
-    near = d < kth
-    tied = np.flatnonzero(d == kth)
-    row = tied // d.shape[1]
-    near.flat[tied[np.arange(tied.size) - np.searchsorted(row, row) < need[row]]] = True
-    return np.nonzero(near)[1].reshape(-1, k)
+def _gamma(m: int, u: float) -> float:
+    """m u / (1 - m u): the relative error bound of an m-term dot product,
+    in any summation order, in a format of unit roundoff u."""
+    return m * u / (1 - m * u) if m * u < 1 else math.inf
 
 
-def _knn_block(x: np.ndarray, sq: np.ndarray, lo: int, k: int,
-               buf: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """(block rows x k) indices of each block row's k nearest other rows of
-    ``x``: the ones :func:`_tie_route` selects from the clamped row.
+def _exponent(a: np.ndarray) -> int:
+    """e with the largest |entry| of ``a`` in [2**(e-1), 2**e); 0 for zero ``a``."""
+    return int(np.frexp(max(a.max(), -a.min()))[1])
 
-    Flattened, a block row of the (``KNN_BLOCK`` x width x groups)
-    ``buf`` is the padded distance row, inf from column ``len(x)`` on;
-    column j falls in group j % groups.  The k groups with the smallest
-    minima hold the k-th distance and every distance below it.  A row
-    where a further candidate or another group's minimum reaches the
-    k-th distance may have ties outside its k picks, and takes the full
-    row.  ``gram`` is a (``KNN_BLOCK`` x ``len(x)``) product buffer."""
-    n = x.shape[0]
-    rows = slice(lo, min(lo + KNN_BLOCK, n))
-    size = rows.stop - lo
-    d = buf[:size].reshape(size, -1)
-    _squared_distances(x, sq, rows, out=d[:, :n], gram=gram[:size])
-    d[np.arange(size), np.arange(lo, rows.stop)] = np.inf
-    minima = buf[:size].min(axis=1)
-    order = np.argpartition(minima, k, axis=1)
-    groups = buf.shape[2]
-    cols = (order[:, :k, None] + np.arange(0, d.shape[1], groups)).reshape(size, -1)
-    # max(., 0) is monotone, so clamping only the candidates keeps the selection.
-    cand = np.maximum(np.take_along_axis(d, cols, axis=1), 0.0)
-    pick = np.argpartition(cand, k - 1, axis=1)[:, :k]
-    kth = np.take_along_axis(cand, pick[:, -1:], axis=1)
-    rival = np.maximum(np.take_along_axis(minima, order[:, k:k + 1], axis=1), 0.0)
-    tie = (np.count_nonzero(cand <= kth, axis=1) > k) | (rival <= kth)[:, 0]
-    idx = np.take_along_axis(cols, pick, axis=1)
-    if tie.any():
-        idx[tie] = _tie_route(np.maximum(d[tie, :n], 0.0), k)
-    return idx
+
+def _scratch(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """An uninitialised array.  One of ``_MAPPED_BYTES`` or more gets its own
+    anonymous memory map, so its pages go back to the OS when it is dropped:
+    freed heap memory stays resident and would raise every later stage's
+    peak."""
+    size = math.prod(shape) * np.dtype(dtype).itemsize
+    if size < _MAPPED_BYTES:
+        return np.empty(shape, dtype=dtype)
+    return np.frombuffer(mmap.mmap(-1, size), dtype=dtype).reshape(shape)
+
+
+def _smallest(d: np.ndarray, k: int) -> np.ndarray:
+    """(rows x k) positions of each row's k smallest entries of ``d``: the
+    entries below the k-th value, then the lowest positions tied at it."""
+    kth = np.partition(d, k - 1, axis=1)[:, k - 1:k]
+    keep = d <= kth
+    tied = np.count_nonzero(keep, axis=1) > k
+    if tied.any():
+        below = d[tied] < kth[tied]
+        need = k - np.count_nonzero(below, axis=1)
+        at = keep[tied] & ~below
+        keep[tied] = below | (at & (np.cumsum(at, axis=1) <= need[:, None]))
+    return (np.flatnonzero(keep) % d.shape[1]).reshape(-1, k)
+
+
+def _screen(y: np.ndarray, sq: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The float32 screen of the cloud ``y`` with squared row norms ``sq``:
+    each row's candidates as (rows, columns) pairs in row, then column,
+    order, and the rows with more than ``4 k`` candidate groups or
+    candidates, which take their full row instead.
+
+    Column j of a screened row falls in group j % groups of the
+    (``KNN_BLOCK`` x width x groups) buffer; the pads past N read _FAR."""
+    n, dim = y.shape
+    width = _group_width(n, k)
+    groups = -(-n // width)
+    cap = 4 * k
+    c = np.subtract(y, np.mean(y, axis=0), out=_scratch(y.shape, np.float64))
+    es = _exponent(c)
+    lhs = _scratch((n, dim + 1), np.float32)    # rows [c_i, 1]
+    lhs[:, :dim] = np.ldexp(c, -es, out=c)
+    lhs[:, dim] = 1.0
+    del c
+    a = lhs[:, :dim]
+    na = np.einsum("ij,ij->i", a, a, dtype=np.float64)
+    rhs = _scratch((width * groups, dim + 1), np.float32)    # rows [-2 c_j, |c_j|^2]
+    np.multiply(a, np.float32(-2.0), out=rhs[:n, :dim])
+    rhs[:n, dim] = na
+    rhs[n:, :dim] = 0.0
+    rhs[n:, dim] = _FAR
+    rn, yn = np.sqrt(na), np.sqrt(sq)
+    # 2 (E_i + F_i) in c's scale (module docstring); an overflow to inf lets every column through.
+    with np.errstate(over="ignore"):
+        margin = (4 * _gamma(dim + 4, 2.0**-24) * (rn + rn.max()) ** 2
+                  + np.ldexp(4 * _gamma(dim + 2, 2.0**-53) * (yn + yn.max()) ** 2, -2 * es))
+    buf = _scratch((min(KNN_BLOCK, n), width, groups), np.float32)
+    rows, cols, full = [], [], []
+    for lo in range(0, n, KNN_BLOCK):
+        size = min(KNN_BLOCK, n - lo)
+        block = np.arange(size)
+        s = np.matmul(lhs[lo:lo + size], rhs.T, out=buf[:size].reshape(size, -1))
+        s[block, lo + block] = _FAR
+        minima = buf[:size].min(axis=1)
+        kth = np.partition(minima, k - 1, axis=1)[:, k - 1]
+        t = np.minimum(kth + margin[lo:lo + size], _FAR / 2).astype(np.float32)
+        t = np.nextafter(t, np.float32(np.inf))    # at or above the float64 threshold
+        hit = minima <= t[:, None]
+        count = np.count_nonzero(hit, axis=1)
+        many = count > cap
+        count[many] = 0
+        hit[many] = False
+        slots = np.arange(count.max()) < count[:, None]
+        picked = np.zeros(slots.shape, dtype=np.intp)
+        picked[slots] = np.flatnonzero(hit) % groups
+        under = (buf[block[:, None], :, picked] <= t[:, None, None]) & slots[:, :, None]
+        # Read as (rows x width x picked groups), candidates come out in column order.
+        r, rest = np.divmod(np.flatnonzero(under.transpose(0, 2, 1)), under[0].size)
+        w, i = np.divmod(rest, slots.shape[1])
+        col = w * groups + picked[r, i]
+        many |= np.bincount(r, minlength=size) > cap
+        keep = ~many[r]
+        rows.append(lo + r[keep])
+        cols.append(col[keep])
+        full.append(lo + np.flatnonzero(many))
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(full)
 
 
 def knn_indices(x, k: int) -> np.ndarray:
     """(N x k) indices of each row's k nearest other rows of the (N x d)
-    cloud ``x``, one block of ``KNN_BLOCK`` rows at a time; rows tied at
-    the k-th distance keep the lowest indices."""
+    cloud ``x``; rows tied at the k-th distance keep the lowest indices.
+
+    :func:`_screen` picks each row's candidates, and their float64
+    distances are ranked once per call; see the module docstring."""
     x = as_matrix(x)
-    n = x.shape[0]
+    n, dim = x.shape
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     if n <= k:
         raise InsufficientPoints(f"need more than k={k} points, got {n}")
-    # Both buffers live for the whole call: a fresh product per block
-    # raised peak RSS by ~12 MB at N = 10,000.
-    width = _group_width(n, k)
-    buf = np.full((min(KNN_BLOCK, n), width, -(-n // width)), np.inf)
-    gram = np.empty((min(KNN_BLOCK, n), n))
-    sq = np.sum(x * x, axis=1)
     out = np.empty((n, k), dtype=np.intp)
-    for lo in range(0, n, KNN_BLOCK):
-        out[lo:lo + KNN_BLOCK] = _knn_block(x, sq, lo, k, buf, gram)
+    y = np.ldexp(x, -_exponent(x), out=_scratch(x.shape, np.float64))
+    sq = np.sum(np.square(y, out=_scratch(x.shape, np.float64)), axis=1)
+    rows, cols, full = _screen(y, sq, k)
+    if rows.size:
+        counts = np.bincount(rows, minlength=n)
+        found = np.flatnonzero(counts)
+        counts = counts[found]
+        slots = np.arange(counts.max()) < counts[:, None]
+        cand = _scratch(slots.shape, np.intp)
+        cand[:] = found[:, None]    # a pad gathers its own row; its distance becomes inf
+        cand[slots] = cols
+        ranked = _scratch(cand.shape, np.float64)
+        step = max(1, 2**17 // cand[0].size // dim)    # rows per gather of at most 1 MiB
+        gathered = np.empty((min(step, found.size), cand.shape[1], dim))
+        for lo in range(0, found.size, step):
+            i, j = found[lo:lo + step], cand[lo:lo + step]
+            # mode="raise" would gather into a temporary and copy it to out.
+            yj = np.take(y, j, axis=0, out=gathered[:i.size], mode="clip")
+            ranked[lo:lo + step] = (sq[i, None] + sq[j]) + np.einsum("rcd,rd->rc", yj, y[i]) * -2.0
+        ranked[~slots] = np.inf
+        np.maximum(ranked, 0.0, out=ranked)
+        out[found] = np.take_along_axis(cand, _smallest(ranked, k), axis=1)
+    if full.size:
+        batch = min(KNN_BLOCK // 4, full.size)
+        dist, gram = _scratch((batch, n), np.float64), _scratch((batch, n), np.float64)
+        for lo in range(0, full.size, batch):
+            i = full[lo:lo + batch]
+            d = _squared_distances(y, sq, i, out=dist[:i.size], gram=gram[:i.size])
+            np.maximum(d, 0.0, out=d)
+            d[np.arange(i.size), i] = np.inf
+            out[i] = _smallest(d, k)
     return out
 
 

@@ -173,10 +173,20 @@ def nrp(y: np.ndarray, m: int, rng: Rng,
     """Project every row of ``y`` by a bounded-entry matrix, one drawn
     per ``rows_per_matrix`` consecutive rows.  With ``betas`` (one per
     matrix) each is rescaled to that Frobenius norm: the norm-bounded
-    mechanism; without, the unbounded ablation.  Returns (rows, matrices)."""
+    mechanism; without, the unbounded ablation.  Returns (rows, matrices).
+    A non-finite entry raises ValueError."""
+    return _nrp(as_matrix(y), m, rng, distribution, betas, rows_per_matrix)
+
+
+def _nrp(y: np.ndarray, m: int, rng: Rng, distribution: EntryDistribution,
+         betas: np.ndarray | None, rows_per_matrix: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`nrp` on a finite (rows x n) float array."""
     rows, n = y.shape
     if not (1 <= m <= n):
         raise DimensionMismatch(f"need 1 <= m <= {n}, got {m}")
+    if rows_per_matrix < 1 or rows % rows_per_matrix:
+        raise DimensionMismatch(
+            f"{rows} rows do not split into matrices of rows_per_matrix={rows_per_matrix} rows")
     a = sample_bounded_matrices(rows // rows_per_matrix, n, m, distribution, rng, betas)
     return matvec_rows(np.swapaxes(a, 1, 2), y), a
 
@@ -253,7 +263,8 @@ def sanitize_nrp(t: DataTuple, m: int, certificate: NormBoundCertificate | None,
     """
     beta = None if certificate is None else certificate.frobenius_bound
     betas = None if beta is None else np.array([beta])
-    values, a = nrp(t.values[None], m, rng, distribution, betas)
+    # DataTuple has checked t.values; no second finiteness pass.
+    values, a = _nrp(t.values[None], m, rng, distribution, betas, 1)
     if log is not None:
         log.record(t.agent_id, rng, distribution, beta, a[0])
     return SanitizedTuple(values[0], t.agent_id, "nrp-unbounded" if beta is None else "nrp")

@@ -69,6 +69,11 @@ class TestRandomInverse:
             attack_random_inverse(st(np.ones(5)), 3,
                                   EntryDistribution.UNIT_UNIFORM, Rng(6))
 
+    def test_nan_row_raises(self):
+        s = np.array([[0.2, 0.4], [0.1, np.nan]])
+        with pytest.raises(ValueError, match="finite"):
+            random_inverse(s, 4, EntryDistribution.UNIT_UNIFORM, [Rng(7), Rng(8)])
+
 
 class TestRandomInverseRetries:
     UNIT = EntryDistribution.UNIT_UNIFORM
@@ -293,6 +298,10 @@ class TestOtherAttacks:
         lm = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
         out = attack_linear(st([3.0, 4.0]), lm)
         assert np.allclose(out.reconstructed, [3.0, 8.0, 7.0])
+
+    def test_linear_rejects_a_map_that_is_not_a_matrix(self):
+        with pytest.raises(DimensionMismatch, match="n x m map"):
+            attack.linear(np.ones((2, 3)), np.ones(3))
 
 
 class TestDirectionalSeparation:

@@ -1,11 +1,13 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from privsan import metrics
 from privsan.errors import EmptyDataset, GammaOutOfRange, InsufficientPoints, ZeroNormInput
 from privsan.metrics import (
     KNN_BLOCK,
@@ -73,6 +75,13 @@ def oracle_knn_exact(cloud, k):
     d = ((cloud[:, None, :] - cloud[None, :, :]) ** 2).sum(axis=2)
     np.fill_diagonal(d, d.max() + 1)
     return [set(row[:k].tolist()) for row in np.argsort(d, axis=1, kind="stable")]
+
+
+@pytest.fixture
+def heap_scratch(monkeypatch):
+    """Keep every kNN scratch array on the heap, where tracemalloc sees it;
+    by default the large ones live in memory maps, which it does not."""
+    monkeypatch.setattr(metrics, "_MAPPED_BYTES", math.inf)
 
 
 def oracle_preservation(points, projected, gamma):
@@ -239,6 +248,9 @@ class TestResemblance:
         # Small integer lattices give exact, heavily tied distances (many
         # duplicate points), so ties straddle the k-th neighbour in most
         # rows; the point count spans two full row blocks and one row.
+        # Scaled by 2**-560 every squared distance of the raw cloud
+        # underflows to 0, and by 2**520 it overflows; the sets must not
+        # move, and no floating-point warning may come out.
         n = 2 * KNN_BLOCK + 1
         gen = Rng(16).generator
         for side, dim, k in ((3, 3, 10), (5, 2, 25), (4, 3, 1)):
@@ -246,10 +258,30 @@ class TestResemblance:
             recon = actual + gen.integers(-1, 2, (n, dim))
             expected = np.mean([len(a & b) / k for a, b in zip(
                 oracle_knn_exact(actual, k), oracle_knn_exact(recon, k))])
-            assert resemblance(actual.astype(float), recon.astype(float), k) == \
-                pytest.approx(expected, abs=1e-12), (side, dim, k)
+            for exponent in (0, -560, -140, 100, 520):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    found = resemblance(np.ldexp(actual.astype(float), exponent),
+                                        np.ldexp(recon.astype(float), exponent), k)
+                assert found == pytest.approx(expected, abs=1e-12), (side, dim, k, exponent)
 
-    def test_memory_linear_in_points(self):
+    def test_zero_spread_keeps_the_lowest_indices(self):
+        # All rows equal: the centred cloud is 0, which no power of two
+        # scales, and every distance ties at 0.
+        for n, k in ((KNN_BLOCK + 5, 10), (12, 11)):
+            for row in ([0.0, 0.0], [3.0, -1.0], [2.0**-600, 2.0**-601], [2.0**600, 1.0]):
+                found = knn_indices(np.tile(row, (n, 1)), k)
+                for i, neighbours in enumerate(found.tolist()):
+                    assert sorted(neighbours) == [j for j in range(k + 1) if j != i][:k], (row, i)
+
+    def test_mapped_scratch_gives_the_same_indices(self, monkeypatch):
+        gen = Rng(22).generator
+        pts = gen.standard_normal((2 * KNN_BLOCK + 3, 20))
+        on_heap = knn_indices(pts, 7)
+        monkeypatch.setattr(metrics, "_MAPPED_BYTES", 0)
+        assert np.array_equal(knn_indices(pts, 7), on_heap)
+
+    def test_memory_linear_in_points(self, heap_scratch):
         peaks = []
         for n in (2000, 4000):
             gen = Rng(17).generator
@@ -264,10 +296,11 @@ class TestResemblance:
         assert peaks[1] < 64 * 2**20, peaks
         assert peaks[1] < 2.5 * peaks[0], peaks
 
-    def test_knn_indices_holds_row_blocks_and_its_result(self):
-        # Two (KNN_BLOCK x N) buffers and the temporaries of one block,
-        # plus the N x k result; an N x N distance matrix would be 16x
-        # this bound at N = 8,000.
+    def test_knn_indices_holds_row_blocks_and_its_result(self, heap_scratch):
+        # One float32 (KNN_BLOCK x N) screen buffer, the cloud's float64
+        # and float32 copies and the temporaries of one block, then the
+        # candidates' distances, plus the N x k result; an N x N distance
+        # matrix would be 16x this bound at N = 8,000.
         k, peaks = 10, []
         for n in (4000, 8000):
             pts = Rng(19).generator.standard_normal((n, 50))
@@ -279,6 +312,26 @@ class TestResemblance:
                 tracemalloc.stop()
             assert peaks[-1] < 3 * KNN_BLOCK * n * 8 + n * k * 8, (n, peaks)
         assert peaks[1] < 2.2 * peaks[0], peaks
+
+    def test_full_rows_are_computed_in_bounded_batches(self, heap_scratch):
+        # A tight cluster and one point a million spreads away: the outlier
+        # sets the float32 screen's scale, so every row takes its full row.
+        # Those distances are held a batch at a time, never as (N x N).
+        k, n = 10, 8000
+        cloud = Rng(23).generator.standard_normal((n, 50)) * 1e-3
+        cloud[0] = 1e3
+        tracemalloc.start()
+        try:
+            found = knn_indices(cloud, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * KNN_BLOCK * n * 8 + n * k * 8, peak
+        sample = np.arange(0, n, 397)
+        d = ((cloud[sample, None, :] - cloud[None, :, :]) ** 2).sum(axis=2)
+        d[np.arange(sample.size), sample] = np.inf
+        for i, row in zip(sample, d):
+            assert set(found[i]) == set(np.argsort(row, kind="stable")[:k]), i
 
     def test_resemblance_is_the_overlap_of_both_clouds_indices(self):
         gen = Rng(20).generator
@@ -292,17 +345,20 @@ class TestResemblance:
     @settings(max_examples=80, deadline=None, database=None)
     @given(hst.data())
     def test_integer_clouds_match_exact_oracle(self, data):
-        # A wide coordinate range leaves no ties, so rows take the
-        # candidate groups; a range of 2-5 ties the k-th distance in most
-        # rows and sends them down the full-row tie route.  N runs from
-        # k + 1 across the group-grid and row-block boundaries.
+        # A wide coordinate range leaves no ties; a range of 2-5 ties the
+        # k-th distance in most rows, and its many duplicates send rows to
+        # the full-row route.  At 2**24 + 1 float32 cannot hold the
+        # coordinates, so only the screen's margin keeps the true
+        # neighbours among the candidates; with dim <= 3 every squared
+        # distance stays below 2**53, so float64 holds it exactly.
+        # N runs from k + 1 across the group-grid and row-block boundaries.
         k = data.draw(hst.integers(1, 30), label="k")
         n = data.draw(hst.one_of(
             hst.just(k + 1),
             hst.integers(k + 1, 2 * KNN_BLOCK + 2),
             hst.sampled_from([KNN_BLOCK - 1, KNN_BLOCK, KNN_BLOCK + 1, 2 * KNN_BLOCK + 1])
             .map(lambda size: max(size, k + 1))), label="n")
-        side = data.draw(hst.sampled_from([2, 3, 5, 10**6]), label="side")
+        side = data.draw(hst.sampled_from([2, 3, 5, 10**6, 2**24 + 1]), label="side")
         dim = data.draw(hst.integers(1, 3), label="dim")
         gen = np.random.default_rng(data.draw(hst.integers(0, 2**32 - 1), label="seed"))
         actual = gen.integers(0, side, (n, dim))

@@ -115,6 +115,16 @@ class TestNrp:
             c = cosine(y, zero_pad(out.values, 12))
             assert 0.0 <= c <= 1.0
 
+    def test_rows_must_split_into_matrices(self):
+        with pytest.raises(DimensionMismatch, match="5 rows"):
+            sanitize.nrp(np.ones((5, 4)), 2, Rng(12), rows_per_matrix=2)
+
+    def test_nan_row_raises(self):
+        y = np.ones((3, 4))
+        y[1, 2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            sanitize.nrp(y, 2, Rng(13))
+
     def test_bad_target_dim(self):
         with pytest.raises(DimensionMismatch):
             sanitize_nrp(dt([1.0, 2.0]), 3, CERT, Rng(11))
