@@ -273,16 +273,18 @@ def generate_synthetic(cfg: ExperimentConfig, rng: Rng) -> SyntheticDataset:
     nagents, nobs = cfg.agent_count, cfg.observations_per_agent
     x = rng.standard_normal(q)
     h = rng.uniform(-0.5, 0.5, (nagents, n, q))
-    noise = cfg.noise_sigma * rng.standard_normal((nagents, nobs, n))
-    raw = np.einsum("anq,q->an", h, x)[:, None, :] + noise
-
-    flat = raw.reshape(-1, n)
-    shift = max(0.0, -float(flat.min())) + cfg.shift_margin * float(flat.std())
-    shifted = flat + shift
-    scale = 1.0 / float(np.linalg.norm(shifted, axis=1).max())
-    values = shifted * scale
-
-    return SyntheticDataset(x, values, scale * h, cfg.private_count, shift * scale, scale)
+    # Built in place: a round-sized temporary freed here stays in the heap
+    # and stacks under the nrp draw, which sets a run's peak memory.
+    values = rng.standard_normal((nagents, nobs, n))
+    values *= cfg.noise_sigma
+    values += np.einsum("anq,q->an", h, x)[:, None, :]
+    values = values.reshape(-1, n)
+    shift = max(0.0, -float(values.min())) + cfg.shift_margin * float(values.std())
+    values += shift
+    scale = 1.0 / float(np.linalg.norm(values, axis=1).max())
+    values *= scale
+    h *= scale
+    return SyntheticDataset(x, values, h, cfg.private_count, shift * scale, scale)
 
 
 def fusion_gram(matrices: np.ndarray) -> np.ndarray:
