@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, SingularSample
-from .linalg import as_matrix, as_vector, full_rank, matvec_rows
+from .linalg import as_matrix, as_vector, check_shape, full_rank, matvec_rows
 from .rng import Rng
 from .sanitize import EntryDistribution, SanitizedTuple, sample_bounded_matrix
 
@@ -71,8 +71,12 @@ def random_inverse(s: np.ndarray, n: int, distribution: EntryDistribution,
     """Reconstruct row j with the pseudo-inverse of a ``distribution``
     draw from ``streams[j].child(0)``; a draw with a singular Gram matrix is
     replaced from ``child(1)``, ``child(2)``, ... (bounded retries).  A
-    non-finite entry raises ValueError."""
-    return _random_inverse(as_matrix(s), n, distribution, streams)
+    non-finite entry raises ValueError, and a stream count other than the
+    row count DimensionMismatch."""
+    s = as_matrix(s)
+    if len(streams) != len(s):
+        raise DimensionMismatch(f"{len(s)} rows need as many streams, got {len(streams)}")
+    return _random_inverse(s, n, distribution, streams)
 
 
 def _random_inverse(s: np.ndarray, n: int, distribution: EntryDistribution,
@@ -101,7 +105,12 @@ def known_matrix(s: np.ndarray, matrix: np.ndarray, mean: np.ndarray | None = No
     """White-box linear reconstruction with the true fixed matrix.  With
     ``mean`` the deviation from the mean is reconstructed and the mean
     added back; ``mean_in_tuple`` says the mechanism projected raw tuples
-    (the mean's image is removed first) rather than centered ones."""
+    (the mean's image is removed first) rather than centered ones.  Rows
+    of another width than m, or a mean of another length than n, raise
+    DimensionMismatch."""
+    check_shape(s, (None, matrix.shape[-1]), "sanitized rows")
+    if mean is not None:
+        check_shape(mean, matrix.shape[:1], "mean")
     if not full_rank(matrix):
         raise SingularSample("sampled matrix has rank-deficient Gram matrix")
     if mean is not None and mean_in_tuple:
@@ -129,8 +138,8 @@ def linear(s: np.ndarray, linear_map: np.ndarray) -> np.ndarray:
     lm = np.asarray(linear_map, dtype=float)
     if lm.ndim != 2:
         raise DimensionMismatch(f"expected an n x m map, got shape {lm.shape}")
-    if lm.shape[1] != s.shape[1]:
-        raise DimensionMismatch(f"map expects dim {lm.shape[1]}, tuple has {s.shape[1]}")
+    if s.ndim != 2 or s.shape[1] != lm.shape[1]:
+        raise DimensionMismatch(f"map expects rows of dim {lm.shape[1]}, got shape {s.shape}")
     return matvec_rows(lm[None], s)
 
 

@@ -39,6 +39,15 @@ def as_matrix(x) -> np.ndarray:
     return a
 
 
+def check_shape(x, shape: tuple, name: str) -> None:
+    """Raise DimensionMismatch unless ``x`` has ``shape``, in which None
+    matches any length; the values are not read."""
+    got = np.shape(x)
+    if len(got) != len(shape) or any(w is not None and g != w for g, w in zip(got, shape)):
+        want = " x ".join("*" if w is None else str(w) for w in shape)
+        raise DimensionMismatch(f"{name} must have shape ({want}), got {got}")
+
+
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Entry j is ``a[j] @ b[j]``."""
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]

@@ -48,7 +48,7 @@ import numpy as np
 
 from .bounds import check_gamma
 from .errors import EmptyDataset, InsufficientPoints
-from .linalg import as_matrix, row_cosines, zero_pad
+from .linalg import as_matrix, check_shape, row_cosines, zero_pad
 from .sanitize import DataTuple, SanitizedTuple
 
 KNN_BLOCK = 256    # rows per block of the kNN screen; bounds its memory
@@ -88,15 +88,25 @@ class MetricReport:
 def utility_scores(actual: np.ndarray, sanitized: np.ndarray,
                    same_quadrant: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """(cosines, utilities) of each sanitized row against its raw row,
-    zero padding the sanitized rows (ValueError when one is longer);
+    zero padding the sanitized rows (ValueError when one is longer,
+    DimensionMismatch when the row counts differ);
     utilities are the cosines, clipped to [0, 1] when ``same_quadrant``."""
+    check_shape(actual, (None, None), "actual rows")
+    check_shape(sanitized, (len(actual), None), "sanitized rows")
+    return _utility_scores(actual, sanitized, same_quadrant)
+
+
+def _utility_scores(actual: np.ndarray, sanitized: np.ndarray,
+                    same_quadrant: bool) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`utility_scores` on 2-d arrays of equal row count."""
     cos = row_cosines(actual, zero_pad(sanitized, actual.shape[1]))
     return cos, (np.clip(cos, 0.0, 1.0) if same_quadrant else cos)
 
 
 def utility(y: DataTuple, t: SanitizedTuple, same_quadrant: bool = False) -> UtilityPrivacyScore:
     """Utility/privacy score of one tuple; see :func:`utility_scores`."""
-    cos, u = utility_scores(y.values[None], t.values[None], same_quadrant)
+    # DataTuple and SanitizedTuple hold vectors; no second shape check.
+    cos, u = _utility_scores(y.values[None], t.values[None], same_quadrant)
     raw, score = float(cos[0]), float(u[0])
     return UtilityPrivacyScore(
         utility=score,

@@ -35,6 +35,7 @@ from .errors import DegenerateMatrix, DimensionMismatch, InsufficientData
 from .linalg import (
     as_matrix,
     as_vector,
+    check_shape,
     frobenius_norm,
     matvec_rows,
     orthonormalize,
@@ -174,8 +175,18 @@ def nrp(y: np.ndarray, m: int, rng: Rng,
     per ``rows_per_matrix`` consecutive rows.  With ``betas`` (one per
     matrix) each is rescaled to that Frobenius norm: the norm-bounded
     mechanism; without, the unbounded ablation.  Returns (rows, matrices).
-    A non-finite entry raises ValueError."""
-    return _nrp(as_matrix(y), m, rng, distribution, betas, rows_per_matrix)
+    A non-finite entry of ``y``, or a beta that is not finite and
+    positive, raises ValueError; betas of another count raise
+    DimensionMismatch."""
+    y = as_matrix(y)
+    if betas is not None:
+        betas = np.asarray(betas, dtype=float)
+        if betas.ndim != 1 or len(betas) * rows_per_matrix != len(y):
+            raise DimensionMismatch(f"{len(y)} rows in matrices of {rows_per_matrix} rows "
+                                    f"need one beta per matrix, got shape {betas.shape}")
+        if not np.all(np.isfinite(betas) & (betas > 0)):
+            raise ValueError("betas must be finite and positive")
+    return _nrp(y, m, rng, distribution, betas, rows_per_matrix)
 
 
 def _nrp(y: np.ndarray, m: int, rng: Rng, distribution: EntryDistribution,
@@ -192,12 +203,16 @@ def _nrp(y: np.ndarray, m: int, rng: Rng, distribution: EntryDistribution,
 
 
 def brp(y: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Project every row by one fixed n x m matrix."""
+    """Project every row by one fixed n x m matrix; rows of another
+    width raise DimensionMismatch."""
+    check_shape(matrix, (None, None), "matrix")
+    check_shape(y, (None, len(matrix)), "rows")
     return matvec_rows(matrix.T[None], y)
 
 
 def pca(y: np.ndarray, components: np.ndarray, mean: np.ndarray) -> np.ndarray:
     """Project every centered row onto the fitted components."""
+    check_shape(mean, y.shape[1:], "mean")
     return brp(y - mean, components)
 
 

@@ -14,15 +14,15 @@ per-stage child streams, so a config determines its result bit for bit,
 and the first r repetitions are unchanged by raising the repetition
 count.
 
-One runner serves ``run_experiment`` (one mechanism) and ``run_sweep``
-(every mechanism at every agent count).  It loops over repetitions,
-then agent counts, then mechanisms, and holds one round at a time.  The
-mechanisms at one (repetition, agent count) share that round: its data,
-its fusion gram and the actual cloud's kNN sets.  The expected-inverse
-map draws from a stream that does not depend on the agent count, so one
-map per repetition serves every round of the repetition.  A shared
-value is the one each mechanism would compute on its own, so sharing
-leaves every result unchanged.
+One repetition of every config of a run or sweep is one function,
+``_repetition(points, r)``, and the runner is a loop over it.  If any
+config runs the expected-inverse attack, the repetition first estimates
+its one map: the map's stream does not depend on the agent count.  Then
+it draws one round per agent count, runs every config with that count
+on it, and drops it before drawing the next.  The configs on one round
+share its data, its fusion gram and the actual cloud's kNN sets.  A
+shared value is the one each config would compute on its own, so
+sharing leaves every result unchanged.
 """
 
 from __future__ import annotations
@@ -328,62 +328,50 @@ def _certificates(cfg: ExperimentConfig, data: SyntheticDataset,
     return [compute_norm_bound(cfg.min_utility, cell, float(alpha)) for alpha in alphas]
 
 
-@dataclass
-class _RoundContext:
-    """What one sanitization round hands to the attack stage."""
-    mean: np.ndarray
-    fixed_matrix: np.ndarray | None = None   # brp and pca only
-
-
 def _sanitize_round(cfg: ExperimentConfig, data: SyntheticDataset,
-                    rng: Rng) -> tuple[np.ndarray, _RoundContext]:
+                    rng: Rng) -> tuple[np.ndarray, np.ndarray | None]:
     """Sanitize every tuple of the round with the configured mechanism;
-    returns the (tuples x out_dim) value array."""
+    returns the (tuples x out_dim) value array and the fixed n x m
+    matrix of ``brp`` and ``pca`` (None for the others)."""
     n, m = cfg.input_dim, cfg.target_dim
     y = data.values
-    ctx = _RoundContext(mean=y.mean(axis=0))
     cell = make_grid(cfg, float(np.linalg.norm(y, axis=1).max())).cell_side
     mech = cfg.sanitizer
     if mech == "nrp":
         betas = [c.frobenius_bound for c in _certificates(cfg, data, cell)]
         beta_per_tuple = np.repeat(betas, data.observations_per_agent)
-        return san.nrp(y, m, rng, cfg.distribution, beta_per_tuple)[0], ctx
+        return san.nrp(y, m, rng, cfg.distribution, beta_per_tuple)[0], None
     if mech == "nrp-unbounded":
         return san.nrp(y, m, rng, cfg.distribution,
-                       rows_per_matrix=data.observations_per_agent)[0], ctx
+                       rows_per_matrix=data.observations_per_agent)[0], None
     if mech == "brp":
-        ctx.fixed_matrix = san.sample_orthonormal_matrix(n, m, rng.child(0))
-        return san.brp(y, ctx.fixed_matrix), ctx
+        matrix = san.sample_orthonormal_matrix(n, m, rng.child(0))
+        return san.brp(y, matrix), matrix
     if mech == "pca":
-        ctx.fixed_matrix = san.fit_pca(y, m)
-        return san.pca(y, ctx.fixed_matrix, ctx.mean), ctx
+        matrix = san.fit_pca(y, m)
+        return san.pca(y, matrix, y.mean(axis=0)), matrix
     if mech == "asup":
         noise_scale = cfg.asup_noise_cell_multiple * cell
-        return san.asup(y, noise_scale, range(cfg.private_count), rng), ctx
-    return san.identity(y), ctx
+        return san.asup(y, noise_scale, range(cfg.private_count), rng), None
+    return san.identity(y), None
 
 
-def _attack_round(cfg: ExperimentConfig, sanitized: np.ndarray,
-                  ctx: _RoundContext, rng: Rng, maps: dict | None = None) -> np.ndarray:
-    """Reconstruct every sanitized tuple; returns a (tuples x n) array,
-    for a dimension-preserving mechanism ``sanitized`` itself.  ``maps``
-    holds the repetition's expected-inverse maps by (entry distribution,
-    sanitized dim); a missing map is estimated and added."""
-    n, m = cfg.input_dim, sanitized.shape[1]
+def _attack_round(cfg: ExperimentConfig, data: SyntheticDataset, sanitized: np.ndarray,
+                  matrix: np.ndarray | None, rng: Rng,
+                  linear_map: np.ndarray | None = None) -> np.ndarray:
+    """Reconstruct every sanitized tuple of the round ``data``; returns a
+    (tuples x n) array, for a dimension-preserving mechanism ``sanitized``
+    itself.  ``matrix`` is the mechanism's fixed matrix and ``linear_map``
+    the expected-inverse map, read only by the attacks that use them."""
     adv = cfg.mechanism.adversary if cfg.adversary == "auto" else cfg.adversary
-    dist = cfg.distribution
     if adv == "expected-inverse":
-        maps = {} if maps is None else maps
-        if (dist, m) not in maps:
-            maps[dist, m] = atk.expected_inverse_map(n, m, dist, cfg.inverse_samples,
-                                                     rng.child(0))
-        return atk.linear(sanitized, maps[dist, m])
+        return atk.linear(sanitized, linear_map)
     if adv == "random-inverse":
         streams = [rng.child(j) for j in range(len(sanitized))]
-        return atk.random_inverse(sanitized, n, dist, streams)
+        return atk.random_inverse(sanitized, cfg.input_dim, cfg.distribution, streams)
     if adv == "known-matrix":
         # brp projects raw tuples; pca projects tuples centered on the mean.
-        return atk.known_matrix(sanitized, ctx.fixed_matrix, ctx.mean,
+        return atk.known_matrix(sanitized, matrix, data.values.mean(axis=0),
                                 mean_in_tuple=cfg.sanitizer == "brp")
     return sanitized
 
@@ -409,18 +397,6 @@ def _utility_means(cfg: ExperimentConfig, actual: np.ndarray,
     return float(u.mean()), float((1.0 - u).mean())
 
 
-@dataclass(frozen=True)
-class _Round:
-    """One (repetition, agent count) round and what every mechanism run
-    on it shares: the metric columns of its raw tuples, their kNN sets,
-    and the repetition's expected-inverse maps (see :func:`_attack_round`),
-    one dict for all of the repetition's rounds."""
-    data: SyntheticDataset
-    actual: np.ndarray
-    actual_knn: np.ndarray
-    maps: dict
-
-
 def _metric_columns(cfg: ExperimentConfig, values: np.ndarray) -> np.ndarray:
     """The columns of a (tuples x n) array that the reconstruction metrics compare."""
     if cfg.metric_coordinates == "private":
@@ -428,44 +404,55 @@ def _metric_columns(cfg: ExperimentConfig, values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _new_round(cfg: ExperimentConfig, repetition: int, maps: dict) -> _Round:
-    data = generate_synthetic(cfg, Rng(cfg.master_seed).child(repetition).child(0))
-    actual = _metric_columns(cfg, data.values)
-    return _Round(data, actual, met.knn_indices(actual, cfg.k_neighbors), maps)
-
-
-def run_repetition(cfg: ExperimentConfig, repetition: int, rnd: _Round) -> RepetitionMetrics:
-    """Sanitize, attack and score the round ``rnd`` with ``cfg``'s mechanism."""
+def run_repetition(cfg: ExperimentConfig, repetition: int, data: SyntheticDataset,
+                   actual: np.ndarray, actual_knn: np.ndarray,
+                   linear_map: np.ndarray | None = None) -> RepetitionMetrics:
+    """Sanitize, attack and score the round ``data`` with ``cfg``'s
+    mechanism.  ``actual`` holds the metric columns of the round's
+    tuples, ``actual_knn`` their kNN sets, and ``linear_map`` the
+    repetition's expected-inverse map."""
     rep_rng = Rng(cfg.master_seed).child(repetition)
-    data = rnd.data
-    sanitized, ctx = _sanitize_round(cfg, data, rep_rng.child(1))
-    recons = _attack_round(cfg, sanitized, ctx, rep_rng.child(2), rnd.maps)
+    sanitized, matrix = _sanitize_round(cfg, data, rep_rng.child(1))
+    recons = _attack_round(cfg, data, sanitized, matrix, rep_rng.child(2), linear_map)
 
     eval_recons = _metric_columns(cfg, recons)
-    breach = met.breach_count(rnd.actual, eval_recons, cfg.radius_fraction)
-    disp = met.displacement(rnd.actual, eval_recons)
-    resem = met.knn_overlap(rnd.actual_knn, met.knn_indices(eval_recons, cfg.k_neighbors))
+    breach = met.breach_count(actual, eval_recons, cfg.radius_fraction)
+    disp = met.displacement(actual, eval_recons)
+    resem = met.knn_overlap(actual_knn, met.knn_indices(eval_recons, cfg.k_neighbors))
     u_mean, p_mean = _utility_means(cfg, data.values, sanitized)
     gap = _robustness_gap(cfg, data, recons)
     return RepetitionMetrics(repetition, breach, disp, resem, u_mean, p_mean, gap)
 
 
+def _repetition(points: list[ExperimentConfig], r: int) -> list[RepetitionMetrics]:
+    """Repetition ``r`` of every config in ``points``, which differ only in
+    sanitizer, adversary and agent count; one result per config, in order.
+    The expected-inverse map comes first, if any config's attack reads
+    it.  Then each agent count's round is drawn, every config with that
+    count runs on it, and it is dropped before the next is drawn."""
+    cfg = points[0]
+    rep_rng = Rng(cfg.master_seed).child(r)
+    linear_map = None
+    if any(p.adversary == "auto" and p.mechanism.adversary == "expected-inverse" for p in points):
+        linear_map = atk.expected_inverse_map(cfg.input_dim, cfg.target_dim, cfg.distribution,
+                                              cfg.inverse_samples, rep_rng.child(2).child(0))
+    results: list = [None] * len(points)
+    for nagents in dict.fromkeys(p.agent_count for p in points):
+        group = [j for j, p in enumerate(points) if p.agent_count == nagents]
+        data = generate_synthetic(points[group[0]], rep_rng.child(0))
+        actual = _metric_columns(cfg, data.values)
+        actual_knn = met.knn_indices(actual, cfg.k_neighbors)
+        for j in group:
+            results[j] = run_repetition(points[j], r, data, actual, actual_knn, linear_map)
+        del data, actual, actual_knn    # before the next round is drawn
+    return results
+
+
 def _run_points(points: list[ExperimentConfig]) -> list[list[RepetitionMetrics]]:
-    """Every repetition of every config in ``points``, which differ only in
-    sanitizer, adversary and agent count: for each repetition, for each
-    agent count, one round that every config with that count runs on.
-    Returns each config's repetitions, in order."""
-    runs: list[list[RepetitionMetrics]] = [[] for _ in points]
-    for r in range(points[0].repetitions):
-        maps: dict = {}
-        for nagents in dict.fromkeys(p.agent_count for p in points):
-            rnd = None    # the last round goes before the next is drawn
-            for cfg, run in zip(points, runs):
-                if cfg.agent_count == nagents:
-                    if rnd is None:
-                        rnd = _new_round(cfg, r, maps)
-                    run.append(run_repetition(cfg, r, rnd))
-    return runs
+    """Every repetition of every config in ``points``: each config's
+    repetitions, in order."""
+    reps = [_repetition(points, r) for r in range(points[0].repetitions)]
+    return [list(run) for run in zip(*reps)]
 
 
 def _average(cfg: ExperimentConfig, rows: list[RepetitionMetrics]) -> ExperimentResult:

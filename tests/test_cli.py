@@ -17,11 +17,12 @@ from hypothesis import strategies as hst
 
 from privsan import cli
 from privsan.cli import main
-from privsan.dataio import generate_lookalike
 from privsan.errors import InfeasibleBound
 from privsan.rng import Rng
 from privsan.simulate import ADVERSARIES, DISTRIBUTIONS, FLOAT_LIMIT, MECHANISMS
 from privsan.verify import PreservationTrial
+
+from lookalike import generate_lookalike
 
 FAST_CFG = {
     "agent_count": 15,

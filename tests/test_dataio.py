@@ -5,11 +5,12 @@ from privsan.cli import main
 from privsan.dataio import (
     ColumnSpec,
     DatasetSchema,
-    generate_lookalike,
     load_csv,
     summarize,
 )
 from privsan.errors import EmptyDataset, ParseError, SchemaMismatch
+
+from lookalike import generate_lookalike, write_schema
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -91,7 +92,7 @@ class TestRoundTrip:
         path = write(tmp_path, "a,b\n" + "\n".join(
             f"{gen.uniform(0, 1):.17g},{gen.uniform(0, 9):.17g}" for _ in range(20)) + "\n")
         schema = tmp_path / "s.json"
-        NUMERIC_SCHEMA.to_json(schema)
+        write_schema(NUMERIC_SCHEMA, schema)
         out = tmp_path / "out"
         assert main(["ingest", "--data", str(path), "--schema", str(schema),
                      "--out", str(out)]) == 0
@@ -147,7 +148,7 @@ class TestLookalike:
             ColumnSpec("x", "numeric", private=True),
             ColumnSpec("s", "binary-categorical", value_map={"y": 1.0, "n": 0.0}),
         ])
-        schema.to_json(p)
+        write_schema(schema, p)
         again = DatasetSchema.from_json(p)
         assert again == schema
 

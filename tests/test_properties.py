@@ -262,8 +262,8 @@ def test_batched_random_inverse_equals_per_tuple_loop(cfg, sanitizer, distributi
     cfg = replace(cfg, sanitizer=sanitizer, entry_distribution=distribution.value)
     rng = Rng(cfg.master_seed)
     data = generate_synthetic(cfg, rng.child(0))
-    sanitized, ctx = _sanitize_round(cfg, data, rng.child(1))
-    recon = _attack_round(cfg, sanitized, ctx, rng.child(2))
+    sanitized, matrix = _sanitize_round(cfg, data, rng.child(1))
+    recon = _attack_round(cfg, data, sanitized, matrix, rng.child(2))
     for j, s in enumerate(sanitized):
         one = atk.attack_random_inverse(SanitizedTuple(s, "a0", sanitizer), cfg.input_dim,
                                         cfg.distribution, rng.child(2).child(j))

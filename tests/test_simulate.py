@@ -289,3 +289,8 @@ class TestSharedRounds:
         assert calls["map"] == reps
         # One actual side per round, one reconstruction side per mechanism.
         assert calls["knn"] == reps * counts * (1 + len(self.MECHANISMS))
+        # No map where no config runs the expected-inverse attack.
+        calls["map"] = 0
+        run_sweep(ExperimentConfig(**FAST), (12, 20), ("brp", "pca", "asup"))
+        run_experiment(ExperimentConfig(**FAST, adversary="random-inverse"))
+        assert calls["map"] == 0
