@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, SingularSample
-from .linalg import as_matrix, as_vector, check_shape, full_rank, matvec_rows
+from .linalg import as_matrix, as_vector, check_finite, check_shape, full_rank, matvec_rows
 from .rng import Rng
 from .sanitize import EntryDistribution, SanitizedTuple, sample_bounded_matrix
 
@@ -107,15 +107,18 @@ def known_matrix(s: np.ndarray, matrix: np.ndarray, mean: np.ndarray | None = No
     added back; ``mean_in_tuple`` says the mechanism projected raw tuples
     (the mean's image is removed first) rather than centered ones.  Rows
     of another width than m, or a mean of another length than n, raise
-    DimensionMismatch."""
+    DimensionMismatch, and a non-finite entry ValueError."""
     check_shape(s, (None, matrix.shape[-1]), "sanitized rows")
+    check_finite(s, "sanitized rows")
     if mean is not None:
         check_shape(mean, matrix.shape[:1], "mean")
+        check_finite(mean, "mean")
+    check_finite(matrix, "matrix")
     if not full_rank(matrix):
         raise SingularSample("sampled matrix has rank-deficient Gram matrix")
     if mean is not None and mean_in_tuple:
         s = s - matrix.T @ mean
-    recon = linear(s, np.linalg.pinv(matrix.T))
+    recon = _linear(s, np.linalg.pinv(matrix.T))
     return recon if mean is None else recon + mean
 
 
@@ -134,7 +137,15 @@ def expected_inverse_map(n: int, m: int, distribution: EntryDistribution,
 
 
 def linear(s: np.ndarray, linear_map: np.ndarray) -> np.ndarray:
-    """Apply one n x m map to every sanitized row."""
+    """Apply one n x m map to every sanitized row; a non-finite entry of
+    either raises ValueError."""
+    check_finite(s, "sanitized rows")
+    check_finite(linear_map, "map")
+    return _linear(s, linear_map)
+
+
+def _linear(s: np.ndarray, linear_map: np.ndarray) -> np.ndarray:
+    """:func:`linear` without the finiteness checks."""
     lm = np.asarray(linear_map, dtype=float)
     if lm.ndim != 2:
         raise DimensionMismatch(f"expected an n x m map, got shape {lm.shape}")
@@ -155,5 +166,6 @@ def attack_random_inverse(t: SanitizedTuple, n: int, distribution: EntryDistribu
 
 def attack_linear(t: SanitizedTuple, linear_map: np.ndarray) -> ReconstructionResult:
     """Reconstruct with one fixed n x m map, as the expected-inverse attack does."""
-    return ReconstructionResult(linear(t.values[None], linear_map)[0], t.agent_id,
+    # SanitizedTuple has checked t.values; no second finiteness pass.
+    return ReconstructionResult(_linear(t.values[None], linear_map)[0], t.agent_id,
                                 "expected-inverse")

@@ -6,10 +6,11 @@ checks), ``timing`` (per-tuple cost model), ``ingest`` (CSV loading and
 summary).  Exit codes: 0 success, 2 configuration error (reported
 before any work starts; this includes a ``--config``, ``--schema`` or
 ``--data`` path that cannot be read, an ``--out`` directory that
-cannot be created and a ``verify`` or ``timing`` run estimated to
-exceed physical memory), 3 runtime error (an allocation numpy refuses
-and a result file that cannot be written included), 4 ``verify`` found
-a violation; diagnostics go to standard error.
+cannot be created and a repetition, sweep grid point, ``verify`` trial
+or ``timing`` run estimated to exceed physical memory), 3 runtime error
+(an allocation numpy refuses and a result file that cannot be written
+included), 4 ``verify`` found a violation; diagnostics go to standard
+error.
 
 Configuration is a flat JSON object whose keys mirror
 :class:`privsan.simulate.ExperimentConfig`.  Precedence, highest first:
@@ -43,6 +44,7 @@ from .simulate import (
     SWEEP_AGENT_GRID,
     SWEEP_MECHANISMS,
     ExperimentConfig,
+    peak_bytes,
     run_experiment,
     run_sweep,
     sweep_configs,
@@ -189,6 +191,7 @@ def _finite_or_null(value):
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _config_from_sources(args)
+    _check_memory(peak_bytes(cfg), "one repetition")
     out, started = _open_out(args.out)
     res = run_experiment(cfg)
     digest = _digest(dataclasses.asdict(cfg))
@@ -206,7 +209,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _config_from_sources(args)
     agents = _parse_int_list(args.agents) if args.agents else list(SWEEP_AGENT_GRID)
     mechanisms = args.mechanisms.split(",") if args.mechanisms else list(SWEEP_MECHANISMS)
-    sweep_configs(cfg, agents, mechanisms)  # every grid point is checked before --out
+    # Every grid point is checked before --out.
+    points = sweep_configs(cfg, agents, mechanisms)
+    _check_memory(max(map(peak_bytes, points)), "the largest grid point")
     out, started = _open_out(args.out)
     rows = run_sweep(cfg, agents, mechanisms)
     _write_outputs(out, started, _digest({"config": dataclasses.asdict(cfg), "agents": agents,

@@ -25,8 +25,7 @@ def as_vector(x) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1 or v.size < 1:
         raise DimensionMismatch(f"expected a 1-d vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector entries must be finite")
+    check_finite(v, "vector")
     return v
 
 
@@ -34,9 +33,14 @@ def as_matrix(x) -> np.ndarray:
     a = np.asarray(x, dtype=float)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise DimensionMismatch(f"expected a 2-d matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
+    check_finite(a, "matrix")
     return a
+
+
+def check_finite(x, name: str) -> None:
+    """Raise ValueError unless every entry of the array ``x`` is finite."""
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} entries must be finite")
 
 
 def check_shape(x, shape: tuple, name: str) -> None:
@@ -104,28 +108,36 @@ def orthonormalize(a, rng: Rng | None = None) -> np.ndarray:
     or one per matrix of a (count x n x m) stack.
 
     Requires rows >= cols.  Rank-deficient inputs are replaced by fresh
-    Gaussian draws from ``rng`` (bounded retries); without an ``rng`` a
-    deficient input raises RankDeficient immediately.
+    Gaussian draws from ``rng`` (see :func:`replace_deficient`).
     """
     if np.ndim(a) == 2:
         return orthonormalize(as_matrix(a)[None], rng)[0]
     _, n, m = np.shape(a)
     if n < m:
         raise DimensionMismatch(f"need rows >= cols, got {n} x {m}")
-    q, full = _sign_fixed_qr(a)
+    return replace_deficient(*sign_fixed_qr(a), rng)
+
+
+def replace_deficient(q: np.ndarray, full: np.ndarray, rng: Rng | None = None) -> np.ndarray:
+    """The (count x n x m) stack of frames ``q``, in which every frame whose
+    ``full`` is False is replaced, in place, by the :func:`sign_fixed_qr` of
+    a fresh n x m Gaussian draw from ``rng``: one draw for all of them in
+    stack order, then one for those still deficient (bounded retries).
+    Without an ``rng`` a deficient frame raises RankDeficient immediately."""
+    _, n, m = q.shape
     for _ in range(RESAMPLE_RETRIES):
         if full.all():
             return q
         if rng is None:
             raise RankDeficient("input is numerically rank deficient")
         bad = np.flatnonzero(~full)
-        q[bad], full[bad] = _sign_fixed_qr(rng.standard_normal((bad.size, n, m)))
+        q[bad], full[bad] = sign_fixed_qr(rng.standard_normal((bad.size, n, m)))
     if full.all():
         return q
     raise RankDeficient(f"no full-rank sample after {RESAMPLE_RETRIES} retries")
 
 
-def _sign_fixed_qr(a) -> tuple[np.ndarray, np.ndarray]:
+def sign_fixed_qr(a) -> tuple[np.ndarray, np.ndarray]:
     """Reduced QR of each stacked matrix with diag(R) made nonnegative,
     which makes the factor unique and, for Gaussian input, uniformly
     distributed over frames; plus a mask of the full-rank matrices."""

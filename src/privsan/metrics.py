@@ -48,7 +48,7 @@ import numpy as np
 
 from .bounds import check_gamma
 from .errors import EmptyDataset, InsufficientPoints
-from .linalg import as_matrix, check_shape, row_cosines, zero_pad
+from .linalg import as_matrix, check_finite, check_shape, row_cosines, zero_pad
 from .sanitize import DataTuple, SanitizedTuple
 
 KNN_BLOCK = 256    # rows per block of the kNN screen; bounds its memory
@@ -88,11 +88,13 @@ class MetricReport:
 def utility_scores(actual: np.ndarray, sanitized: np.ndarray,
                    same_quadrant: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """(cosines, utilities) of each sanitized row against its raw row,
-    zero padding the sanitized rows (ValueError when one is longer,
-    DimensionMismatch when the row counts differ);
+    zero padding the sanitized rows (ValueError when one is longer or
+    an entry is not finite, DimensionMismatch when the row counts differ);
     utilities are the cosines, clipped to [0, 1] when ``same_quadrant``."""
     check_shape(actual, (None, None), "actual rows")
     check_shape(sanitized, (len(actual), None), "sanitized rows")
+    check_finite(actual, "actual rows")
+    check_finite(sanitized, "sanitized rows")
     return _utility_scores(actual, sanitized, same_quadrant)
 
 

@@ -35,15 +35,21 @@ from .errors import DegenerateMatrix, DimensionMismatch, InsufficientData
 from .linalg import (
     as_matrix,
     as_vector,
+    check_finite,
     check_shape,
     frobenius_norm,
     matvec_rows,
     orthonormalize,
+    replace_deficient,
     row_norms,
+    sign_fixed_qr,
 )
 from .rng import Rng
 
 SAMPLE_RETRIES = 8
+# Draw entries per chunk of nrp and asup (2 MiB of float64), whatever the
+# matrix shape: the mechanisms hold one chunk of draws, not the round's.
+DRAW_CHUNK = 2**18
 
 
 class EntryDistribution(str, Enum):
@@ -130,20 +136,32 @@ def sample_bounded_matrices(count: int, n: int, m: int, distribution: EntryDistr
     redrawn (bounded retries).  With ``betas`` matrix i is rescaled so
     its Frobenius norm equals ``betas[i]``.  ``distribution`` may be an
     :class:`EntryDistribution` or its string value."""
-    distribution = EntryDistribution(distribution)
-    low = 0.0 if distribution is EntryDistribution.UNIT_UNIFORM else -1.0
-    a = rng.uniform(low, 1.0, (count, n, m))
-    zero = np.flatnonzero(~a.any(axis=(1, 2)))
-    for _ in range(SAMPLE_RETRIES - 1):
-        if zero.size == 0:
-            break
-        a[zero] = rng.uniform(low, 1.0, (zero.size, n, m))
-        zero = zero[~a[zero].any(axis=(1, 2))]
-    if zero.size:
-        raise DegenerateMatrix(f"all-zero draws {SAMPLE_RETRIES} times in a row")
+    a = _uniform(count, n, m, distribution, rng)
+    _redraw_zeros(a, np.flatnonzero(~a.any(axis=(1, 2))), distribution, rng)
     if betas is not None:
         a *= (betas / row_norms(a))[:, None, None]
     return a
+
+
+def _uniform(count: int, n: int, m: int, distribution: EntryDistribution,
+             rng: Rng) -> np.ndarray:
+    """One draw of ``count`` n x m matrices of iid ``distribution`` entries."""
+    low = 0.0 if EntryDistribution(distribution) is EntryDistribution.UNIT_UNIFORM else -1.0
+    return rng.uniform(low, 1.0, (count, n, m))
+
+
+def _redraw_zeros(a: np.ndarray, zero: np.ndarray, distribution: EntryDistribution,
+                  rng: Rng) -> None:
+    """Redraw, in place, the matrices ``a[zero]`` in one draw, then those
+    still all zero, until ``SAMPLE_RETRIES`` draws in all were taken."""
+    _, n, m = a.shape
+    for _ in range(SAMPLE_RETRIES - 1):
+        if zero.size == 0:
+            return
+        a[zero] = _uniform(zero.size, n, m, distribution, rng)
+        zero = zero[~a[zero].any(axis=(1, 2))]
+    if zero.size:
+        raise DegenerateMatrix(f"all-zero draws {SAMPLE_RETRIES} times in a row")
 
 
 def sample_bounded_matrix(n: int, m: int, distribution: EntryDistribution, rng: Rng) -> np.ndarray:
@@ -169,12 +187,14 @@ def bounded_projection(n: int, m: int, certificate: NormBoundCertificate | None,
 
 def nrp(y: np.ndarray, m: int, rng: Rng,
         distribution: EntryDistribution = EntryDistribution.UNIT_UNIFORM,
-        betas: np.ndarray | None = None, rows_per_matrix: int = 1,
-        ) -> tuple[np.ndarray, np.ndarray]:
+        betas: np.ndarray | None = None, rows_per_matrix: int = 1) -> np.ndarray:
     """Project every row of ``y`` by a bounded-entry matrix, one drawn
     per ``rows_per_matrix`` consecutive rows.  With ``betas`` (one per
     matrix) each is rescaled to that Frobenius norm: the norm-bounded
-    mechanism; without, the unbounded ablation.  Returns (rows, matrices).
+    mechanism; without, the unbounded ablation.  Returns the projected
+    rows only: the matrices are ``sample_bounded_matrices(len(y) //
+    rows_per_matrix, ..., betas)`` on ``rng``, and a fresh stream at its
+    address draws them again.
     A non-finite entry of ``y``, or a beta that is not finite and
     positive, raises ValueError; betas of another count raise
     DimensionMismatch."""
@@ -190,41 +210,81 @@ def nrp(y: np.ndarray, m: int, rng: Rng,
 
 
 def _nrp(y: np.ndarray, m: int, rng: Rng, distribution: EntryDistribution,
-         betas: np.ndarray | None, rows_per_matrix: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`nrp` on a finite (rows x n) float array."""
+         betas: np.ndarray | None, rows_per_matrix: int) -> np.ndarray:
+    """:func:`nrp` on a finite (rows x n) float array.
+
+    The matrices are drawn ``DRAW_CHUNK`` entries at a time, and each
+    chunk's rows are projected before the next chunk is drawn.  A chunked
+    Philox draw equals one draw, and all-zero matrices are redrawn after
+    the last chunk, in row order, so every bit is that of projecting by
+    one :func:`sample_bounded_matrices` draw."""
     rows, n = y.shape
     if not (1 <= m <= n):
         raise DimensionMismatch(f"need 1 <= m <= {n}, got {m}")
     if rows_per_matrix < 1 or rows % rows_per_matrix:
         raise DimensionMismatch(
             f"{rows} rows do not split into matrices of rows_per_matrix={rows_per_matrix} rows")
-    a = sample_bounded_matrices(rows // rows_per_matrix, n, m, distribution, rng, betas)
-    return matvec_rows(np.swapaxes(a, 1, 2), y), a
+    count, r = rows // rows_per_matrix, rows_per_matrix
+    per = max(1, DRAW_CHUNK // (n * m))
+    out = np.empty((rows, m))
+    zero = []
+    for lo in range(0, count, per):
+        a = _uniform(min(per, count - lo), n, m, distribution, rng)
+        hi = lo + len(a)
+        found = np.flatnonzero(~a.any(axis=(1, 2)))
+        if found.size:
+            zero.append(lo + found)
+            a[found] = 1.0    # a stand-in: its rows are projected again below
+        out[lo * r:hi * r] = _project(a, y[lo * r:hi * r], None if betas is None else betas[lo:hi])
+    if zero:
+        zero = np.concatenate(zero)
+        a = np.empty((zero.size, n, m))
+        _redraw_zeros(a, np.arange(zero.size), distribution, rng)
+        at = (zero[:, None] * r + np.arange(r)).ravel()
+        out[at] = _project(a, y[at], None if betas is None else betas[zero])
+    return out
+
+
+def _project(a: np.ndarray, y: np.ndarray, betas: np.ndarray | None) -> np.ndarray:
+    """Row j of ``y`` times matrix ``a[j // r]``, r = len(y) / len(a), each
+    matrix first rescaled in place to Frobenius norm ``betas[i]`` if given."""
+    if betas is not None:
+        a *= (betas / row_norms(a))[:, None, None]
+    return matvec_rows(np.swapaxes(a, 1, 2), y)
 
 
 def brp(y: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """Project every row by one fixed n x m matrix; rows of another
-    width raise DimensionMismatch."""
+    width raise DimensionMismatch, and a non-finite entry ValueError."""
     check_shape(matrix, (None, None), "matrix")
     check_shape(y, (None, len(matrix)), "rows")
+    check_finite(matrix, "matrix")
+    check_finite(y, "rows")
     return matvec_rows(matrix.T[None], y)
 
 
 def pca(y: np.ndarray, components: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """Project every centered row onto the fitted components."""
+    """Project every centered row onto the fitted components; a
+    non-finite entry raises ValueError."""
     check_shape(mean, y.shape[1:], "mean")
+    check_finite(mean, "mean")
     return brp(y - mean, components)
 
 
 def asup(y: np.ndarray, noise_scale: float, private_indices, rng: Rng) -> np.ndarray:
     """Gaussian noise on the private coordinates of every row, rotated by
     a fresh random unitary per row.  All rows' noise is drawn from
-    ``rng`` first, then all rotations.
+    ``rng`` first, then the rotations, ``DRAW_CHUNK`` entries at a time.
 
     The noise is zero past k = max(private) + 1, so the rotation Q z
     reads only Q's first k columns: the sign-fixed reduced QR of the
     first k columns of each row's n x n Gaussian draw.  The full draw is
-    still made, so the stream is that of forming all of Q."""
+    still made, so the stream is that of forming all of Q.  Frames found
+    rank deficient are redrawn after the last chunk, in row order, as
+    :func:`~privsan.linalg.orthonormalize` redraws them, so every bit is
+    that of one draw of all the rotations.  A non-finite entry of ``y``
+    raises ValueError."""
+    check_finite(y, "rows")
     if noise_scale < 0:
         raise ValueError("noise_scale must be nonnegative")
     rows, n = y.shape
@@ -236,13 +296,27 @@ def asup(y: np.ndarray, noise_scale: float, private_indices, rng: Rng) -> np.nda
     k = idx[-1] + 1
     z = np.zeros((rows, k))
     z[:, idx] = noise_scale * rng.standard_normal((rows, len(idx)))
-    # The copy lets the n x n draw go before the QR runs.
-    g = np.ascontiguousarray(rng.standard_normal((rows, n, n))[:, :, :k])
-    return y + matvec_rows(orthonormalize(g, rng), z)
+    per = max(1, DRAW_CHUNK // (n * n))
+    out = np.empty_like(y, dtype=float)
+    bad = []
+    for lo in range(0, rows, per):
+        # The copy lets the n x n draw go before the QR runs.
+        g = np.ascontiguousarray(rng.standard_normal((min(per, rows - lo), n, n))[:, :, :k])
+        q, full = sign_fixed_qr(g)
+        hi = lo + len(q)
+        np.add(y[lo:hi], matvec_rows(q, z[lo:hi]), out=out[lo:hi])
+        bad.append(lo + np.flatnonzero(~full))
+    bad = np.concatenate(bad)
+    if bad.size:
+        q = replace_deficient(np.empty((bad.size, n, k)), np.zeros(bad.size, dtype=bool), rng)
+        out[bad] = y[bad] + matvec_rows(q, z[bad])
+    return out
 
 
 def identity(y: np.ndarray) -> np.ndarray:
-    """Debug mechanism: no sanitization at all."""
+    """Debug mechanism: no sanitization at all.  A non-finite entry
+    raises ValueError."""
+    check_finite(y, "rows")
     return y.copy()
 
 
@@ -279,9 +353,12 @@ def sanitize_nrp(t: DataTuple, m: int, certificate: NormBoundCertificate | None,
     beta = None if certificate is None else certificate.frobenius_bound
     betas = None if beta is None else np.array([beta])
     # DataTuple has checked t.values; no second finiteness pass.
-    values, a = _nrp(t.values[None], m, rng, distribution, betas, 1)
+    values = _nrp(t.values[None], m, rng, distribution, betas, 1)
     if log is not None:
-        log.record(t.agent_id, rng, distribution, beta, a[0])
+        # The matrix is drawn again from the address of the stream that drew it.
+        replay = sample_bounded_matrices(1, t.values.size, m, distribution,
+                                         Rng(rng.seed, rng.path), betas)
+        log.record(t.agent_id, rng, distribution, beta, replay[0])
     return SanitizedTuple(values[0], t.agent_id, "nrp-unbounded" if beta is None else "nrp")
 
 

@@ -340,10 +340,10 @@ def _sanitize_round(cfg: ExperimentConfig, data: SyntheticDataset,
     if mech == "nrp":
         betas = [c.frobenius_bound for c in _certificates(cfg, data, cell)]
         beta_per_tuple = np.repeat(betas, data.observations_per_agent)
-        return san.nrp(y, m, rng, cfg.distribution, beta_per_tuple)[0], None
+        return san.nrp(y, m, rng, cfg.distribution, beta_per_tuple), None
     if mech == "nrp-unbounded":
         return san.nrp(y, m, rng, cfg.distribution,
-                       rows_per_matrix=data.observations_per_agent)[0], None
+                       rows_per_matrix=data.observations_per_agent), None
     if mech == "brp":
         matrix = san.sample_orthonormal_matrix(n, m, rng.child(0))
         return san.brp(y, matrix), matrix
@@ -446,6 +446,30 @@ def _repetition(points: list[ExperimentConfig], r: int) -> list[RepetitionMetric
             results[j] = run_repetition(points[j], r, data, actual, actual_knn, linear_map)
         del data, actual, actual_knn    # before the next round is drawn
     return results
+
+
+def peak_bytes(cfg: ExperimentConfig) -> int:
+    """Upper estimate of the bytes one repetition of ``cfg`` holds at once.
+    It counts the round's agent matrices and gram; six (tuples x n)
+    float64 arrays: the round's values, the sanitized rows, the
+    reconstruction, a metric's difference of the two and the kNN's two
+    float64 copies of a cloud; the kNN's screen buffers, 2 ``KNN_BLOCK``
+    x tuples x 8 bytes, and both clouds' (tuples x k) indices; for nrp
+    and asup, two chunks of draws (a chunk and the product's or the QR's
+    copy of it); and the attack's draws: the expected-inverse map's and
+    their SVD factors, or a few ``ATTACK_CHUNK``s of draws and a stream
+    (under 256 bytes) per tuple."""
+    n, q, m = cfg.input_dim, cfg.param_dim, cfg.target_dim
+    tuples = cfg.agent_count * cfg.observations_per_agent
+    # (entries per draw, draws per round) of the mechanisms that draw
+    entries, draws = {"nrp": (n * m, tuples), "nrp-unbounded": (n * m, cfg.agent_count),
+                      "asup": (n * n, tuples)}.get(cfg.sanitizer, (0, 0))
+    chunk = min(max(san.DRAW_CHUNK, entries), draws * entries)
+    adversary = cfg.mechanism.adversary if cfg.adversary == "auto" else cfg.adversary
+    attack = {"expected-inverse": 4 * cfg.inverse_samples * n * m,
+              "random-inverse": 5 * atk.ATTACK_CHUNK * n * m + 32 * tuples}.get(adversary, 0)
+    return 8 * (cfg.agent_count * n * q + q * q + 6 * tuples * n
+                + 2 * met.KNN_BLOCK * tuples + 2 * tuples * cfg.k_neighbors + 2 * chunk + attack)
 
 
 def _run_points(points: list[ExperimentConfig]) -> list[list[RepetitionMetrics]]:

@@ -25,8 +25,9 @@ from .rng import Rng
 
 TIMING_REPEATS = 15
 # Matrix entries per timed call of the projection mechanisms: the batch
-# shrinks as n grows, so every grid point draws the same 8 MB, more than
-# a core's cache, and sees the same cache and allocator behaviour.
+# shrinks as n grows, so every grid point draws the same 8 MB, in chunks
+# of ``sanitize.DRAW_CHUNK`` entries, and sees the same cache and
+# allocator behaviour.
 BATCH_ENTRIES = 1_000_000
 ASUP_BATCH = 8       # asup draws one n x n matrix per tuple
 ASUP_PRIVATE = 12    # private coordinates asup rotates, as in the default config
@@ -78,14 +79,15 @@ def measure(n_grid, m: int = 20, master_seed: int = 0) -> list[TimingRow]:
 
 
 def measure_peak_bytes(n_grid, m: int = 20) -> int:
-    """Upper estimate of the bytes :func:`measure` holds at once: at the
-    largest n, asup's ``ASUP_BATCH`` x n x n draw and the n x k columns
-    it keeps of it (k = ``ASUP_PRIVATE``), two projection draws of
-    ``BATCH_ENTRIES`` entries, and the tuples and bounds of every grid
-    point."""
+    """Upper estimate of the bytes :func:`measure` holds at once: the
+    tuples of every grid point, ``BATCH_ENTRIES / m`` entries each, twice
+    over, and the working set of one mechanism call: three chunks of
+    ``sanitize.DRAW_CHUNK`` entries (a chunk's draw, the product's copy of
+    it, and the results), or, at an n whose n x n asup frame is larger
+    than a chunk, two frames (its draw, then the k columns asup keeps and
+    their QR)."""
     n = max(n_grid)
-    return 8 * (ASUP_BATCH * n * (n + min(ASUP_PRIVATE, n)) + 2 * BATCH_ENTRIES
-                + 2 * len(n_grid) * BATCH_ENTRIES // m)
+    return 8 * (max(3 * san.DRAW_CHUNK, 2 * n * n) + 2 * len(n_grid) * BATCH_ENTRIES // m)
 
 
 def loglog_slope(rows: list[TimingRow], mechanism: str, phase: str = "sanitize") -> float:

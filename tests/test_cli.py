@@ -208,6 +208,26 @@ class TestRunCommand:
         for path in (tmp_path / "nope.json", tmp_path):
             assert main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
 
+    def test_run_too_large_for_memory_exits_2(self, tmp_path, monkeypatch, capsys):
+        # A million agents of a thousand 50-dim tuples: the round's values
+        # alone are 400 GB.
+        def fail(*args):
+            raise AssertionError("run_experiment ran")
+
+        monkeypatch.setattr(cli, "run_experiment", fail)
+        cfg = write_cfg(tmp_path, {"agent_count": 10**6, "observations_per_agent": 1000})
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code = main(["run", "--config", str(cfg), "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "physical memory" in capsys.readouterr().err
+        assert not out.exists()
+        assert peak < 1 << 20, peak
+
     def test_runtime_error_exits_3(self, tmp_path, monkeypatch):
         def fail(cfg):
             raise InfeasibleBound("utility floor unreachable")
@@ -282,6 +302,26 @@ class TestSweepCommand:
                         + extra) == 2
         assert ran == []
         assert not (tmp_path / "s").exists()
+
+    def test_grid_point_too_large_for_memory_exits_2(self, tmp_path, monkeypatch, capsys):
+        # The sweep is refused for its largest grid point: a million agents.
+        def fail(*args):
+            raise AssertionError("run_sweep ran")
+
+        monkeypatch.setattr(cli, "run_sweep", fail)
+        cfg = write_cfg(tmp_path, {"observations_per_agent": 1000})
+        out = tmp_path / "s"
+        tracemalloc.start()
+        try:
+            code = main(["sweep", "--config", str(cfg), "--agents", f"12,{10**6}",
+                         "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "physical memory" in capsys.readouterr().err
+        assert not out.exists()
+        assert peak < 1 << 20, peak
 
     def test_adversary_other_than_auto_exits_2(self, tmp_path, monkeypatch, capsys):
         # Every grid point runs its mechanism's own attack, so an adversary

@@ -77,13 +77,6 @@ def oracle_knn_exact(cloud, k):
     return [set(row[:k].tolist()) for row in np.argsort(d, axis=1, kind="stable")]
 
 
-@pytest.fixture
-def heap_scratch(monkeypatch):
-    """Keep every kNN scratch array on the heap, where tracemalloc sees it;
-    by default the large ones live in memory maps, which it does not."""
-    monkeypatch.setattr(metrics, "_MAPPED_BYTES", math.inf)
-
-
 def oracle_preservation(points, projected, gamma):
     n = len(points)
     inside = total = 0

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from privsan import attack as atk
 from privsan import sanitize as san
 from privsan.bounds import compute_norm_bound
-from privsan.linalg import cosine, frobenius_norm, orthonormalize, zero_pad
+from privsan.linalg import cosine, frobenius_norm, matvec_rows, orthonormalize, zero_pad
 from privsan.metrics import utility, utility_scores
 from privsan.rng import Rng
 from privsan.sanitize import DataTuple, EntryDistribution, SanitizedTuple
@@ -67,14 +67,14 @@ def test_nrp_per_tuple_is_row_zero(shape, distribution, alpha):
     beta = cert.frobenius_bound
     fresh = Rng(seed).child   # each call below starts the same stream afresh
     one = san.sanitize_nrp(tup(y[0]), m, cert, fresh(1), distribution)
-    batch, _ = san.nrp(y, m, fresh(1), distribution, np.full(rows, beta))
+    batch = san.nrp(y, m, fresh(1), distribution, np.full(rows, beta))
     a = san.sample_bounded_matrix(n, m, distribution, fresh(1))
     a = a * (beta / frobenius_norm(a))
     assert same_bits(one.values, batch[0])
     assert same_bits(one.values, a.T @ y[0])
 
     one = san.sanitize_nrp(tup(y[0]), m, None, fresh(1), distribution)
-    batch, _ = san.nrp(y, m, fresh(1), distribution)
+    batch = san.nrp(y, m, fresh(1), distribution)
     a = san.sample_bounded_matrix(n, m, distribution, fresh(1))
     assert same_bits(one.values, batch[0])
     assert same_bits(one.values, a.T @ y[0])
@@ -156,6 +156,47 @@ def test_asup_leaves_the_stream_where_the_full_draw_did(shape, private):
     expected = Rng(seed).child(1)
     asup_draws(expected, rows, n, private, 0.5)
     assert same_bits(stream.standard_normal(8), expected.standard_normal(8))
+
+
+CHUNKED = settings(max_examples=25, deadline=None, database=None)
+
+
+@st.composite
+def chunk_spans(draw, per_chunk):
+    """A count of items, ``per_chunk(...)`` to a chunk, that spans 1, 2, 3
+    or 4 chunks of ``san.DRAW_CHUNK`` draw entries."""
+    chunks = draw(st.integers(1, 4))
+    return (chunks - 1) * per_chunk + draw(st.integers(1, per_chunk))
+
+
+@CHUNKED
+@given(st.integers(30, 60), st.integers(10, 30), st.integers(1, 3), BOUNDED, st.booleans(),
+       st.integers(0, 2**32 - 1), st.data())
+def test_chunked_nrp_equals_one_draw(n, m, rows_per_matrix, distribution, bounded, seed, data):
+    # Drawn and projected a chunk at a time, nrp is bit for bit the
+    # projection by one draw of all the round's matrices.
+    m = min(m, n)
+    count = data.draw(chunk_spans(san.DRAW_CHUNK // (n * m)))
+    y = Rng(seed).child(0).uniform(0.0, 1.0, (count * rows_per_matrix, n))
+    betas = Rng(seed).child(2).uniform(0.1, 2.0, count) if bounded else None
+    batch = san.nrp(y, m, Rng(seed).child(1), distribution, betas, rows_per_matrix)
+    a = san.sample_bounded_matrices(count, n, m, distribution, Rng(seed).child(1), betas)
+    assert same_bits(batch, matvec_rows(np.swapaxes(a, 1, 2), y))
+
+
+@CHUNKED
+@given(st.integers(30, 60), st.sets(st.integers(0, 29), min_size=1), st.floats(0.01, 1.0),
+       st.integers(0, 2**32 - 1), st.data())
+def test_chunked_asup_equals_one_draw(n, private, scale, seed, data):
+    # Rotated a chunk of frames at a time, asup is bit for bit the
+    # rotation by one draw of all the round's frames.
+    rows = data.draw(chunk_spans(san.DRAW_CHUNK // (n * n)))
+    y = Rng(seed).child(0).uniform(0.0, 1.0, (rows, n))
+    batch = san.asup(y, scale, private, Rng(seed).child(1))
+    k = max(private) + 1
+    z, g = asup_draws(Rng(seed).child(1), rows, n, private, scale)
+    q = orthonormalize(np.ascontiguousarray(g[:, :, :k]))
+    assert same_bits(batch, y + matvec_rows(q, np.ascontiguousarray(z[:, :k])))
 
 
 @PROPERTY
@@ -249,8 +290,10 @@ def test_batched_nrp_meets_each_agents_bound(cfg, distribution):
     cell = make_grid(cfg, float(np.linalg.norm(data.values, axis=1).max())).cell_side
     betas = np.repeat([c.frobenius_bound for c in _certificates(cfg, data, cell)],
                       cfg.observations_per_agent)
-    values, matrices = san.nrp(data.values, cfg.target_dim, rng.child(1), distribution, betas)
-    assert same_bits(values, sanitized)
+    # The round's matrices are one draw of all of them from its stream.
+    matrices = san.sample_bounded_matrices(len(betas), cfg.input_dim, cfg.target_dim,
+                                           distribution, rng.child(1), betas)
+    assert same_bits(matvec_rows(np.swapaxes(matrices, 1, 2), data.values), sanitized)
     for a, beta in zip(matrices, betas):
         assert abs(np.linalg.norm(a) - beta) <= 1e-12
 

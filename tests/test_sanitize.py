@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from privsan import sanitize
 from privsan.bounds import compute_norm_bound
 from privsan.errors import DegenerateMatrix, DimensionMismatch, InsufficientData, RankDeficient
-from privsan.linalg import cosine, frobenius_norm
+from privsan.linalg import cosine, frobenius_norm, matvec_rows, orthonormalize
 from privsan.metrics import distance_preservation_fraction, zero_pad
 from privsan.rng import Rng
 from privsan.sanitize import (
@@ -207,6 +208,117 @@ class TestBoundedRedraws:
         assert stream.draws == SAMPLE_RETRIES
 
 
+class PlantedDraws:
+    """A stream that zeroes the matrices at ``positions`` in the sequence
+    of matrices its stacked draws yield, or with ``column`` only their
+    first column, which makes a frame rank deficient; every draw still
+    advances the wrapped stream."""
+
+    def __init__(self, rng, positions, column=False):
+        self.rng, self.positions, self.column = rng, positions, column
+        self.seen = 0
+
+    def _plant(self, draw):
+        if draw.ndim == 3:
+            hit = [p - self.seen for p in self.positions if 0 <= p - self.seen < len(draw)]
+            if self.column:
+                draw[hit, :, 0] = 0.0
+            else:
+                draw[hit] = 0.0
+            self.seen += len(draw)
+        return draw
+
+    def uniform(self, low, high, size):
+        return self._plant(self.rng.uniform(low, high, size))
+
+    def standard_normal(self, size):
+        return self._plant(self.rng.standard_normal(size))
+
+
+def one_draw_asup(y, scale, private, rng):
+    """asup from one draw of all the frames, redrawing deficient ones
+    through ``orthonormalize``."""
+    idx = sorted(private)
+    k = idx[-1] + 1
+    z = np.zeros((len(y), k))
+    z[:, idx] = scale * rng.standard_normal((len(y), len(idx)))
+    g = np.ascontiguousarray(rng.standard_normal((len(y),) + y.shape[1:] * 2)[:, :, :k])
+    return y + matvec_rows(orthonormalize(g, rng), z)
+
+
+class TestChunkedDraws:
+    """nrp and asup draw ``DRAW_CHUNK`` entries at a time; the result and
+    the stream are those of one draw."""
+
+    CHUNK_BYTES = sanitize.DRAW_CHUNK * 8
+
+    def test_nrp_redraws_zero_matrices_after_the_last_chunk(self):
+        n, m, r = 50, 20, 2
+        per = sanitize.DRAW_CHUNK // (n * m)
+        count = 2 * per + 5    # three chunks
+        planted = [1, count - 1]    # in the first chunk and in the last
+        y = Rng(60).uniform(0.0, 1.0, (count * r, n))
+        betas = Rng(61).uniform(0.1, 2.0, count)
+        chunked = PlantedDraws(Rng(62), planted)
+        out = sanitize.nrp(y, m, chunked, EntryDistribution.UNIT_UNIFORM, betas, r)
+        whole = PlantedDraws(Rng(62), planted)
+        a = sample_bounded_matrices(count, n, m, EntryDistribution.UNIT_UNIFORM, whole, betas)
+        assert a[planted].all()    # redrawn
+        assert out.tobytes() == matvec_rows(np.swapaxes(a, 1, 2), y).tobytes()
+        assert chunked.rng.uniform(0.0, 1.0, 8).tobytes() == whole.rng.uniform(0.0, 1.0, 8).tobytes()
+
+    def test_asup_redraws_deficient_frames_after_the_last_chunk(self):
+        n, private = 50, range(12)
+        per = sanitize.DRAW_CHUNK // (n * n)
+        rows = 2 * per + 5
+        planted = [0, rows - 1]
+        y = Rng(63).uniform(0.0, 1.0, (rows, n))
+        chunked = PlantedDraws(Rng(64), planted, column=True)
+        out = sanitize.asup(y, 0.3, private, chunked)
+        whole = PlantedDraws(Rng(64), planted, column=True)
+        expected = one_draw_asup(y, 0.3, private, whole)
+        assert whole.seen == rows + len(planted)    # the deficient frames were redrawn
+        assert out.tobytes() == expected.tobytes()
+        assert chunked.rng.standard_normal(8).tobytes() == whole.rng.standard_normal(8).tobytes()
+
+    def test_nrp_memory_holds_a_few_chunks_of_draws(self):
+        # Beyond the (rows x m) result, the peak is the chunk's draw and
+        # the product's copy of it, at any row count.
+        n, m = 50, 20
+        extra = []
+        for chunks in (4, 32):
+            rows = chunks * (sanitize.DRAW_CHUNK // (n * m))
+            y = Rng(65).uniform(0.0, 1.0, (rows, n))
+            betas = np.full(rows, 0.7)
+            rng = Rng(66)
+            rng.generator
+            tracemalloc.start()
+            try:
+                sanitize.nrp(y, m, rng, EntryDistribution.UNIT_UNIFORM, betas)
+                extra.append(tracemalloc.get_traced_memory()[1] - rows * m * 8)
+            finally:
+                tracemalloc.stop()
+        assert max(extra) < 3 * self.CHUNK_BYTES, extra
+
+    def test_asup_memory_holds_a_few_chunks_of_draws(self):
+        # Beyond the (rows x n) result and the (rows x k) noise, the peak
+        # is the chunk's draw, its k columns and their QR, at any row count.
+        n, k = 50, 12
+        extra = []
+        for chunks in (4, 32):
+            rows = chunks * (sanitize.DRAW_CHUNK // (n * n))
+            y = Rng(67).uniform(0.0, 1.0, (rows, n))
+            rng = Rng(68)
+            rng.generator
+            tracemalloc.start()
+            try:
+                sanitize.asup(y, 0.3, range(k), rng)
+                extra.append(tracemalloc.get_traced_memory()[1] - rows * (n + k) * 8)
+            finally:
+                tracemalloc.stop()
+        assert max(extra) < 3 * self.CHUNK_BYTES, extra
+
+
 class TestDistributionByValue:
     # EntryDistribution is a str enum, so its string values are accepted
     # wherever a member is, and mean the same distribution.
@@ -216,8 +328,8 @@ class TestDistributionByValue:
         member = sample_bounded_matrix(4, 3, EntryDistribution.UNIT_UNIFORM, Rng(32))
         assert a.tobytes() == member.tobytes()
         y = np.ones((2, 4))
-        by_value, _ = sanitize.nrp(y, 3, Rng(33), "unit-uniform")
-        by_member, _ = sanitize.nrp(y, 3, Rng(33), EntryDistribution.UNIT_UNIFORM)
+        by_value = sanitize.nrp(y, 3, Rng(33), "unit-uniform")
+        by_member = sanitize.nrp(y, 3, Rng(33), EntryDistribution.UNIT_UNIFORM)
         assert by_value.tobytes() == by_member.tobytes()
         log = ReplayLog()
         out = sanitize_nrp(dt(np.ones(4)), 3, CERT, Rng(34), "unit-uniform", log)

@@ -1,15 +1,12 @@
 """The shape contract of the public array functions.
 
-Each call either returns arrays of its documented shape or raises a
-``PrivsanError`` or ``ValueError``; an ``IndexError``, a ``TypeError``
-or a result of another shape fails.  Hypothesis draws the shapes of the
-inputs, valid or not: 1-d arrays where rows are due, mismatched widths,
-stream counts other than the row count, and betas of the wrong count or
-value.  A valid call must return.
-
-The values drawn are finite.  NaN rows still pass silently through
-``brp``, ``pca``, ``asup``, ``identity``, ``linear``, ``known_matrix``
-and ``utility_scores``; this test does not cover them.
+Each call either returns finite arrays of its documented shape or
+raises a ``PrivsanError`` or ``ValueError``; an ``IndexError``, a
+``TypeError``, a non-finite result or a result of another shape fails.
+Hypothesis draws the inputs, valid or not: 1-d arrays where rows are
+due, mismatched widths, stream counts other than the row count, betas of
+the wrong count or value, and arrays with one NaN or infinite entry.  A
+valid call must return.
 """
 
 import numpy as np
@@ -35,6 +32,8 @@ def outcome(call):
         result = call()
     except (PrivsanError, ValueError):
         return None
+    arrays = result if isinstance(result, tuple) else (result,)
+    assert all(np.isfinite(a).all() for a in arrays)
     if isinstance(result, tuple):
         return tuple(np.shape(a) for a in result)
     return np.shape(result)
@@ -57,8 +56,17 @@ def shaped(draw, shape):
 
 @st.composite
 def arrays(draw, shape):
-    """A finite standard-normal array of a shape drawn by :func:`shaped`."""
-    return Rng(draw(SEEDS)).standard_normal(draw(shaped(shape)))
+    """A standard-normal array of a shape drawn by :func:`shaped`; now and
+    then one of its entries is NaN or infinite."""
+    a = Rng(draw(SEEDS)).standard_normal(draw(shaped(shape)))
+    if draw(st.integers(0, 4)) == 0:
+        a.flat[draw(st.integers(0, a.size - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return a
+
+
+def finite(*xs) -> bool:
+    """Whether every entry of every array given is finite."""
+    return all(np.isfinite(x).all() for x in xs)
 
 
 def rows_of(x, width=None) -> bool:
@@ -77,9 +85,9 @@ def test_nrp(data, groups, n, m, per, dist):
         b[data.draw(st.integers(0, count - 1))] = data.draw(
             st.sampled_from([np.nan, np.inf, 0.0, -1.0]))
     matrices = len(y) // rows_per_matrix if rows_of(y) else 0
-    valid = (rows_of(y) and m <= y.shape[1] and len(y) % rows_per_matrix == 0
+    valid = (rows_of(y) and finite(y) and m <= y.shape[1] and len(y) % rows_per_matrix == 0
              and (b is None or (len(b) == matrices and np.all(b == 1.5))))
-    expected = ((len(y), m), (matrices, y.shape[1], m)) if valid else None
+    expected = (len(y), m) if valid else None
     got = outcome(lambda: san.nrp(y, m, Rng(0), dist, b, rows_per_matrix))
     assert got == expected
 
@@ -90,19 +98,19 @@ def test_brp_pca_identity(data, rows, n, m):
     y = data.draw(arrays((rows, n)))
     matrix = data.draw(arrays((n, m)))
     mean = data.draw(arrays((n,)))
-    projects = rows_of(y) and rows_of(matrix) and y.shape[1] == len(matrix)
-    expected = (len(y), matrix.shape[1]) if projects else None
+    projects = rows_of(y) and rows_of(matrix) and y.shape[1] == len(matrix) and finite(matrix)
+    expected = (len(y), matrix.shape[1]) if projects and finite(y) else None
     assert outcome(lambda: san.brp(y, matrix)) == expected
-    centred = projects and mean.shape == (y.shape[1],)
+    centred = projects and mean.shape == (y.shape[1],) and finite(y, mean)
     assert outcome(lambda: san.pca(y, matrix, mean)) == (expected if centred else None)
-    assert outcome(lambda: san.identity(y)) == y.shape
+    assert outcome(lambda: san.identity(y)) == (y.shape if finite(y) else None)
 
 
 @CONTRACT
 @given(st.data(), DIMS, DIMS, st.sets(st.integers(0, 6)), st.floats(0.0, 2.0))
 def test_asup(data, rows, n, private, scale):
     y = data.draw(arrays((rows, n)))
-    valid = rows_of(y) and all(i < y.shape[1] for i in private)
+    valid = rows_of(y) and finite(y) and all(i < y.shape[1] for i in private)
     expected = y.shape if valid else None
     assert outcome(lambda: san.asup(y, scale, private, Rng(0))) == expected
 
@@ -113,7 +121,7 @@ def test_random_inverse(data, rows, n, m, dist):
     s = data.draw(arrays((rows, m)))
     count = data.draw(st.sampled_from([len(s), len(s) + 1, max(len(s) - 1, 0)]))
     streams = [Rng(1).child(j) for j in range(count)]
-    valid = rows_of(s) and s.shape[1] <= n and count == len(s)
+    valid = rows_of(s) and finite(s) and s.shape[1] <= n and count == len(s)
     expected = (len(s), n) if valid else None
     assert outcome(lambda: atk.random_inverse(s, n, dist, streams)) == expected
 
@@ -124,8 +132,8 @@ def test_known_matrix_and_linear(data, rows, n, m, with_mean, mean_in_tuple):
     s = data.draw(arrays((rows, m)))
     matrix = data.draw(arrays((n, m)))
     mean = data.draw(arrays((n,))) if with_mean else None
-    fits = rows_of(s) and rows_of(matrix) and s.shape[1] == matrix.shape[1]
-    valid = fits and (mean is None or mean.shape == matrix.shape[:1])
+    fits = rows_of(s) and rows_of(matrix) and s.shape[1] == matrix.shape[1] and finite(s, matrix)
+    valid = fits and (mean is None or (mean.shape == matrix.shape[:1] and finite(mean)))
     expected = (len(s), len(matrix)) if valid else None
     assert outcome(lambda: atk.known_matrix(s, matrix, mean, mean_in_tuple)) == expected
     # Any 2-d map is valid for ``linear``.
@@ -139,6 +147,6 @@ def test_utility_scores(data, rows, n, m, same_quadrant):
     actual = data.draw(arrays((rows, n)))
     sanitized = data.draw(arrays((rows, min(m, n))))
     valid = (rows_of(actual) and rows_of(sanitized) and len(actual) == len(sanitized)
-             and sanitized.shape[1] <= actual.shape[1])
+             and sanitized.shape[1] <= actual.shape[1] and finite(actual, sanitized))
     expected = ((len(actual),), (len(actual),)) if valid else None
     assert outcome(lambda: utility_scores(actual, sanitized, same_quadrant)) == expected

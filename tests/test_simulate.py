@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ from privsan import attack, metrics, simulate
 from privsan.errors import ConfigInvalid, RankDeficient
 from privsan.rng import Rng
 from privsan.simulate import (
+    MECHANISMS,
     ExperimentConfig,
     SyntheticDataset,
     _certificates,
@@ -294,3 +296,19 @@ class TestSharedRounds:
         run_sweep(ExperimentConfig(**FAST), (12, 20), ("brp", "pca", "asup"))
         run_experiment(ExperimentConfig(**FAST, adversary="random-inverse"))
         assert calls["map"] == 0
+
+
+@pytest.mark.parametrize("sanitizer,adversary",
+                         [(m, "auto") for m in MECHANISMS] + [("nrp", "random-inverse")])
+def test_peak_estimate_bounds_one_repetition(heap_scratch, sanitizer, adversary):
+    # heap_scratch keeps the kNN's scratch on the heap, where tracemalloc sees it.
+    for agents in (20, 80):
+        cfg = ExperimentConfig(agent_count=agents, sanitizer=sanitizer, adversary=adversary,
+                               repetitions=1)
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= simulate.peak_bytes(cfg) <= 3 * peak, (agents, peak)
