@@ -76,12 +76,6 @@ def random_inverse(s: np.ndarray, n: int, distribution: EntryDistribution,
     s = as_matrix(s)
     if len(streams) != len(s):
         raise DimensionMismatch(f"{len(s)} rows need as many streams, got {len(streams)}")
-    return _random_inverse(s, n, distribution, streams)
-
-
-def _random_inverse(s: np.ndarray, n: int, distribution: EntryDistribution,
-                    streams: list[Rng]) -> np.ndarray:
-    """:func:`random_inverse` on a finite (rows x m) float array."""
     m = s.shape[1]
     if m > n:
         raise DimensionMismatch(f"sanitized dim {m} exceeds ambient dim {n}")
@@ -159,8 +153,7 @@ def _linear(s: np.ndarray, linear_map: np.ndarray) -> np.ndarray:
 def attack_random_inverse(t: SanitizedTuple, n: int, distribution: EntryDistribution,
                           rng: Rng) -> ReconstructionResult:
     """Reconstruct with the pseudo-inverse of a fresh ``distribution`` draw."""
-    # SanitizedTuple has checked t.values; no second finiteness pass.
-    recon = _random_inverse(t.values[None], n, distribution, [rng])
+    recon = random_inverse(t.values[None], n, distribution, [rng])
     return ReconstructionResult(recon[0], t.agent_id, "random-inverse")
 
 

@@ -40,7 +40,7 @@ class GridSpec:
     cell_side: float
 
     def __post_init__(self):
-        if self.cell_side <= 0:
+        if not (self.cell_side > 0):
             raise NonPositiveInput("cell_side must be positive")
 
 
@@ -72,7 +72,7 @@ def check_gamma(gamma: float) -> None:
 
 def compute_t(cell_side: float, alpha: float) -> float:
     """Collinear-scale cap t = cell_side / alpha + 1."""
-    if cell_side <= 0 or alpha <= 0:
+    if not (cell_side > 0 and alpha > 0):
         raise NonPositiveInput("cell_side and alpha must be positive")
     return cell_side / alpha + 1.0
 

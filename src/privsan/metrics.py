@@ -136,7 +136,7 @@ def breach_count(actual, recon, radius_fraction: float = 0.2) -> float:
     their original point, whose radius is ``radius_fraction`` times that
     point's norm."""
     a, r = _paired(actual, recon)
-    if radius_fraction <= 0:
+    if not (radius_fraction > 0):
         raise ValueError("radius_fraction must be positive")
     err = np.linalg.norm(r - a, axis=1)
     return float(np.mean(err <= radius_fraction * np.linalg.norm(a, axis=1)))

@@ -22,11 +22,8 @@ wraps its draw in a :class:`ProjectionMatrix` with the certificate it meets.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO
 
 import numpy as np
 
@@ -99,43 +96,15 @@ class ProjectionMatrix:
                 raise ValueError("Frobenius norm does not meet the certificate bound")
 
 
-class ReplayLog:
-    """Audit log of sanitization events, one JSON record per line.
-
-    Records carry enough to regenerate the projection matrix (the seed
-    path of the stream that drew it) and to verify it (a digest of its
-    bytes)."""
-
-    def __init__(self, stream: IO[str] | None = None):
-        self.stream = stream
-        self.entries: list[dict] = []
-
-    def record(self, agent_id: str, rng: Rng, distribution: EntryDistribution,
-               bound: float | None, matrix: np.ndarray) -> None:
-        entry = {
-            "agent_id": agent_id,
-            "seed": rng.seed,
-            "path": list(rng.path),
-            "distribution": EntryDistribution(distribution).value,
-            "frobenius_bound": bound,
-            "matrix_digest": matrix_digest(matrix),
-        }
-        self.entries.append(entry)
-        if self.stream is not None:
-            self.stream.write(json.dumps(entry, sort_keys=True) + "\n")
-
-
-def matrix_digest(matrix: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(matrix, dtype=float).tobytes()).hexdigest()
-
-
 def sample_bounded_matrices(count: int, n: int, m: int, distribution: EntryDistribution,
                             rng: Rng, betas: np.ndarray | None = None) -> np.ndarray:
     """``count`` n x m matrices with iid entries from a bounded
     distribution, in one draw from ``rng``; all-zero matrices are
     redrawn (bounded retries).  With ``betas`` matrix i is rescaled so
     its Frobenius norm equals ``betas[i]``.  ``distribution`` may be an
-    :class:`EntryDistribution` or its string value."""
+    :class:`EntryDistribution` or its string value.  With ``count=1``, on a
+    fresh stream at a :func:`sanitize_nrp` call's address, it replays
+    that call's matrix."""
     a = _uniform(count, n, m, distribution, rng)
     _redraw_zeros(a, np.flatnonzero(~a.any(axis=(1, 2))), distribution, rng)
     if betas is not None:
@@ -285,8 +254,8 @@ def asup(y: np.ndarray, noise_scale: float, private_indices, rng: Rng) -> np.nda
     that of one draw of all the rotations.  A non-finite entry of ``y``
     raises ValueError."""
     check_finite(y, "rows")
-    if noise_scale < 0:
-        raise ValueError("noise_scale must be nonnegative")
+    if not (0 <= noise_scale < np.inf):
+        raise ValueError("noise_scale must be finite and nonnegative")
     rows, n = y.shape
     idx = sorted(private_indices)
     if idx and not (0 <= idx[0] and idx[-1] < n):
@@ -341,25 +310,25 @@ def fit_pca(dataset, m: int) -> np.ndarray:
 # Per-tuple API: one-row calls into the mechanisms above.
 
 def sanitize_nrp(t: DataTuple, m: int, certificate: NormBoundCertificate | None, rng: Rng,
-                 distribution: EntryDistribution = EntryDistribution.UNIT_UNIFORM,
-                 log: ReplayLog | None = None) -> SanitizedTuple:
+                 distribution: EntryDistribution = EntryDistribution.UNIT_UNIFORM
+                 ) -> SanitizedTuple:
     """Projection by a fresh matrix for this call, rescaled to the
     certificate's Frobenius bound; with ``certificate=None`` the matrix
     is not rescaled (the unbounded ablation, tagged ``nrp-unbounded``).
 
     ``rng`` must be a fresh child stream per call; reusing one defeats
     the per-instance randomness the mechanism relies on.
+
+    The matrix is replayed from the stream's address: it is
+    ``sample_bounded_matrices(1, n, m, distribution, Rng(rng.seed,
+    rng.path), betas)[0]``, with ``betas`` None or
+    ``[certificate.frobenius_bound]``, and for unit-uniform entries
+    ``bounded_projection(n, m, certificate, Rng(rng.seed, rng.path)).matrix``.
     """
-    beta = None if certificate is None else certificate.frobenius_bound
-    betas = None if beta is None else np.array([beta])
+    betas = None if certificate is None else np.array([certificate.frobenius_bound])
     # DataTuple has checked t.values; no second finiteness pass.
     values = _nrp(t.values[None], m, rng, distribution, betas, 1)
-    if log is not None:
-        # The matrix is drawn again from the address of the stream that drew it.
-        replay = sample_bounded_matrices(1, t.values.size, m, distribution,
-                                         Rng(rng.seed, rng.path), betas)
-        log.record(t.agent_id, rng, distribution, beta, replay[0])
-    return SanitizedTuple(values[0], t.agent_id, "nrp-unbounded" if beta is None else "nrp")
+    return SanitizedTuple(values[0], t.agent_id, "nrp-unbounded" if betas is None else "nrp")
 
 
 def sanitize_identity(t: DataTuple) -> SanitizedTuple:

@@ -167,6 +167,11 @@ class ExperimentConfig:
     def mechanism(self) -> Mechanism:
         return MECHANISMS[self.sanitizer]
 
+    @property
+    def attack(self) -> str:
+        """The attack this config runs: the mechanism's own under ``auto``."""
+        return self.mechanism.adversary if self.adversary == "auto" else self.adversary
+
 
 @dataclass(frozen=True)
 class SyntheticDataset:
@@ -363,13 +368,12 @@ def _attack_round(cfg: ExperimentConfig, data: SyntheticDataset, sanitized: np.n
     (tuples x n) array, for a dimension-preserving mechanism ``sanitized``
     itself.  ``matrix`` is the mechanism's fixed matrix and ``linear_map``
     the expected-inverse map, read only by the attacks that use them."""
-    adv = cfg.mechanism.adversary if cfg.adversary == "auto" else cfg.adversary
-    if adv == "expected-inverse":
+    if cfg.attack == "expected-inverse":
         return atk.linear(sanitized, linear_map)
-    if adv == "random-inverse":
+    if cfg.attack == "random-inverse":
         streams = [rng.child(j) for j in range(len(sanitized))]
         return atk.random_inverse(sanitized, cfg.input_dim, cfg.distribution, streams)
-    if adv == "known-matrix":
+    if cfg.attack == "known-matrix":
         # brp projects raw tuples; pca projects tuples centered on the mean.
         return atk.known_matrix(sanitized, matrix, data.values.mean(axis=0),
                                 mean_in_tuple=cfg.sanitizer == "brp")
@@ -433,7 +437,7 @@ def _repetition(points: list[ExperimentConfig], r: int) -> list[RepetitionMetric
     cfg = points[0]
     rep_rng = Rng(cfg.master_seed).child(r)
     linear_map = None
-    if any(p.adversary == "auto" and p.mechanism.adversary == "expected-inverse" for p in points):
+    if any(p.attack == "expected-inverse" for p in points):
         linear_map = atk.expected_inverse_map(cfg.input_dim, cfg.target_dim, cfg.distribution,
                                               cfg.inverse_samples, rep_rng.child(2).child(0))
     results: list = [None] * len(points)
@@ -465,9 +469,8 @@ def peak_bytes(cfg: ExperimentConfig) -> int:
     entries, draws = {"nrp": (n * m, tuples), "nrp-unbounded": (n * m, cfg.agent_count),
                       "asup": (n * n, tuples)}.get(cfg.sanitizer, (0, 0))
     chunk = min(max(san.DRAW_CHUNK, entries), draws * entries)
-    adversary = cfg.mechanism.adversary if cfg.adversary == "auto" else cfg.adversary
     attack = {"expected-inverse": 4 * cfg.inverse_samples * n * m,
-              "random-inverse": 5 * atk.ATTACK_CHUNK * n * m + 32 * tuples}.get(adversary, 0)
+              "random-inverse": 5 * atk.ATTACK_CHUNK * n * m + 32 * tuples}.get(cfg.attack, 0)
     return 8 * (cfg.agent_count * n * q + q * q + 6 * tuples * n
                 + 2 * met.KNN_BLOCK * tuples + 2 * tuples * cfg.k_neighbors + 2 * chunk + attack)
 

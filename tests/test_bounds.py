@@ -38,7 +38,7 @@ class TestGridSpec:
         assert make_grid(cfg).cell_side == 0.25
 
     def test_invalid(self):
-        for side in (0.0, -1.0):
+        for side in (0.0, -1.0, math.nan):
             with pytest.raises(NonPositiveInput):
                 GridSpec(side)
 
@@ -105,6 +105,12 @@ class TestNormBound:
         ratio = cell + 1.0
         cert = compute_norm_bound(0.5, cell, 1.0)
         assert cert.slack == 0.5 + math.sqrt(0.5**2 - 1.0 + ratio**2) - 1.0
+
+    def test_nan_cell_side_or_alpha_raises(self):
+        # A NaN would otherwise pass every comparison and give a NaN bound.
+        for cell, alpha in ((math.nan, 1.0), (0.1, math.nan)):
+            with pytest.raises(NonPositiveInput):
+                compute_norm_bound(0.5, cell, alpha)
 
     def test_unrepresentable_bound_raises(self):
         # t / alpha = (1e300 / 1e-10 + 1) / 1e-10 is past float64.

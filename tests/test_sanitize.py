@@ -1,5 +1,3 @@
-import io
-import json
 import math
 import tracemalloc
 
@@ -19,10 +17,8 @@ from privsan.sanitize import (
     SAMPLE_RETRIES,
     EntryDistribution,
     ProjectionMatrix,
-    ReplayLog,
     bounded_projection,
     fit_pca,
-    matrix_digest,
     sample_bounded_matrices,
     sample_bounded_matrix,
     sample_orthonormal_matrix,
@@ -130,17 +126,24 @@ class TestNrp:
         with pytest.raises(DimensionMismatch):
             sanitize_nrp(dt([1.0, 2.0]), 3, CERT, Rng(11))
 
-    def test_replay_log_records(self):
-        stream = io.StringIO()
-        log = ReplayLog(stream)
-        rng = Rng(12)
-        sanitize_nrp(dt([0.4, 0.6], agent="a7"), 1, CERT, rng, log=log)
-        entry = json.loads(stream.getvalue())
-        assert entry["agent_id"] == "a7"
-        assert entry["seed"] == 12
-        assert entry["frobenius_bound"] == CERT.frobenius_bound
-        replayed = bounded_projection(2, 1, CERT, Rng(12))
-        assert entry["matrix_digest"] == matrix_digest(replayed.matrix)
+    def test_replay_by_address(self):
+        # The matrix behind a call is drawn again at the address of the
+        # stream that drew it; that stream has drawn by the time it is read.
+        t = dt(Rng(12).uniform(0.0, 1.0, 6))
+        for certificate, distribution in ((CERT, EntryDistribution.UNIT_UNIFORM),
+                                          (None, EntryDistribution.UNIT_UNIFORM),
+                                          (CERT, EntryDistribution.SYMMETRIC_UNIFORM)):
+            rng = Rng(12).child(3)
+            out = sanitize_nrp(t, 4, certificate, rng, distribution)
+            betas = None if certificate is None else [certificate.frobenius_bound]
+            replayed = sample_bounded_matrices(1, 6, 4, distribution, Rng(rng.seed, rng.path),
+                                               betas)[0]
+            projected = matvec_rows(replayed.T[None], t.values[None])[0]
+            assert projected.tobytes() == out.values.tobytes()
+            assert out.mechanism_tag == ("nrp-unbounded" if certificate is None else "nrp")
+            if distribution is EntryDistribution.UNIT_UNIFORM:
+                matrix = bounded_projection(6, 4, certificate, Rng(rng.seed, rng.path)).matrix
+                assert matrix.tobytes() == replayed.tobytes()
 
 
 class TestNrpUnbounded:
@@ -157,15 +160,6 @@ class TestNrpUnbounded:
         a = sample_bounded_matrix(2, 1, EntryDistribution.UNIT_UNIFORM, Rng(15))
         expected = a[0, 0] * 0.3 + a[1, 0] * 0.8
         assert out.values[0] == pytest.approx(expected, rel=1e-12)
-
-    def test_tag_and_null_bound_in_replay_log(self):
-        stream = io.StringIO()
-        out = sanitize_nrp(dt([0.4, 0.6]), 1, None, Rng(16), log=ReplayLog(stream))
-        entry = json.loads(stream.getvalue())
-        assert out.mechanism_tag == "nrp-unbounded"
-        assert entry["frobenius_bound"] is None
-        replayed = bounded_projection(2, 1, None, Rng(16))
-        assert entry["matrix_digest"] == matrix_digest(replayed.matrix)
 
 
 class ZeroedDraws:
@@ -331,10 +325,8 @@ class TestDistributionByValue:
         by_value = sanitize.nrp(y, 3, Rng(33), "unit-uniform")
         by_member = sanitize.nrp(y, 3, Rng(33), EntryDistribution.UNIT_UNIFORM)
         assert by_value.tobytes() == by_member.tobytes()
-        log = ReplayLog()
-        out = sanitize_nrp(dt(np.ones(4)), 3, CERT, Rng(34), "unit-uniform", log)
+        out = sanitize_nrp(dt(np.ones(4)), 3, CERT, Rng(34), "unit-uniform")
         assert out.values.tobytes() == sanitize_nrp(dt(np.ones(4)), 3, CERT, Rng(34)).values.tobytes()
-        assert log.entries[0]["distribution"] == "unit-uniform"
 
     def test_unknown_string_raises(self):
         with pytest.raises(ValueError):

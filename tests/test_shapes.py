@@ -10,13 +10,14 @@ valid call must return.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privsan import attack as atk
 from privsan import sanitize as san
 from privsan.errors import PrivsanError
-from privsan.metrics import utility_scores
+from privsan.metrics import breach_count, utility_scores
 from privsan.rng import Rng
 
 CONTRACT = settings(max_examples=150, deadline=None, database=None)
@@ -115,6 +116,15 @@ def test_asup(data, rows, n, private, scale):
     assert outcome(lambda: san.asup(y, scale, private, Rng(0))) == expected
 
 
+def test_asup_scale_must_be_finite_and_nonnegative():
+    # A NaN or infinite scale must raise like a negative one, not give
+    # non-finite rows.
+    y = np.ones((2, 3))
+    for scale in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="noise_scale"):
+            san.asup(y, scale, [0, 1], Rng(0))
+
+
 @CONTRACT
 @given(st.data(), DIMS, DIMS, DIMS, DIST)
 def test_random_inverse(data, rows, n, m, dist):
@@ -150,3 +160,11 @@ def test_utility_scores(data, rows, n, m, same_quadrant):
              and sanitized.shape[1] <= actual.shape[1] and finite(actual, sanitized))
     expected = ((len(actual),), (len(actual),)) if valid else None
     assert outcome(lambda: utility_scores(actual, sanitized, same_quadrant)) == expected
+
+
+def test_breach_count_radius_must_be_positive():
+    # A NaN radius must raise like 0 does, not score 0.0.
+    a = np.ones((3, 2))
+    for radius in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="radius_fraction"):
+            breach_count(a, a, radius)
