@@ -40,8 +40,8 @@ class GridSpec:
     cell_side: float
 
     def __post_init__(self):
-        if not (self.cell_side > 0):
-            raise NonPositiveInput("cell_side must be positive")
+        if not (0 < self.cell_side < math.inf):
+            raise NonPositiveInput(f"cell_side must be positive and finite, got {self.cell_side}")
 
 
 @dataclass(frozen=True)
@@ -71,9 +71,11 @@ def check_gamma(gamma: float) -> None:
 
 
 def compute_t(cell_side: float, alpha: float) -> float:
-    """Collinear-scale cap t = cell_side / alpha + 1."""
-    if not (cell_side > 0 and alpha > 0):
-        raise NonPositiveInput("cell_side and alpha must be positive")
+    """Collinear-scale cap t = cell_side / alpha + 1; a cell side or
+    alpha that is not positive and finite raises NonPositiveInput."""
+    if not (0 < cell_side < math.inf and 0 < alpha < math.inf):
+        raise NonPositiveInput(
+            f"cell_side and alpha must be positive and finite, got {cell_side}, {alpha}")
     return cell_side / alpha + 1.0
 
 

@@ -1,3 +1,4 @@
+import functools
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from privsan import attack
+from privsan import linalg
 from privsan.attack import (
     ATTACK_CHUNK,
     ATTACK_RETRIES,
@@ -328,3 +330,111 @@ class TestDirectionalSeparation:
             rec_fixed = known_matrix(brp(y[None], q), q)[0]
             d_fixed.append(np.linalg.norm(rec_fixed - y))
         assert np.mean(d_fresh) > np.mean(d_fixed)
+
+
+class FirstDrawZero:
+    """A generator whose first draw is made and then reads all zero
+    entries of the distribution: ``fill`` for ``random``, whose u maps
+    to the entry, and 0 for ``uniform``."""
+
+    def __init__(self, generator, fill):
+        self.generator, self.fill, self.drawn = generator, fill, False
+
+    def random(self, size):
+        return self._first(self.generator.random(size), self.fill)
+
+    def uniform(self, low, high, size):
+        return self._first(self.generator.uniform(low, high, size=size), 0.0)
+
+    def _first(self, a, fill):
+        if not self.drawn:
+            self.drawn = True
+            a[...] = fill
+        return a
+
+
+class TestBufferedDraws:
+    n, m, rows = 7, 3, 5
+
+    def streams(self):
+        return [Rng(80).child(j).child(0) for j in range(self.rows)]
+
+    def oracle(self, distribution):
+        return np.stack([sample_bounded_matrix(self.n, self.m, distribution, r)
+                         for r in self.streams()])
+
+    @pytest.mark.parametrize("distribution", list(EntryDistribution)
+                             + [d.value for d in EntryDistribution])
+    def test_draws_equal_stacked_sample_bounded_matrix(self, distribution):
+        out = attack._draws(self.n, self.m, distribution, self.streams())
+        assert out.tobytes() == self.oracle(distribution).tobytes()
+
+    @pytest.mark.parametrize("distribution", list(EntryDistribution))
+    def test_planted_all_zero_first_draw_is_redrawn_as_before(self, monkeypatch, distribution):
+        # Row 2's first draw reads all zero; sample_bounded_matrix redraws
+        # it from the same stream, and _draws gives those bits too.
+        low = 0.0 if distribution is EntryDistribution.UNIT_UNIFORM else -1.0
+        planted = self.streams()[2].path
+        second = Rng(80, planted).generator
+        second.uniform(low, 1.0, (self.n, self.m))
+        second = second.uniform(low, 1.0, (self.n, self.m))
+        build = Rng.generator.func
+
+        def generator(rng):
+            g = build(rng)
+            return FirstDrawZero(g, -low / (1.0 - low)) if rng.path == planted else g
+
+        patched = functools.cached_property(generator)
+        patched.__set_name__(Rng, "generator")
+        monkeypatch.setattr(Rng, "generator", patched)
+        out = attack._draws(self.n, self.m, distribution, self.streams())
+        expected = self.oracle(distribution)
+        assert out.tobytes() == expected.tobytes()
+        assert expected[2].tobytes() == second.tobytes()
+
+
+class TestRankScreen:
+    UNIT = EntryDistribution.UNIT_UNIFORM
+
+    def count_full_rank(self, monkeypatch):
+        calls = []
+        full_rank = linalg.full_rank
+
+        def counted(a):
+            calls.append(len(a))
+            return full_rank(a)
+
+        monkeypatch.setattr(linalg, "full_rank", counted)
+        monkeypatch.setattr(attack, "full_rank", counted)
+        return calls
+
+    def test_well_conditioned_chunks_run_no_svd(self, monkeypatch):
+        n, m, rows = 20, 8, 2 * ATTACK_CHUNK
+        s = Rng(81).standard_normal((rows, m))
+        streams = [Rng(82).child(j) for j in range(rows)]
+        calls = self.count_full_rank(monkeypatch)
+        random_inverse(s, n, self.UNIT, streams)
+        assert calls == []
+
+    def test_an_ill_conditioned_draw_alone_runs_the_svd(self, monkeypatch):
+        # The planted draw at condition 1e9 is dropped by full_rank and
+        # redrawn; only it reaches the SVD, once.
+        n, m, rows = 20, 8, ATTACK_CHUNK
+        u = np.linalg.qr(Rng(83).standard_normal((n, m)))[0]
+        planted = u @ np.diag(np.geomspace(1.0, 1e-9, m))
+        family_sample = attack._family_sample
+
+        def planted_first_draw(n, m, distribution, rng):
+            row, attempt = rng.path[-2:]
+            if row == 3 and attempt == 0:
+                return planted
+            return family_sample(n, m, distribution, rng)
+
+        monkeypatch.setattr(attack, "_family_sample", planted_first_draw)
+        s = Rng(84).standard_normal((rows, m))
+        streams = [Rng(85).child(j) for j in range(rows)]
+        calls = self.count_full_rank(monkeypatch)
+        out = random_inverse(s, n, self.UNIT, streams)
+        assert calls == [1]
+        redrawn = sample_bounded_matrix(n, m, self.UNIT, streams[3].child(1))
+        assert np.allclose(out[3], np.linalg.pinv(redrawn.T) @ s[3], rtol=1e-12, atol=0.0)

@@ -42,6 +42,10 @@ class TestGridSpec:
             with pytest.raises(NonPositiveInput):
                 GridSpec(side)
 
+    def test_infinite_cell_side_raises(self):
+        with pytest.raises(NonPositiveInput, match="finite"):
+            GridSpec(math.inf)
+
 
 class TestComputeT:
     def test_direct_substitution(self):
@@ -54,6 +58,16 @@ class TestComputeT:
             compute_t(0.0, 1.0)
         with pytest.raises(NonPositiveInput):
             compute_t(1.0, -2.0)
+
+    def test_infinite_input_raises(self):
+        # An infinite alpha would give t = 1 and a certificate for
+        # eps = 1, or an InfeasibleBound verdict on the data scale below.
+        for cell, alpha in ((math.inf, 1.0), (0.1, math.inf)):
+            with pytest.raises(NonPositiveInput, match="finite"):
+                compute_t(cell, alpha)
+        for eps in (1.0, 0.5):
+            with pytest.raises(NonPositiveInput, match="finite"):
+                compute_norm_bound(eps, 0.1, math.inf)
 
 
 class TestNormBound:

@@ -11,6 +11,7 @@ from privsan.linalg import (
     full_rank,
     matvec_rows,
     orthonormalize,
+    triangular_full_rank,
 )
 from privsan.rng import Rng
 
@@ -150,6 +151,59 @@ class TestFullRank:
         assert np.shape(full) == stack and np.all(full == (not rank_lost))
         if not rank_lost:
             assert np.linalg.pinv(a).tobytes() == np.linalg.pinv(a, rcond=1e-10).tobytes()
+
+
+class TestTriangularFullRank:
+    @staticmethod
+    def r_with_singular_values(values, seed):
+        # The R of a reduced QR of U diag(values) V^T, whose singular
+        # values are ``values``.
+        k = len(values)
+        u = np.linalg.qr(Rng(seed).standard_normal((2 * k, k)))[0]
+        v = np.linalg.qr(Rng(seed + 1).standard_normal((k, k)))[0]
+        return np.linalg.qr(u @ np.diag(values) @ v.T)[1]
+
+    def mixed_stack(self):
+        # Condition 1, 1e6 and 1e9 at k = 3: full_rank keeps the first
+        # two (1e-12 > 3 eps) and drops the third (1e-18 < 3 eps).
+        return np.stack([self.r_with_singular_values([1.0, 0.7, 0.4], 1),
+                         self.r_with_singular_values([1.0, 0.5, 1e-6], 3),
+                         self.r_with_singular_values([1.0, 0.5, 1e-9], 5),
+                         self.r_with_singular_values([2.0, 1.5, 1.0], 7)])
+
+    def test_mask_equals_full_rank(self):
+        r = self.mixed_stack()
+        assert full_rank(r).tolist() == [True, True, False, True]
+        assert triangular_full_rank(r).tolist() == full_rank(r).tolist()
+
+    def test_exactly_singular_r_sends_the_stack_to_full_rank(self):
+        r = self.mixed_stack()
+        r[1, 2, 2] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(r)
+        assert triangular_full_rank(r).tolist() == full_rank(r).tolist()
+        assert full_rank(r).tolist() == [True, False, False, True]
+
+    def test_non_finite_inverse_goes_to_full_rank(self):
+        # A subnormal pivot inverts to inf; full_rank drops the matrix.
+        r = self.mixed_stack()
+        r[0] = np.diag([1.0, 1.0, 1e-310])
+        with np.errstate(over="ignore", divide="ignore"):
+            assert not np.isfinite(np.linalg.inv(r[:1])).all()
+        assert triangular_full_rank(r).tolist() == full_rank(r).tolist()
+        assert full_rank(r).tolist() == [False, True, False, True]
+
+    @settings(max_examples=40, deadline=None)
+    @given(hst.data())
+    def test_mask_equals_full_rank_near_the_threshold(self, data):
+        # Random R stacks with one singular value scaled through the
+        # threshold (condition 1e4 ... 1e12) against the SVD rule.
+        k = data.draw(hst.integers(1, 12), label="k")
+        gen = np.random.default_rng(data.draw(hst.integers(0, 2**32 - 1), label="seed"))
+        u, s, vt = np.linalg.svd(gen.uniform(-1.0, 1.0, (6, 2 * k, k)), full_matrices=False)
+        s[:, -1] = s[:, 0] * 10.0 ** gen.uniform(-12.0, -4.0, 6)
+        r = np.linalg.qr((u * s[:, None, :]) @ vt)[1]
+        assert triangular_full_rank(r).tolist() == full_rank(r).tolist()
 
 
 class TestRngDeterminism:
