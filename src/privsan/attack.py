@@ -19,13 +19,9 @@ one-row calls; ``known_matrix`` is array-only.
 ``random_inverse`` runs on the calling thread, in chunks of
 ``ATTACK_CHUNK`` rows.  Row j's matrix comes only from its own stream,
 and its reconstruction (B^T)^+ s = Q R^{-T} s comes from one reduced QR
-of that draw, so row j equals a one-row call bit for bit.  A chunk's
-draws are written into one buffer, each as one ``random`` draw on its
-stream (``*2 - 1`` for symmetric entries), which is the bits of
-:func:`~privsan.sanitize.sample_bounded_matrix`.  The full-rank test
-reads the QR's R: :func:`~privsan.linalg.triangular_full_rank` accepts
-a well-conditioned R from its inverse's norm and runs ``full_rank``'s
-SVD on the rest only, with the mask ``full_rank`` gives.
+of that draw, so row j equals a one-row call bit for bit.  The
+full-rank mask of R is :func:`~privsan.linalg.triangular_full_rank`'s,
+which equals ``full_rank``'s (the argument is in its docstring).
 """
 
 from __future__ import annotations
@@ -62,26 +58,11 @@ class ReconstructionResult:
 
 
 def _family_sample(n: int, m: int, distribution: EntryDistribution, rng: Rng) -> np.ndarray:
-    """``sample_bounded_matrix(n, m, distribution, rng)`` on a fresh
-    stream, bit for bit: ``Generator.uniform(low, 1)`` is low + (1 - low)
-    u for the ``random`` draw u, and 2u - 1 rounds once, as -1 + 2u does.
-    An all-zero draw is redrawn by ``sample_bounded_matrix`` from the
-    stream's start, which replays it and redraws from there."""
-    a = rng.generator.random((n, m))
-    if EntryDistribution(distribution) is EntryDistribution.SYMMETRIC_UNIFORM:
-        a *= 2.0
-        a -= 1.0
-    if np.count_nonzero(a):
-        return a
-    return sample_bounded_matrix(n, m, distribution, Rng(rng.seed, rng.path))
+    return sample_bounded_matrix(n, m, distribution, rng)
 
 
 def _draws(n: int, m: int, distribution: EntryDistribution, streams) -> np.ndarray:
-    """One :func:`_family_sample` per stream, in one (streams x n x m) buffer."""
-    out = np.empty((len(streams), n, m))
-    for i, r in enumerate(streams):
-        out[i] = _family_sample(n, m, distribution, r)
-    return out
+    return np.stack([_family_sample(n, m, distribution, r) for r in streams])
 
 
 def _qr_reconstruct(b: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -89,15 +70,8 @@ def _qr_reconstruct(b: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarra
     of full rank, paired row by row with ``s``, and the full-rank mask
     of R, whose singular values are B's; the other draws are not solved.
     Unlike B (B^T B)^{-1} s, this does not square the condition number.
-
-    The mask is :func:`~privsan.linalg.triangular_full_rank`'s: R is
-    accepted without an SVD when ||R||_F^2 ||R^-1||_F^2 m eps < 1e-3.
-    That bounds s_max^2 / s_min^2 m eps a factor 1e3 below
-    ``full_rank``'s threshold, far more than rounding in the inverse and
-    in the SVD can move it (the proof is in that docstring).  Every
-    other R, and every R of a chunk whose inverse fails, is decided by
-    ``full_rank`` itself.  So the mask is ``full_rank(r)``'s, and every
-    solved row keeps its bits."""
+    The mask comes from :func:`~privsan.linalg.triangular_full_rank` and
+    equals ``full_rank(r)``."""
     q, r = np.linalg.qr(b)
     full = triangular_full_rank(r)
     z = np.linalg.solve(np.swapaxes(r[full], 1, 2), s[full, :, None])

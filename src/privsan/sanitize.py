@@ -106,7 +106,7 @@ def sample_bounded_matrices(count: int, n: int, m: int, distribution: EntryDistr
     fresh stream at a :func:`sanitize_nrp` call's address, it replays
     that call's matrix."""
     a = _uniform(count, n, m, distribution, rng)
-    _redraw_zeros(a, _zero_matrices(a), distribution, rng)
+    _redraw_zeros(a, np.flatnonzero(~a.any(axis=(1, 2))), distribution, rng)
     if betas is not None:
         a *= (betas / row_norms(a))[:, None, None]
     return a
@@ -117,14 +117,6 @@ def _uniform(count: int, n: int, m: int, distribution: EntryDistribution,
     """One draw of ``count`` n x m matrices of iid ``distribution`` entries."""
     low = 0.0 if EntryDistribution(distribution) is EntryDistribution.UNIT_UNIFORM else -1.0
     return rng.uniform(low, 1.0, (count, n, m))
-
-
-def _zero_matrices(a: np.ndarray) -> np.ndarray:
-    """Indices of the all-zero matrices of the stack ``a``.  One matrix is
-    tested with ``count_nonzero``, which skips the multi-axis reduction."""
-    if len(a) == 1:
-        return np.zeros(0 if np.count_nonzero(a) else 1, dtype=np.intp)
-    return np.flatnonzero(~a.any(axis=(1, 2)))
 
 
 def _redraw_zeros(a: np.ndarray, zero: np.ndarray, distribution: EntryDistribution,
@@ -208,7 +200,7 @@ def _nrp(y: np.ndarray, m: int, rng: Rng, distribution: EntryDistribution,
     for lo in range(0, count, per):
         a = _uniform(min(per, count - lo), n, m, distribution, rng)
         hi = lo + len(a)
-        found = _zero_matrices(a)
+        found = np.flatnonzero(~a.any(axis=(1, 2)))
         if found.size:
             zero.append(lo + found)
             a[found] = 1.0    # a stand-in: its rows are projected again below

@@ -1,4 +1,3 @@
-import functools
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -330,67 +329,6 @@ class TestDirectionalSeparation:
             rec_fixed = known_matrix(brp(y[None], q), q)[0]
             d_fixed.append(np.linalg.norm(rec_fixed - y))
         assert np.mean(d_fresh) > np.mean(d_fixed)
-
-
-class FirstDrawZero:
-    """A generator whose first draw is made and then reads all zero
-    entries of the distribution: ``fill`` for ``random``, whose u maps
-    to the entry, and 0 for ``uniform``."""
-
-    def __init__(self, generator, fill):
-        self.generator, self.fill, self.drawn = generator, fill, False
-
-    def random(self, size):
-        return self._first(self.generator.random(size), self.fill)
-
-    def uniform(self, low, high, size):
-        return self._first(self.generator.uniform(low, high, size=size), 0.0)
-
-    def _first(self, a, fill):
-        if not self.drawn:
-            self.drawn = True
-            a[...] = fill
-        return a
-
-
-class TestBufferedDraws:
-    n, m, rows = 7, 3, 5
-
-    def streams(self):
-        return [Rng(80).child(j).child(0) for j in range(self.rows)]
-
-    def oracle(self, distribution):
-        return np.stack([sample_bounded_matrix(self.n, self.m, distribution, r)
-                         for r in self.streams()])
-
-    @pytest.mark.parametrize("distribution", list(EntryDistribution)
-                             + [d.value for d in EntryDistribution])
-    def test_draws_equal_stacked_sample_bounded_matrix(self, distribution):
-        out = attack._draws(self.n, self.m, distribution, self.streams())
-        assert out.tobytes() == self.oracle(distribution).tobytes()
-
-    @pytest.mark.parametrize("distribution", list(EntryDistribution))
-    def test_planted_all_zero_first_draw_is_redrawn_as_before(self, monkeypatch, distribution):
-        # Row 2's first draw reads all zero; sample_bounded_matrix redraws
-        # it from the same stream, and _draws gives those bits too.
-        low = 0.0 if distribution is EntryDistribution.UNIT_UNIFORM else -1.0
-        planted = self.streams()[2].path
-        second = Rng(80, planted).generator
-        second.uniform(low, 1.0, (self.n, self.m))
-        second = second.uniform(low, 1.0, (self.n, self.m))
-        build = Rng.generator.func
-
-        def generator(rng):
-            g = build(rng)
-            return FirstDrawZero(g, -low / (1.0 - low)) if rng.path == planted else g
-
-        patched = functools.cached_property(generator)
-        patched.__set_name__(Rng, "generator")
-        monkeypatch.setattr(Rng, "generator", patched)
-        out = attack._draws(self.n, self.m, distribution, self.streams())
-        expected = self.oracle(distribution)
-        assert out.tobytes() == expected.tobytes()
-        assert expected[2].tobytes() == second.tobytes()
 
 
 class TestRankScreen:

@@ -195,16 +195,6 @@ class TestBoundedRedraws:
             sample_bounded_matrix(4, 2, EntryDistribution.SYMMETRIC_UNIFORM,
                                   ZeroedDraws(Rng(31), zeros + [[0]]))
 
-    def test_one_row_nrp_redraws_an_all_zero_matrix(self):
-        # One matrix takes the single-matrix zero test; the redraw and
-        # the projection are those of the stacked path.
-        y = Rng(32).uniform(0.0, 1.0, (1, 5))
-        out = sanitize.nrp(y, 2, ZeroedDraws(Rng(33), [[0]]))
-        a = sample_bounded_matrices(1, 5, 2, EntryDistribution.UNIT_UNIFORM,
-                                    ZeroedDraws(Rng(33), [[0]]))
-        assert a.all() and a.tobytes() != Rng(33).uniform(0.0, 1.0, (1, 5, 2)).tobytes()
-        assert out.tobytes() == matvec_rows(np.swapaxes(a, 1, 2), y).tobytes()
-
     def test_every_draw_taken_is_checked(self):
         stream = ZeroedDraws(Rng(31), [[0]] * SAMPLE_RETRIES)
         with pytest.raises(DegenerateMatrix):
