@@ -28,11 +28,12 @@ row i's k-th smallest group minimum, k columns have s_ij <= G_i, so the
 row's k-th refine distance is at most G_i + |c_i|^2 + E_i + F_i, and
 every column among its k nearest has s_ij <= G_i + 2 (E_i + F_i): the
 row's threshold, rounded up to float32.  The columns under it get
-float64 distances from y, clamped at 0 and ranked by (distance, column)
-once per call, so ties keep the lowest indices.  A row with more than
-4k candidates takes its exact full row instead, ``KNN_BLOCK // 4`` rows
-at a time: a far outlier can shrink a tight cluster below float32's
-resolution.  Memory is O(``KNN_BLOCK`` x N + N d + N k), not N x N.
+float64 distances from y, clamped at 0 and ranked by (distance, column),
+so ties keep the lowest indices.  A row with more than 4k candidates
+takes its exact full row instead, ``KNN_BLOCK // 4`` rows at a time: a
+far outlier can shrink a tight cluster below float32's resolution.
+Each block is screened and ranked, full rows too, before the next one:
+memory is O(``KNN_BLOCK`` x N + N d + N k), not N x N.
 
 The distance-preservation fraction counts its pairs over the same row
 blocks.
@@ -41,7 +42,7 @@ blocks.
 from __future__ import annotations
 
 import math
-import mmap
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +54,6 @@ from .sanitize import DataTuple, SanitizedTuple
 
 KNN_BLOCK = 256    # rows per block of the kNN screen; bounds its memory
 _FAR = 2.0**100    # screen value of padding columns and of each row's own column
-_MAPPED_BYTES = 2**20    # kNN scratch arrays this large live in their own memory map
 
 
 @dataclass(frozen=True)
@@ -178,17 +178,6 @@ def _exponent(a: np.ndarray) -> int:
     return int(np.frexp(max(a.max(), -a.min()))[1])
 
 
-def _scratch(shape: tuple[int, ...], dtype) -> np.ndarray:
-    """An uninitialised array.  One of ``_MAPPED_BYTES`` or more gets its own
-    anonymous memory map, so its pages go back to the OS when it is dropped:
-    freed heap memory stays resident and would raise every later stage's
-    peak."""
-    size = math.prod(shape) * np.dtype(dtype).itemsize
-    if size < _MAPPED_BYTES:
-        return np.empty(shape, dtype=dtype)
-    return np.frombuffer(mmap.mmap(-1, size), dtype=dtype).reshape(shape)
-
-
 def _smallest(d: np.ndarray, k: int) -> np.ndarray:
     """(rows x k) positions of each row's k smallest entries of ``d``: the
     entries below the k-th value, then the lowest positions tied at it."""
@@ -203,11 +192,13 @@ def _smallest(d: np.ndarray, k: int) -> np.ndarray:
     return (np.flatnonzero(keep) % d.shape[1]).reshape(-1, k)
 
 
-def _screen(y: np.ndarray, sq: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The float32 screen of the cloud ``y`` with squared row norms ``sq``:
-    each row's candidates as (rows, columns) pairs in row, then column,
-    order, and the rows with more than ``4 k`` candidate groups or
-    candidates, which take their full row instead.
+def _screen(y: np.ndarray, sq: np.ndarray, k: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """The float32 screen of the cloud ``y`` with squared row norms ``sq``.
+    Per ``KNN_BLOCK``-row block it yields the screened rows; their
+    candidate columns in column order, padded with the row's own column
+    to one array; the rows with more than ``4 k`` candidate groups or
+    candidates, which take their full row instead; and the block buffer,
+    ``KNN_BLOCK // 2`` x N float64s or more, free until the next block.
 
     Column j of a screened row falls in group j % groups of the
     (``KNN_BLOCK`` x width x groups) buffer; the pads past N read _FAR."""
@@ -215,15 +206,15 @@ def _screen(y: np.ndarray, sq: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarr
     width = _group_width(n, k)
     groups = -(-n // width)
     cap = 4 * k
-    c = np.subtract(y, np.mean(y, axis=0), out=_scratch(y.shape, np.float64))
+    c = y - np.mean(y, axis=0)
     es = _exponent(c)
-    lhs = _scratch((n, dim + 1), np.float32)    # rows [c_i, 1]
+    lhs = np.empty((n, dim + 1), dtype=np.float32)    # rows [c_i, 1]
     lhs[:, :dim] = np.ldexp(c, -es, out=c)
     lhs[:, dim] = 1.0
     del c
     a = lhs[:, :dim]
     na = np.einsum("ij,ij->i", a, a, dtype=np.float64)
-    rhs = _scratch((width * groups, dim + 1), np.float32)    # rows [-2 c_j, |c_j|^2]
+    rhs = np.empty((width * groups, dim + 1), dtype=np.float32)    # rows [-2 c_j, |c_j|^2]
     np.multiply(a, np.float32(-2.0), out=rhs[:n, :dim])
     rhs[:n, dim] = na
     rhs[n:, :dim] = 0.0
@@ -233,8 +224,9 @@ def _screen(y: np.ndarray, sq: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarr
     with np.errstate(over="ignore"):
         margin = (4 * _gamma(dim + 4, 2.0**-24) * (rn + rn.max()) ** 2
                   + np.ldexp(4 * _gamma(dim + 2, 2.0**-53) * (yn + yn.max()) ** 2, -2 * es))
-    buf = _scratch((min(KNN_BLOCK, n), width, groups), np.float32)
-    rows, cols, full = [], [], []
+    entries = min(KNN_BLOCK, n) * width * groups
+    scratch = np.empty(max(-(-entries // 2), KNN_BLOCK // 2 * n))
+    buf = scratch.view(np.float32)[:entries].reshape(-1, width, groups)
     for lo in range(0, n, KNN_BLOCK):
         size = min(KNN_BLOCK, n - lo)
         block = np.arange(size)
@@ -256,21 +248,21 @@ def _screen(y: np.ndarray, sq: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarr
         # Read as (rows x width x picked groups), candidates come out in column order.
         r, rest = np.divmod(np.flatnonzero(under.transpose(0, 2, 1)), under[0].size)
         w, i = np.divmod(rest, slots.shape[1])
-        col = w * groups + picked[r, i]
-        many |= np.bincount(r, minlength=size) > cap
-        keep = ~many[r]
-        rows.append(lo + r[keep])
-        cols.append(col[keep])
-        full.append(lo + np.flatnonzero(many))
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(full)
+        count = np.bincount(r, minlength=size)
+        many |= count > cap
+        rows = np.flatnonzero(~many)
+        count = count[rows]
+        slots = np.arange(count.max(initial=0)) < count[:, None]
+        cand = np.repeat(lo + rows[:, None], slots.shape[1], axis=1)
+        cand[slots] = (w * groups + picked[r, i])[~many[r]]
+        yield lo + rows, cand, lo + np.flatnonzero(many), scratch
 
 
 def knn_indices(x, k: int) -> np.ndarray:
     """(N x k) indices of each row's k nearest other rows of the (N x d)
     cloud ``x``; rows tied at the k-th distance keep the lowest indices.
 
-    :func:`_screen` picks each row's candidates, and their float64
-    distances are ranked once per call; see the module docstring."""
+    One pass over the row blocks of :func:`_screen`; see the module docstring."""
     x = as_matrix(x)
     n, dim = x.shape
     if k < 1:
@@ -278,33 +270,26 @@ def knn_indices(x, k: int) -> np.ndarray:
     if n <= k:
         raise InsufficientPoints(f"need more than k={k} points, got {n}")
     out = np.empty((n, k), dtype=np.intp)
-    y = np.ldexp(x, -_exponent(x), out=_scratch(x.shape, np.float64))
-    sq = np.sum(np.square(y, out=_scratch(x.shape, np.float64)), axis=1)
-    rows, cols, full = _screen(y, sq, k)
-    if rows.size:
-        counts = np.bincount(rows, minlength=n)
-        found = np.flatnonzero(counts)
-        counts = counts[found]
-        slots = np.arange(counts.max()) < counts[:, None]
-        cand = _scratch(slots.shape, np.intp)
-        cand[:] = found[:, None]    # a pad gathers its own row; its distance becomes inf
-        cand[slots] = cols
-        ranked = _scratch(cand.shape, np.float64)
-        step = max(1, 2**17 // cand[0].size // dim)    # rows per gather of at most 1 MiB
-        gathered = np.empty((min(step, found.size), cand.shape[1], dim))
-        for lo in range(0, found.size, step):
-            i, j = found[lo:lo + step], cand[lo:lo + step]
-            # mode="raise" would gather into a temporary and copy it to out.
-            yj = np.take(y, j, axis=0, out=gathered[:i.size], mode="clip")
-            ranked[lo:lo + step] = (sq[i, None] + sq[j]) + np.einsum("rcd,rd->rc", yj, y[i]) * -2.0
-        ranked[~slots] = np.inf
-        np.maximum(ranked, 0.0, out=ranked)
-        out[found] = np.take_along_axis(cand, _smallest(ranked, k), axis=1)
-    if full.size:
-        batch = min(KNN_BLOCK // 4, full.size)
-        dist, gram = _scratch((batch, n), np.float64), _scratch((batch, n), np.float64)
-        for lo in range(0, full.size, batch):
-            i = full[lo:lo + batch]
+    y = np.ldexp(x, -_exponent(x))
+    sq = np.sum(np.square(y), axis=1)
+    gathered = np.empty(max(2**15, 4 * k * dim))    # reused; holds one row of 4k candidates
+    for rows, cand, full, scratch in _screen(y, sq, k):
+        if rows.size:
+            ranked = np.empty(cand.shape)
+            step = max(1, gathered.size // cand[0].size // dim)
+            for lo in range(0, rows.size, step):
+                i, j = rows[lo:lo + step], cand[lo:lo + step]
+                # mode="raise" would gather into a temporary and copy it to out.
+                yj = np.take(y, j, axis=0, out=gathered[:j.size * dim].reshape(*j.shape, dim),
+                             mode="clip")
+                ranked[lo:lo + step] = ((sq[i, None] + sq[j])
+                                        + np.einsum("rcd,rd->rc", yj, y[i]) * -2.0)
+            ranked[cand == rows[:, None]] = np.inf    # the pads
+            np.maximum(ranked, 0.0, out=ranked)
+            out[rows] = np.take_along_axis(cand, _smallest(ranked, k), axis=1)
+        dist, gram = scratch[:KNN_BLOCK // 2 * n].reshape(2, KNN_BLOCK // 4, n)
+        for lo in range(0, full.size, KNN_BLOCK // 4):
+            i = full[lo:lo + KNN_BLOCK // 4]
             d = _squared_distances(y, sq, i, out=dist[:i.size], gram=gram[:i.size])
             np.maximum(d, 0.0, out=d)
             d[np.arange(i.size), i] = np.inf
@@ -314,7 +299,13 @@ def knn_indices(x, k: int) -> np.ndarray:
 
 def knn_overlap(actual_knn: np.ndarray, recon_knn: np.ndarray) -> float:
     """Mean fraction of each row's k neighbors in ``actual_knn`` that it
-    also has in ``recon_knn``; both are :func:`knn_indices` results."""
+    also has in ``recon_knn``; both are :func:`knn_indices` results.
+    Arrays that are not 2-d or differ in shape raise DimensionMismatch,
+    and arrays with no entries raise EmptyDataset."""
+    check_shape(actual_knn, (None, None), "actual kNN indices")
+    check_shape(recon_knn, np.shape(actual_knn), "reconstructed kNN indices")
+    if np.size(actual_knn) == 0:
+        raise EmptyDataset("no kNN indices")
     shared = np.empty(len(actual_knn), dtype=np.intp)
     for lo in range(0, len(actual_knn), KNN_BLOCK):
         rows = slice(lo, lo + KNN_BLOCK)

@@ -104,7 +104,8 @@ def sample_bounded_matrices(count: int, n: int, m: int, distribution: EntryDistr
     its Frobenius norm equals ``betas[i]``.  ``distribution`` may be an
     :class:`EntryDistribution` or its string value.  With ``count=1``, on a
     fresh stream at a :func:`sanitize_nrp` call's address, it replays
-    that call's matrix."""
+    that call's matrix.  Betas are checked as :func:`nrp` checks them."""
+    betas = _checked_betas(betas, count)
     a = _uniform(count, n, m, distribution, rng)
     _redraw_zeros(a, np.flatnonzero(~a.any(axis=(1, 2))), distribution, rng)
     if betas is not None:
@@ -168,14 +169,20 @@ def nrp(y: np.ndarray, m: int, rng: Rng,
     positive, raises ValueError; betas of another count raise
     DimensionMismatch."""
     y = as_matrix(y)
+    betas = _checked_betas(betas, len(y) // max(rows_per_matrix, 1))    # _nrp checks the split
+    return _nrp(y, m, rng, distribution, betas, rows_per_matrix)
+
+
+def _checked_betas(betas, count: int) -> np.ndarray | None:
+    """``betas`` as floats, or None; DimensionMismatch unless it holds one
+    for each of ``count`` matrices, ValueError unless each is finite and > 0."""
     if betas is not None:
         betas = np.asarray(betas, dtype=float)
-        if betas.ndim != 1 or len(betas) * rows_per_matrix != len(y):
-            raise DimensionMismatch(f"{len(y)} rows in matrices of {rows_per_matrix} rows "
-                                    f"need one beta per matrix, got shape {betas.shape}")
+        if betas.shape != (count,):
+            raise DimensionMismatch(f"need {count} betas, one per matrix, got shape {betas.shape}")
         if not np.all(np.isfinite(betas) & (betas > 0)):
             raise ValueError("betas must be finite and positive")
-    return _nrp(y, m, rng, distribution, betas, rows_per_matrix)
+    return betas
 
 
 def _nrp(y: np.ndarray, m: int, rng: Rng, distribution: EntryDistribution,

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from privsan import metrics
-from privsan.errors import EmptyDataset, GammaOutOfRange, InsufficientPoints, ZeroNormInput
+from privsan.errors import (
+    DimensionMismatch,
+    EmptyDataset,
+    GammaOutOfRange,
+    InsufficientPoints,
+    ZeroNormInput,
+)
 from privsan.metrics import (
     KNN_BLOCK,
     breach_count,
@@ -267,14 +273,7 @@ class TestResemblance:
                 for i, neighbours in enumerate(found.tolist()):
                     assert sorted(neighbours) == [j for j in range(k + 1) if j != i][:k], (row, i)
 
-    def test_mapped_scratch_gives_the_same_indices(self, monkeypatch):
-        gen = Rng(22).generator
-        pts = gen.standard_normal((2 * KNN_BLOCK + 3, 20))
-        on_heap = knn_indices(pts, 7)
-        monkeypatch.setattr(metrics, "_MAPPED_BYTES", 0)
-        assert np.array_equal(knn_indices(pts, 7), on_heap)
-
-    def test_memory_linear_in_points(self, heap_scratch):
+    def test_memory_linear_in_points(self):
         peaks = []
         for n in (2000, 4000):
             gen = Rng(17).generator
@@ -289,7 +288,7 @@ class TestResemblance:
         assert peaks[1] < 64 * 2**20, peaks
         assert peaks[1] < 2.5 * peaks[0], peaks
 
-    def test_knn_indices_holds_row_blocks_and_its_result(self, heap_scratch):
+    def test_knn_indices_holds_row_blocks_and_its_result(self):
         # One float32 (KNN_BLOCK x N) screen buffer, the cloud's float64
         # and float32 copies and the temporaries of one block, then the
         # candidates' distances, plus the N x k result; an N x N distance
@@ -306,7 +305,7 @@ class TestResemblance:
             assert peaks[-1] < 3 * KNN_BLOCK * n * 8 + n * k * 8, (n, peaks)
         assert peaks[1] < 2.2 * peaks[0], peaks
 
-    def test_full_rows_are_computed_in_bounded_batches(self, heap_scratch):
+    def test_full_rows_are_computed_in_bounded_batches(self):
         # A tight cluster and one point a million spreads away: the outlier
         # sets the float32 screen's scale, so every row takes its full row.
         # Those distances are held a batch at a time, never as (N x N).
@@ -325,6 +324,24 @@ class TestResemblance:
         d[np.arange(sample.size), sample] = np.inf
         for i, row in zip(sample, d):
             assert set(found[i]) == set(np.argsort(row, kind="stable")[:k]), i
+
+    def test_blocks_mixing_screened_and_full_rows(self):
+        # Half the points sit 1e-9 apart around the origin, below the
+        # float32 screen's resolution at the normal points' scale, so they
+        # take the full-row route; shuffled, every block holds both kinds.
+        k = 5
+        gen = Rng(24).generator
+        cloud = np.concatenate([gen.standard_normal((300, 6)),
+                                gen.standard_normal((300, 6)) * 1e-9])[gen.permutation(600)]
+        y = np.ldexp(cloud, -metrics._exponent(cloud))
+        for rows, cand, full, _ in metrics._screen(y, np.sum(y * y, axis=1), k):
+            assert rows.size and full.size
+        d = ((cloud[:, None, :] - cloud[None, :, :]) ** 2).sum(axis=2)
+        np.fill_diagonal(d, np.inf)
+        expected = np.argsort(d, axis=1, kind="stable")[:, :k]
+        found = knn_indices(cloud, k)
+        for i in range(len(cloud)):
+            assert set(found[i]) == set(expected[i]), i
 
     def test_resemblance_is_the_overlap_of_both_clouds_indices(self):
         gen = Rng(20).generator
@@ -359,6 +376,19 @@ class TestResemblance:
         expected = np.mean([len(a & b) / k for a, b in zip(
             oracle_knn_exact(actual, k), oracle_knn_exact(recon, k))])
         assert resemblance(actual.astype(float), recon.astype(float), k) == expected
+
+    def test_overlap_refuses_arrays_that_are_not_2d(self):
+        with pytest.raises(DimensionMismatch):
+            knn_overlap(np.zeros(3, dtype=np.intp), np.zeros(3, dtype=np.intp))
+
+    def test_overlap_refuses_shapes_that_differ(self):
+        for other in ((3, 3), (4, 2)):
+            with pytest.raises(DimensionMismatch):
+                knn_overlap(np.zeros((3, 2), dtype=np.intp), np.zeros(other, dtype=np.intp))
+
+    def test_overlap_refuses_zero_rows(self):
+        with pytest.raises(EmptyDataset):
+            knn_overlap(np.zeros((0, 2), dtype=np.intp), np.zeros((0, 2), dtype=np.intp))
 
 
 class TestPreservationFraction:

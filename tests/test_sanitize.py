@@ -178,6 +178,29 @@ class ZeroedDraws:
         return draw
 
 
+class TestBetas:
+    # sample_bounded_matrices and nrp refuse the same betas: one per
+    # matrix, each finite and positive.
+    @staticmethod
+    def draws(betas):
+        yield lambda: sample_bounded_matrices(2, 3, 2, EntryDistribution.UNIT_UNIFORM,
+                                              Rng(40), betas)
+        yield lambda: sanitize.nrp(np.ones((2, 3)), 2, Rng(40), EntryDistribution.UNIT_UNIFORM,
+                                   betas)
+
+    @pytest.mark.parametrize("betas", [[1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]]])
+    def test_one_beta_per_matrix(self, betas):
+        for draw in self.draws(betas):
+            with pytest.raises(DimensionMismatch):
+                draw()
+
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
+    def test_betas_finite_and_positive(self, bad):
+        for draw in self.draws([1.0, bad]):
+            with pytest.raises(ValueError):
+                draw()
+
+
 class TestBoundedRedraws:
     def test_all_zero_matrix_is_redrawn_from_the_same_stream(self):
         a = sample_bounded_matrices(3, 4, 2, EntryDistribution.UNIT_UNIFORM,

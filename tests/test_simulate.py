@@ -300,8 +300,7 @@ class TestSharedRounds:
 
 @pytest.mark.parametrize("sanitizer,adversary",
                          [(m, "auto") for m in MECHANISMS] + [("nrp", "random-inverse")])
-def test_peak_estimate_bounds_one_repetition(heap_scratch, sanitizer, adversary):
-    # heap_scratch keeps the kNN's scratch on the heap, where tracemalloc sees it.
+def test_peak_estimate_bounds_one_repetition(sanitizer, adversary):
     for agents in (20, 80):
         cfg = ExperimentConfig(agent_count=agents, sanitizer=sanitizer, adversary=adversary,
                                repetitions=1)
