@@ -17,9 +17,12 @@ row.  The per-tuple ``attack_random_inverse`` and ``attack_linear`` make
 one-row calls; ``known_matrix`` is array-only.
 
 ``random_inverse`` runs on the calling thread, in chunks of
-``ATTACK_CHUNK`` rows.  Row j's matrix comes only from its own stream,
-and its reconstruction (B^T)^+ s = Q R^{-T} s comes from one reduced QR
-of that draw, so row j equals a one-row call bit for bit.  The
+``ATTACK_CHUNK`` rows.  Row j's matrix comes only from its own stream:
+the first draws take the batched route of :mod:`~privsan.rng` (the
+rows' keys are hashed once per call), which gives the bits of each
+stream's own generator.  Its reconstruction (B^T)^+ s = Q R^{-T} s
+comes from one reduced QR of that draw, so row j equals a one-row call
+bit for bit.  The
 full-rank mask of R is :func:`~privsan.linalg.triangular_full_rank`'s,
 which equals ``full_rank``'s (the argument is in its docstring).
 """
@@ -40,8 +43,13 @@ from .linalg import (
     matvec_rows,
     triangular_full_rank,
 )
-from .rng import Rng
-from .sanitize import EntryDistribution, SanitizedTuple, sample_bounded_matrix
+from .rng import Rng, philox_keys
+from .sanitize import (
+    EntryDistribution,
+    SanitizedTuple,
+    sample_bounded_matrix,
+    sample_fresh_matrices,
+)
 
 ATTACK_RETRIES = 8
 ATTACK_CHUNK = 24    # rows per stacked QR solve; bounds the draws held at once
@@ -61,8 +69,16 @@ def _family_sample(n: int, m: int, distribution: EntryDistribution, rng: Rng) ->
     return sample_bounded_matrix(n, m, distribution, rng)
 
 
-def _draws(n: int, m: int, distribution: EntryDistribution, streams) -> np.ndarray:
-    return np.stack([_family_sample(n, m, distribution, r) for r in streams])
+def _draws(n: int, m: int, distribution: EntryDistribution, streams: list[Rng],
+           attempt: int, keys: np.ndarray | None = None) -> np.ndarray:
+    """The stacked draws of ``streams[i].child(attempt)``.  With ``keys``,
+    those children's :func:`~privsan.rng.philox_keys`, the draws take the
+    batched route and build no child unless its draw is all zero;
+    without, each child draws from its own generator."""
+    if keys is None:
+        return np.stack([_family_sample(n, m, distribution, r.child(attempt)) for r in streams])
+    return sample_fresh_matrices(n, m, distribution, keys,
+                                 lambda i: streams[i].child(attempt))
 
 
 def _qr_reconstruct(b: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -82,21 +98,26 @@ def random_inverse(s: np.ndarray, n: int, distribution: EntryDistribution,
                    streams: list[Rng]) -> np.ndarray:
     """Reconstruct row j with the pseudo-inverse of a ``distribution``
     draw from ``streams[j].child(0)``; a draw with a singular Gram matrix is
-    replaced from ``child(1)``, ``child(2)``, ... (bounded retries).  A
-    non-finite entry raises ValueError, and a stream count other than the
-    row count DimensionMismatch."""
+    replaced from ``child(1)``, ``child(2)``, ... (bounded retries).  The
+    ``child(0)`` keys of all rows are hashed once per call, a (rows x 2)
+    uint64 array, and the first draws come from them a chunk at a time;
+    the retries draw from each child's own generator.  A non-finite entry
+    raises ValueError, and a stream count other than the row count
+    DimensionMismatch."""
     s = as_matrix(s)
     if len(streams) != len(s):
         raise DimensionMismatch(f"{len(s)} rows need as many streams, got {len(streams)}")
     m = s.shape[1]
     if m > n:
         raise DimensionMismatch(f"sanitized dim {m} exceeds ambient dim {n}")
+    keys = philox_keys([(r.seed, r.path + (0,)) for r in streams])
     out = np.empty((len(streams), n))
     for lo in range(0, len(streams), ATTACK_CHUNK):
         todo = np.arange(lo, min(lo + ATTACK_CHUNK, len(streams)))
         for attempt in range(ATTACK_RETRIES):
             recon, full = _qr_reconstruct(
-                _draws(n, m, distribution, [streams[j].child(attempt) for j in todo]), s[todo])
+                _draws(n, m, distribution, [streams[j] for j in todo], attempt,
+                       keys[todo] if attempt == 0 else None), s[todo])
             out[todo[full]] = recon
             todo = todo[~full]
             if todo.size == 0:
@@ -133,10 +154,13 @@ def expected_inverse_map(n: int, m: int, distribution: EntryDistribution,
     """Monte-Carlo estimate of E[(B^T)^+] over ``distribution``, from
     the draws of ``rng.child(0)`` ... ``rng.child(samples - 1)``: the
     n x m map of the expectation-based linear reconstruction, estimated
-    once per repetition and applied to every tuple."""
+    once per repetition and applied to every tuple.  The draws take the
+    batched route: the children's keys are hashed in one pass, and no
+    child is built unless its draw is all zero."""
     if samples < 1:
         raise ValueError("samples must be positive")
-    draws = _draws(n, m, distribution, [rng.child(j) for j in range(samples)])
+    keys = philox_keys([(rng.seed, rng.path + (j,)) for j in range(samples)])
+    draws = sample_fresh_matrices(n, m, distribution, keys, rng.child)
     if not full_rank(draws).all():
         raise SingularSample("sampled matrix has rank-deficient Gram matrix")
     return np.linalg.pinv(np.swapaxes(draws, 1, 2)).sum(axis=0) / samples

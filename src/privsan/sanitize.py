@@ -41,7 +41,7 @@ from .linalg import (
     row_norms,
     sign_fixed_qr,
 )
-from .rng import Rng
+from .rng import Rng, fresh_uniform
 
 SAMPLE_RETRIES = 8
 # Draw entries per chunk of nrp and asup (2 MiB of float64), whatever the
@@ -113,11 +113,20 @@ def sample_bounded_matrices(count: int, n: int, m: int, distribution: EntryDistr
     return a
 
 
+def _entry_range(distribution: EntryDistribution) -> tuple[float, float]:
+    """The one draw rule of the bounded families, on both routes: entries
+    are ``uniform(*_entry_range(distribution))``, which is
+    ``Generator.random``'s u for unit-uniform and 2u - 1 for
+    symmetric-uniform (see :meth:`~privsan.rng.Rng.uniform`)."""
+    if EntryDistribution(distribution) is EntryDistribution.UNIT_UNIFORM:
+        return 0.0, 1.0
+    return -1.0, 1.0
+
+
 def _uniform(count: int, n: int, m: int, distribution: EntryDistribution,
              rng: Rng) -> np.ndarray:
     """One draw of ``count`` n x m matrices of iid ``distribution`` entries."""
-    low = 0.0 if EntryDistribution(distribution) is EntryDistribution.UNIT_UNIFORM else -1.0
-    return rng.uniform(low, 1.0, (count, n, m))
+    return rng.uniform(*_entry_range(distribution), (count, n, m))
 
 
 def _redraw_zeros(a: np.ndarray, zero: np.ndarray, distribution: EntryDistribution,
@@ -136,6 +145,20 @@ def _redraw_zeros(a: np.ndarray, zero: np.ndarray, distribution: EntryDistributi
 
 def sample_bounded_matrix(n: int, m: int, distribution: EntryDistribution, rng: Rng) -> np.ndarray:
     return sample_bounded_matrices(1, n, m, distribution, rng)[0]
+
+
+def sample_fresh_matrices(n: int, m: int, distribution: EntryDistribution,
+                          keys: np.ndarray, stream) -> np.ndarray:
+    """One n x m matrix per fresh stream, stacked: matrix i equals
+    ``sample_bounded_matrix(n, m, distribution, stream(i))``, where
+    ``keys[i]`` is that stream's :func:`~privsan.rng.philox_keys` key.
+    The first draws come from :func:`~privsan.rng.fresh_uniform`; only a
+    draw that is all zero builds ``stream(i)`` and is drawn again on it,
+    so :func:`_redraw_zeros` stays the one redraw rule."""
+    a = fresh_uniform(keys, *_entry_range(distribution), (n, m))
+    for i in np.flatnonzero(~a.any(axis=(1, 2))):
+        a[i] = sample_bounded_matrix(n, m, distribution, stream(i))
+    return a
 
 
 def sample_orthonormal_matrix(n: int, m: int, rng: Rng) -> np.ndarray:

@@ -461,8 +461,10 @@ def peak_bytes(cfg: ExperimentConfig) -> int:
     x tuples x 8 bytes, and both clouds' (tuples x k) indices; for nrp
     and asup, two chunks of draws (a chunk and the product's or the QR's
     copy of it); and the attack's draws: the expected-inverse map's and
-    their SVD factors, or a few ``ATTACK_CHUNK``s of draws and a stream
-    (under 256 bytes) per tuple."""
+    their SVD factors, or a few ``ATTACK_CHUNK``s of draws and, per
+    tuple, a stream and, while the first draws' keys are hashed, its
+    (seed, path) pair, key columns and uint64 key (under 512 bytes
+    together)."""
     n, q, m = cfg.input_dim, cfg.param_dim, cfg.target_dim
     tuples = cfg.agent_count * cfg.observations_per_agent
     # (entries per draw, draws per round) of the mechanisms that draw
@@ -470,7 +472,7 @@ def peak_bytes(cfg: ExperimentConfig) -> int:
                       "asup": (n * n, tuples)}.get(cfg.sanitizer, (0, 0))
     chunk = min(max(san.DRAW_CHUNK, entries), draws * entries)
     attack = {"expected-inverse": 4 * cfg.inverse_samples * n * m,
-              "random-inverse": 5 * atk.ATTACK_CHUNK * n * m + 32 * tuples}.get(cfg.attack, 0)
+              "random-inverse": 5 * atk.ATTACK_CHUNK * n * m + 64 * tuples}.get(cfg.attack, 0)
     return 8 * (cfg.agent_count * n * q + q * q + 6 * tuples * n
                 + 2 * met.KNN_BLOCK * tuples + 2 * tuples * cfg.k_neighbors + 2 * chunk + attack)
 

@@ -30,6 +30,35 @@ def st(values, agent="a0", tag="nrp"):
     return SanitizedTuple(np.asarray(values, dtype=float), agent, tag)
 
 
+def plant_draws(monkeypatch, planted):
+    """Patch the attack's draw seam so that ``planted(stream, attempt)``,
+    unless None, replaces the draw of ``stream.child(attempt)``.  Returns
+    the lists of draws made and of planted draws used, each entry
+    ``(seed, *path, attempt)`` of the parent stream."""
+    draws = attack._draws
+    drawn, used = [], []
+
+    def planted_draws(n, m, distribution, streams, attempt, keys=None):
+        b = draws(n, m, distribution, streams, attempt, keys)
+        for i, r in enumerate(streams):
+            drawn.append((r.seed, *r.path, attempt))
+            p = planted(r, attempt)
+            if p is not None:
+                b[i] = p
+                used.append(drawn[-1])
+        return b
+
+    monkeypatch.setattr(attack, "_draws", planted_draws)
+    return drawn, used
+
+
+def first_draws_from_child(monkeypatch, index):
+    """Patch the draw seam so that every draw is ``child(index)``'s."""
+    draws = attack._draws
+    monkeypatch.setattr(attack, "_draws", lambda n, m, distribution, streams, attempt, keys=None:
+                        draws(n, m, distribution, streams, index))
+
+
 def inv2(m):
     # Hand 2x2 inverse: adjugate over determinant.
     (a, b), (c, d) = m
@@ -84,38 +113,25 @@ class TestRandomInverseRetries:
         s = Rng(40).standard_normal((rows, m))
         streams = [Rng(41).child(j) for j in range(rows)]
         clean = random_inverse(s, n, self.UNIT, streams)
-        family_sample = attack._family_sample
-
-        def deficient_first_draw(n, m, distribution, rng):
-            row, attempt = rng.path[-2:]
-            if attempt == 0 and row in bad:
-                return np.ones((n, m))   # rank-one Gram matrix
-            return family_sample(n, m, distribution, rng)
-
-        monkeypatch.setattr(attack, "_family_sample", deficient_first_draw)
+        _, used = plant_draws(   # a rank-one Gram matrix
+            monkeypatch, lambda r, attempt: np.ones((n, m)) if attempt == 0 and r.path[-1] in bad
+            else None)
         out = random_inverse(s, n, self.UNIT, streams)
-
-        def second_child_draw(n, m, distribution, rng):
-            return family_sample(n, m, distribution, Rng(rng.seed, rng.path[:-1] + (1,)))
+        assert used == [(41, j, 0) for j in sorted(bad)]
 
         # The oracle is a one-row call whose first draw is child(1)'s.
-        monkeypatch.setattr(attack, "_family_sample", second_child_draw)
+        first_draws_from_child(monkeypatch, 1)
         for j in range(rows):
             expected = (attack_random_inverse(st(s[j]), n, self.UNIT, streams[j]).reconstructed
                         if j in bad else clean[j])
             assert out[j].tobytes() == expected.tobytes()
 
     def test_deficient_draws_give_up_after_the_retries(self, monkeypatch):
-        attempts = []
-
-        def always_deficient(n, m, distribution, rng):
-            attempts.append(rng.path[-1])
-            return np.ones((n, m))
-
-        monkeypatch.setattr(attack, "_family_sample", always_deficient)
+        drawn, used = plant_draws(monkeypatch, lambda r, attempt: np.ones((4, 2)))
         with pytest.raises(SingularSample):
             attack_random_inverse(st([0.3, 0.4]), 4, self.UNIT, Rng(42))
-        assert attempts == list(range(ATTACK_RETRIES))
+        assert drawn == [(42, attempt) for attempt in range(ATTACK_RETRIES)]
+        assert used == drawn
 
 
 class TestRandomInversePool:
@@ -133,17 +149,14 @@ class TestRandomInversePool:
         bad = {1, rows - 2}
         cases = [(Rng(60 + k).standard_normal((rows, m)),
                   [Rng(70 + k).child(j) for j in range(rows)]) for k in range(4)]
-        family_sample = attack._family_sample
-
-        def deficient_first_draw(n, m, distribution, rng):
-            row, attempt = rng.path[-2:]
-            if attempt == 0 and row in bad:
-                return np.ones((n, m))
-            return family_sample(n, m, distribution, rng)
-
-        monkeypatch.setattr(attack, "_family_sample", deficient_first_draw)
+        planted = [(70 + k, j, 0) for k in range(4) for j in sorted(bad)]
+        _, used = plant_draws(
+            monkeypatch, lambda r, attempt: np.ones((n, m)) if attempt == 0 and r.path[-1] in bad
+            else None)
         ones = [[attack_random_inverse(st(s[j]), n, self.UNIT, streams[j]).reconstructed
                  for j in range(rows)] for s, streams in cases]
+        assert used == planted
+        used.clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -151,6 +164,7 @@ class TestRandomInversePool:
                 outs = list(pool.map(lambda c: random_inverse(c[0], n, self.UNIT, c[1]), cases))
         finally:
             sys.setswitchinterval(interval)
+        assert sorted(used) == planted
         for (s, streams), out, one in zip(cases, outs, ones):
             for j in range(rows):
                 assert out[j].tobytes() == one[j].tobytes(), j
@@ -172,22 +186,18 @@ class TestRandomInverseChunks:
         bad = {1, rows - 2}
         s = Rng(43).standard_normal((rows, m))
         streams = [Rng(44).child(j) for j in range(rows)]
-        family_sample = attack._family_sample
-        drawn = []
-
-        def deficient_first_draw(n, m, distribution, rng):
-            row, attempt = rng.path[-2:]
-            drawn.append((row, attempt))
-            if attempt == 0 and row in bad:
-                return np.ones((n, m))
-            return family_sample(n, m, distribution, rng)
-
-        monkeypatch.setattr(attack, "_family_sample", deficient_first_draw)
+        drawn, used = plant_draws(
+            monkeypatch, lambda r, attempt: np.ones((n, m)) if attempt == 0 and r.path[-1] in bad
+            else None)
         out = random_inverse(s, n, self.UNIT, streams)
-        assert sorted(drawn) == sorted([(j, 0) for j in range(rows)] + [(j, 1) for j in bad])
+        assert sorted(drawn) == sorted([(44, j, 0) for j in range(rows)]
+                                       + [(44, j, 1) for j in bad])
+        assert used == [(44, j, 0) for j in sorted(bad)]
+        used.clear()
         for j in range(rows):
             one = attack_random_inverse(st(s[j]), n, self.UNIT, streams[j]).reconstructed
             assert out[j].tobytes() == one.tobytes(), j
+        assert used == [(44, j, 0) for j in sorted(bad)]
         for j in bad:
             b = sample_bounded_matrix(n, m, self.UNIT, streams[j].child(1))
             assert np.allclose(out[j], np.linalg.pinv(b.T) @ s[j],
@@ -210,16 +220,12 @@ class TestRandomInverseChunks:
         assert full.tolist() == [False, True]
         assert full.tolist() == (gram_rank == m).tolist()
 
-        family_sample = attack._family_sample
-
-        def planted_first_draw(n, m, distribution, rng):
-            row, attempt = rng.path[-2:]
-            return planted[row] if attempt == 0 else family_sample(n, m, distribution, rng)
-
-        monkeypatch.setattr(attack, "_family_sample", planted_first_draw)
+        _, used = plant_draws(
+            monkeypatch, lambda r, attempt: planted[r.path[-1]] if attempt == 0 else None)
         s = Rng(47).standard_normal((2, m))
         streams = [Rng(48).child(j) for j in range(2)]
         out = random_inverse(s, n, self.UNIT, streams)
+        assert used == [(48, 0, 0), (48, 1, 0)]
         redrawn = sample_bounded_matrix(n, m, self.UNIT, streams[0].child(1))
         assert np.allclose(out[0], np.linalg.pinv(redrawn.T) @ s[0],
                            rtol=1e-12, atol=0.0)
@@ -360,19 +366,13 @@ class TestRankScreen:
         n, m, rows = 20, 8, ATTACK_CHUNK
         u = np.linalg.qr(Rng(83).standard_normal((n, m)))[0]
         planted = u @ np.diag(np.geomspace(1.0, 1e-9, m))
-        family_sample = attack._family_sample
-
-        def planted_first_draw(n, m, distribution, rng):
-            row, attempt = rng.path[-2:]
-            if row == 3 and attempt == 0:
-                return planted
-            return family_sample(n, m, distribution, rng)
-
-        monkeypatch.setattr(attack, "_family_sample", planted_first_draw)
+        _, used = plant_draws(
+            monkeypatch, lambda r, attempt: planted if r.path[-1] == 3 and attempt == 0 else None)
         s = Rng(84).standard_normal((rows, m))
         streams = [Rng(85).child(j) for j in range(rows)]
         calls = self.count_full_rank(monkeypatch)
         out = random_inverse(s, n, self.UNIT, streams)
         assert calls == [1]
+        assert used == [(85, 3, 0)]
         redrawn = sample_bounded_matrix(n, m, self.UNIT, streams[3].child(1))
         assert np.allclose(out[3], np.linalg.pinv(redrawn.T) @ s[3], rtol=1e-12, atol=0.0)
