@@ -40,7 +40,7 @@ def as_matrix(x) -> np.ndarray:
 
 def check_finite(x, name: str) -> None:
     """Raise ValueError unless every entry of the array ``x`` is finite."""
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError(f"{name} entries must be finite")
 
 
@@ -85,11 +85,37 @@ def zero_pad(values, n: int) -> np.ndarray:
 
 
 def row_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cosine similarity of each row pair, in [-1, 1]."""
-    na, nb = row_norms(a), row_norms(b)
-    if np.any(na == 0.0) or np.any(nb == 0.0):
+    """Cosine similarity of each row pair, in [-1, 1]; a zero row raises
+    ZeroNormInput.
+
+    A pair whose squared norms leave float64's normal range (a norm below
+    2**-511 or a product of norms that overflows) is computed again from
+    both rows scaled by powers of two, which puts each row's largest
+    entry in [1/2, 1); the cosine does not depend on the scale.  numpy
+    may warn about such a pair's overflow before it is computed again.
+    Every other pair is the plain dot over the product of norms."""
+    dots, na, nb = row_dots(a, b), row_norms(a), row_norms(b)
+    den = na * nb
+    low = np.minimum(na, nb)
+    if low.min(initial=np.inf) < _NORM_MIN or den.max(initial=0.0) == np.inf:
+        redo = np.flatnonzero((low < _NORM_MIN) | (den == np.inf))
+        sa, sb = _unit_scaled(a[redo]), _unit_scaled(b[redo])
+        dots[redo] = row_dots(sa, sb)
+        den[redo] = row_norms(sa) * row_norms(sb)
+    return (dots / den).clip(-1.0, 1.0)
+
+
+# The smallest norm whose square is a normal float64.
+_NORM_MIN = 2.0**-511
+
+
+def _unit_scaled(a: np.ndarray) -> np.ndarray:
+    """Each row of ``a`` times the power of two that puts its largest
+    magnitude in [1/2, 1); an all-zero row raises ZeroNormInput."""
+    top = np.abs(a).max(axis=1)
+    if not top.all():
         raise ZeroNormInput("cosine is undefined for a zero-norm vector")
-    return np.clip(row_dots(a, b) / (na * nb), -1.0, 1.0)
+    return np.ldexp(a, -np.frexp(top)[1][:, None])
 
 
 def cosine(a, b) -> float:

@@ -102,7 +102,7 @@ def _utility_scores(actual: np.ndarray, sanitized: np.ndarray,
                     same_quadrant: bool) -> tuple[np.ndarray, np.ndarray]:
     """:func:`utility_scores` on 2-d arrays of equal row count."""
     cos = row_cosines(actual, zero_pad(sanitized, actual.shape[1]))
-    return cos, (np.clip(cos, 0.0, 1.0) if same_quadrant else cos)
+    return cos, (cos.clip(0.0, 1.0) if same_quadrant else cos)
 
 
 def utility(y: DataTuple, t: SanitizedTuple, same_quadrant: bool = False) -> UtilityPrivacyScore:

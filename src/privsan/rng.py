@@ -8,18 +8,25 @@ with :meth:`Rng.child`.
 
 A stream's generator is ``Philox`` keyed by numpy's
 ``SeedSequence(seed, spawn_key=path).generate_state(2, uint64)``, with
-its counter at 0.  Building one per stream costs far more than a short
-draw, so callers that take one draw from each of many fresh streams use
-the batched route instead: :func:`philox_keys` computes the same keys
-for a whole batch in one vectorized pass, and :func:`fresh_uniform`
-makes each fresh stream's first draw from one ``Philox`` per call, with
-the bits of the stream's own ``Rng.uniform``.  Both routes draw with
-``Generator.random`` and move the draw onto its range by one rule,
-:func:`_from_random`.
+its counter at 0.  Building one per stream costs more than a short
+draw, so a fresh stream's first draw is taken from its key instead:
+:func:`fresh_uniform` sets one ``Philox`` per thread (a
+``threading.local``) to the state (key, counter 0) of a freshly seeded
+stream and draws with ``Generator.random``, which gives the bits of the
+stream's own generator.  :meth:`Rng.uniform` takes that keyed route
+when the stream has not drawn yet, and callers that take one draw from
+each of many fresh streams hash all their keys in one vectorized pass
+with :func:`philox_keys` and draw them in one call.  Later draws
+continue where the keyed draw stopped: the stream's generator, built
+when it is first needed, skips the entries that draw took, so every
+stream gives the same sequence whichever route its first draw took.
+Both routes move ``Generator.random`` draws onto their range by one
+rule, :func:`_from_random`.
 """
 
 from __future__ import annotations
 
+import threading
 from functools import cached_property
 
 import numpy as np
@@ -30,8 +37,12 @@ class Rng:
 
     ``Rng(seed).child(3).child(7)`` is a stream fully determined by
     ``(seed, (3, 7))``, independent of any draws made from its ancestors.
-    The generator is built on the first draw; deriving a child builds none.
+    Deriving a child builds no generator, and neither does a first
+    :meth:`uniform` draw at width 1 or 2: it is taken from the stream's key.
     """
+
+    # Entries the keyed first draw took; the generator skips them.
+    _taken = 0
 
     def __init__(self, seed: int, path: tuple[int, ...] = ()):
         self.seed = int(seed)
@@ -51,18 +62,47 @@ class Rng:
 
     @cached_property
     def generator(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.path)
-        return np.random.Generator(np.random.Philox(ss))
+        """The stream's own generator, built on first use.  After a keyed
+        first draw of k entries it starts at entry k, where that draw
+        stopped: ``Generator.random`` takes one uint64 per entry, and
+        Philox's counter steps once per four."""
+        bitgen = np.random.Philox(np.random.SeedSequence(self.seed, spawn_key=self.path))
+        if self._taken:
+            steps, rest = divmod(self._taken, 4)
+            bitgen.advance(steps)
+            bitgen.random_raw(rest)
+        return np.random.Generator(bitgen)
 
     # Thin draw helpers so call sites stay compact.
 
     def uniform(self, low: float, high: float, size) -> np.ndarray:
         """``Generator.uniform(low, high, size)``.  For scalar bounds a
         width of 1 or 2 apart, the same bits come faster from
-        ``Generator.random``: see :func:`_from_random`."""
-        if np.ndim(low) == np.ndim(high) == 0 and high - low in _EXACT_WIDTHS:
-            return _from_random(self.generator.random(size), low, high)
+        ``Generator.random``: see :func:`_from_random`.  At those widths
+        the first draw of a stream that has not drawn yet comes from
+        :func:`fresh_uniform` on the stream's key, and builds no generator."""
+        if np.isscalar(low) and np.isscalar(high) and high - low in _EXACT_WIDTHS:
+            if self._taken or size is None or "generator" in self.__dict__:
+                return _from_random(self.generator.random(size), low, high)
+            shape = tuple(size) if np.iterable(size) else (size,)
+            draw = fresh_uniform(self._key()[None], low, high, shape)[0, ...]
+            self._taken = draw.size
+            return draw
         return self.generator.uniform(low, high, size=size)
+
+    def _key(self) -> np.ndarray:
+        """The generator's Philox key, ``SeedSequence(seed,
+        spawn_key=path).generate_state(2, uint64)``.  The same entropy
+        words go to ``SeedSequence`` as one uint32 array, which it takes
+        as is, and its pool is output as ``generate_state`` does."""
+        seed, path = self.seed, self.path
+        if seed <= _MASK32 and max(path, default=0) <= _MASK32:    # one word each
+            words = [seed, 0, 0, 0, *path]
+        else:
+            words = _words(seed, [(p,) for p in path], [_word_count(p) for p in path])
+        pool = np.random.SeedSequence(np.array(words, dtype=np.uint32)).pool.tolist()
+        w = _output(pool)
+        return np.array([w[0] | w[1] << 32, w[2] | w[3] << 32], dtype=np.uint64)
 
     def standard_normal(self, size) -> np.ndarray:
         return self.generator.standard_normal(size=size)
@@ -114,22 +154,36 @@ def fresh_uniform(keys: np.ndarray, low: float, high: float,
                   shape: tuple[int, ...]) -> np.ndarray:
     """Stacked ``Rng.uniform(low, high, shape)`` first draws of the fresh
     streams whose Philox keys are ``keys`` (see :func:`philox_keys`), for
-    a width ``high - low`` of 1 or 2 (else ValueError).  One ``Philox``
-    serves the call: its state is set to (key, counter 0), the state of a
-    freshly seeded stream, before each ``Generator.random`` draw."""
+    a width ``high - low`` of 1 or 2 (else ValueError).  The calling
+    thread's ``Philox`` serves every draw: its state is set to (key,
+    counter 0), the state of a freshly seeded stream, before each
+    ``Generator.random`` draw."""
     if high - low not in _EXACT_WIDTHS:
         raise ValueError(f"fresh draws need a width of 1 or 2, got [{low}, {high})")
     out = np.empty((len(keys), *shape))
-    bitgen = np.random.Philox(0)    # its state is replaced before each draw
-    gen = np.random.Generator(bitgen)
-    zeros = np.zeros(4, dtype=np.uint64)
-    state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": None},
-             "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for key, draw in zip(keys, out):
+    gen, state = _keyed()
+    bitgen = gen.bit_generator
+    for key, draw in zip(keys.tolist(), out):
         state["state"]["key"] = key
         bitgen.state = state
         gen.random(out=draw)
     return _from_random(out, low, high)
+
+
+_thread = threading.local()
+
+
+def _keyed() -> tuple[np.random.Generator, dict]:
+    """This thread's generator for keyed draws and the state dict its
+    Philox is set from before each draw; built on the thread's first
+    keyed draw, not at import."""
+    try:
+        return _thread.keyed
+    except AttributeError:
+        state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": None},
+                 "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        _thread.keyed = np.random.Generator(np.random.Philox(0)), state
+        return _thread.keyed
 
 
 # Widths w for which w·u is exact for every Generator.random draw u.
@@ -193,6 +247,13 @@ def _mix(x, y):
     return result ^ (result >> _XSHIFT)
 
 
+def _output(pool: list) -> list:
+    """``generate_state``'s four uint32 words from a mixed pool, each a
+    Python int or a uint32 column."""
+    output = _hashmix(_INIT_B, _MULT_B)
+    return [output(value) for value in pool]
+
+
 def _hash(words: list, count: int) -> np.ndarray:
     """SeedSequence's pool mix and ``generate_state(2, uint64)`` over
     entropy ``words``, each a Python int or a (count,) uint32 column;
@@ -206,8 +267,7 @@ def _hash(words: list, count: int) -> np.ndarray:
     for w in words[_POOL_SIZE:]:
         for i_dst in range(_POOL_SIZE):
             pool[i_dst] = _mix(pool[i_dst], hashmix(w))
-    output = _hashmix(_INIT_B, _MULT_B)
-    state = [np.asarray(output(value), dtype=np.uint64) for value in pool]
+    state = [np.asarray(w, dtype=np.uint64) for w in _output(pool)]
     keys = np.empty((count, 2), dtype=np.uint64)
     keys[:, 0] = state[0] | state[1] << np.uint64(32)
     keys[:, 1] = state[2] | state[3] << np.uint64(32)

@@ -18,6 +18,14 @@ The runner calls these functions; the baselines are array-only, and the
 per-tuple ``sanitize_nrp`` and ``sanitize_identity`` make one-row calls.
 Projection matrices are plain n x m arrays; only :func:`bounded_projection`
 wraps its draw in a :class:`ProjectionMatrix` with the certificate it meets.
+
+A per-tuple call costs mostly fixed overhead, not arithmetic, so its
+draw avoids building a generator: on a fresh stream, ``_nrp``'s first
+draw is :meth:`~privsan.rng.Rng.uniform`'s keyed draw, taken on the
+calling thread's Philox from the stream's key, with the bits of the
+stream's own generator.  A draw that comes out all zero is redrawn on
+that generator, built then and started after the keyed draw, so the
+redraw rule and every later draw of the stream are unchanged.
 """
 
 from __future__ import annotations
@@ -107,7 +115,7 @@ def sample_bounded_matrices(count: int, n: int, m: int, distribution: EntryDistr
     that call's matrix.  Betas are checked as :func:`nrp` checks them."""
     betas = _checked_betas(betas, count)
     a = _uniform(count, n, m, distribution, rng)
-    _redraw_zeros(a, np.flatnonzero(~a.any(axis=(1, 2))), distribution, rng)
+    _redraw_zeros(a, _zero_matrices(a), distribution, rng)
     if betas is not None:
         a *= (betas / row_norms(a))[:, None, None]
     return a
@@ -118,15 +126,29 @@ def _entry_range(distribution: EntryDistribution) -> tuple[float, float]:
     are ``uniform(*_entry_range(distribution))``, which is
     ``Generator.random``'s u for unit-uniform and 2u - 1 for
     symmetric-uniform (see :meth:`~privsan.rng.Rng.uniform`)."""
-    if EntryDistribution(distribution) is EntryDistribution.UNIT_UNIFORM:
-        return 0.0, 1.0
-    return -1.0, 1.0
+    try:
+        return _ENTRY_RANGES[distribution]
+    except (KeyError, TypeError):    # a string value, or nothing valid: ValueError
+        return _ENTRY_RANGES[EntryDistribution(distribution)]
+
+
+_ENTRY_RANGES = {EntryDistribution.UNIT_UNIFORM: (0.0, 1.0),
+                 EntryDistribution.SYMMETRIC_UNIFORM: (-1.0, 1.0)}
 
 
 def _uniform(count: int, n: int, m: int, distribution: EntryDistribution,
              rng: Rng) -> np.ndarray:
     """One draw of ``count`` n x m matrices of iid ``distribution`` entries."""
     return rng.uniform(*_entry_range(distribution), (count, n, m))
+
+
+def _zero_matrices(a: np.ndarray) -> np.ndarray:
+    """Indices of the all-zero matrices of the stack ``a``.  A stack with
+    no zero entry has none, and one flat count says so far faster than
+    a reduction over each matrix."""
+    if np.count_nonzero(a) == a.size:
+        return np.empty(0, dtype=np.intp)
+    return np.flatnonzero(~a.any(axis=(1, 2)))
 
 
 def _redraw_zeros(a: np.ndarray, zero: np.ndarray, distribution: EntryDistribution,
@@ -156,7 +178,7 @@ def sample_fresh_matrices(n: int, m: int, distribution: EntryDistribution,
     draw that is all zero builds ``stream(i)`` and is drawn again on it,
     so :func:`_redraw_zeros` stays the one redraw rule."""
     a = fresh_uniform(keys, *_entry_range(distribution), (n, m))
-    for i in np.flatnonzero(~a.any(axis=(1, 2))):
+    for i in _zero_matrices(a):
         a[i] = sample_bounded_matrix(n, m, distribution, stream(i))
     return a
 
@@ -230,7 +252,7 @@ def _nrp(y: np.ndarray, m: int, rng: Rng, distribution: EntryDistribution,
     for lo in range(0, count, per):
         a = _uniform(min(per, count - lo), n, m, distribution, rng)
         hi = lo + len(a)
-        found = np.flatnonzero(~a.any(axis=(1, 2)))
+        found = _zero_matrices(a)
         if found.size:
             zero.append(lo + found)
             a[found] = 1.0    # a stand-in: its rows are projected again below
@@ -249,7 +271,7 @@ def _project(a: np.ndarray, y: np.ndarray, betas: np.ndarray | None) -> np.ndarr
     matrix first rescaled in place to Frobenius norm ``betas[i]`` if given."""
     if betas is not None:
         a *= (betas / row_norms(a))[:, None, None]
-    return matvec_rows(np.swapaxes(a, 1, 2), y)
+    return matvec_rows(a.transpose(0, 2, 1), y)
 
 
 def brp(y: np.ndarray, matrix: np.ndarray) -> np.ndarray:
@@ -347,7 +369,12 @@ def sanitize_nrp(t: DataTuple, m: int, certificate: NormBoundCertificate | None,
     is not rescaled (the unbounded ablation, tagged ``nrp-unbounded``).
 
     ``rng`` must be a fresh child stream per call; reusing one defeats
-    the per-instance randomness the mechanism relies on.
+    the per-instance randomness the mechanism relies on.  On a stream
+    that has not drawn yet, the matrix is the keyed first draw (see
+    :meth:`~privsan.rng.Rng.uniform`), which builds no generator; the
+    stream's next draw continues after the matrix's n·m entries, as it
+    would after a draw from its own generator.  A stream that has drawn
+    draws the matrix from its own generator.
 
     The matrix is replayed from the stream's address: it is
     ``sample_bounded_matrices(1, n, m, distribution, Rng(rng.seed,

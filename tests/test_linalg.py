@@ -11,8 +11,12 @@ from privsan.linalg import (
     full_rank,
     matvec_rows,
     orthonormalize,
+    row_cosines,
+    row_dots,
+    row_norms,
     triangular_full_rank,
 )
+from privsan.metrics import utility_scores
 from privsan.rng import Rng
 
 
@@ -48,6 +52,61 @@ class TestCosine:
         for _ in range(100):
             c = cosine(gen.standard_normal(4), gen.standard_normal(4))
             assert -1.0 <= c <= 1.0
+
+
+# numpy warns about such a pair's overflowing products before the pair
+# is computed again.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestCosineAtTheEndsOfTheRange:
+    # Rows whose squared norms overflow or leave the normal range are
+    # scaled by powers of two (exact) and computed again.
+
+    def test_huge_rows(self):
+        cos, u = utility_scores(np.full((1, 50), 1e200), np.full((1, 20), 3e199))
+        assert cos[0] == pytest.approx(np.sqrt(0.4), rel=1e-15)
+        assert u[0] == cos[0]
+        assert cosine([1e300, 1e300], [1e300, 0.0]) == pytest.approx(np.sqrt(0.5), rel=1e-15)
+
+    def test_tiny_rows(self):
+        assert cosine(np.full(5, 1e-170), np.full(5, 1e-170)) == pytest.approx(1.0, rel=1e-15)
+        assert cosine([3e-200, 4e-200], [4e-200, 3e-200]) == pytest.approx(24 / 25, rel=1e-15)
+        # One tiny row against an ordinary one: its squared norm is subnormal.
+        assert cosine([1e-160, 1e-160], [1.0, 0.0]) == pytest.approx(np.sqrt(0.5), rel=1e-15)
+
+    def test_zero_rows_still_raise(self):
+        with pytest.raises(ZeroNormInput):
+            cosine([0.0, 0.0], [1e300, 1e300])
+        with pytest.raises(ZeroNormInput):
+            row_cosines(np.array([[1.0, 2.0], [1e-170, 0.0]]), np.array([[2.0, 1.0], [0.0, 0.0]]))
+
+    def test_other_rows_keep_the_plain_formula(self):
+        gen = Rng(102).generator
+        a, b = gen.standard_normal((6, 9)), gen.standard_normal((6, 9))
+        a[2] *= 1e200
+        b[4] *= 1e-170
+        plain = np.clip(row_dots(a, b) / (row_norms(a) * row_norms(b)), -1.0, 1.0)
+        got = row_cosines(a, b)
+        for j in (0, 1, 3, 5):
+            assert got[j].tobytes() == plain[j].tobytes()
+        for j in (2, 4):
+            assert got[j] == pytest.approx(cosine(a[j] / np.abs(a[j]).max(),
+                                                  b[j] / np.abs(b[j]).max()), rel=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(hst.data())
+    def test_scaling_by_powers_of_two_leaves_the_cosine_unchanged(self, data):
+        # Entries of magnitude 2**-20 to 1 and scales that keep every entry
+        # normal: no product or square loses a bit on either side.
+        n = data.draw(hst.integers(1, 12))
+        entry = hst.one_of(hst.just(0.0), hst.floats(2.0**-20, 1.0),
+                           hst.floats(-1.0, -(2.0**-20)))
+        a, b = (np.array(data.draw(hst.lists(entry, min_size=n, max_size=n))) for _ in "ab")
+        if not (a.any() and b.any()):
+            return
+        scale = hst.one_of(hst.integers(-1000, -560), hst.integers(-440, 1020))
+        ea, eb = data.draw(scale), data.draw(scale)
+        scaled = cosine(np.ldexp(a, ea), np.ldexp(b, eb))
+        assert scaled.hex() == cosine(a, b).hex(), (ea, eb)
 
 
 class TestFrobenius:

@@ -80,6 +80,34 @@ def test_nrp_per_tuple_is_row_zero(shape, distribution, alpha):
     assert same_bits(one.values, a.T @ y[0])
 
 
+# Seeds and path entries of one, two and three uint32 words.
+WIDE = st.one_of(st.integers(0, 3), st.sampled_from([2**32 - 1, 2**32, 2**32 + 5, 2**64 + 5]),
+                 st.integers(0, 2**96))
+
+
+@PROPERTY
+@given(shapes(), BOUNDED, WIDE, st.lists(WIDE, min_size=1, max_size=3))
+def test_nrp_per_tuple_is_row_zero_at_wide_addresses(shape, distribution, seed, path):
+    # The keyed first draw hashes every word of the seed and the path as
+    # numpy's SeedSequence does, and the replay by address agrees with it.
+    rows, n, m, data_seed = shape
+    y = Rng(data_seed).uniform(0.0, 1.0, (rows, n))
+    cert = compute_norm_bound(0.5, 0.2, 1.0)
+    for betas in ([cert.frobenius_bound], None):
+        one = san.sanitize_nrp(tup(y[0]), m, cert if betas else None, Rng(seed, path),
+                               distribution)
+        batch = san.nrp(y, m, Rng(seed, path), distribution,
+                        None if betas is None else np.full(rows, betas[0]))
+        a = san.sample_bounded_matrices(1, n, m, distribution, Rng(seed, path), betas)[0]
+        assert same_bits(one.values, batch[0])
+        assert same_bits(one.values, matvec_rows(a.T[None], y[:1])[0])
+    # The matrix is the plain generator's first draw at that address.
+    plain = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=path)))
+    low = 0.0 if distribution is EntryDistribution.UNIT_UNIFORM else -1.0
+    a = san.sample_bounded_matrix(n, m, distribution, Rng(seed, path))
+    assert same_bits(a, plain.uniform(low, 1.0, (n, m)))
+
+
 @PROPERTY
 @given(shapes())
 def test_fixed_matrix_mechanisms_rowwise(shape):

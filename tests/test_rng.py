@@ -1,9 +1,12 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from privsan import sanitize
+from privsan import rng, sanitize
 from privsan.rng import Rng, fresh_uniform, philox_keys
 from privsan.sanitize import EntryDistribution, sample_bounded_matrices, sample_fresh_matrices
 
@@ -135,3 +138,93 @@ class TestChild:
             Rng(1).child(-1)
         with pytest.raises(ValueError):
             Rng(1, (2,)).child(-1)
+
+
+def generator_at(seed, path):
+    """A stream's generator, built the plain way."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=path)))
+
+
+class TestKeyedFirstDraw:
+    # A fresh stream's first Rng.uniform draw comes from its key on the
+    # thread's Philox; its later draws continue after it.
+
+    def test_key_equals_seed_sequence(self):
+        for seed in EDGES:
+            for path in [(), (0,), (2**32,), (5, 2**64 + 5, 0), (2**32 - 1, 7), (1,) * 9]:
+                key = Rng(seed, path)._key()
+                assert key.dtype == np.uint64
+                assert key.tolist() == seed_sequence_key(seed, path).tolist(), (seed, path)
+
+    @pytest.mark.parametrize("first", [1, 2, 3, 4, 5, 7, 8, 1000, (3, 50, 20)])
+    def test_later_draws_continue_after_the_keyed_draw(self, first):
+        for seed, path in TestFreshDraws.STREAMS:
+            r = Rng(seed, path)
+            draw = r.uniform(-1.0, 1.0, first)
+            assert "generator" not in vars(r)
+            later = [r.uniform(0.0, 1.0, 5), r.uniform(0.2, 1.0, 3), r.standard_normal(4)]
+            gen = generator_at(seed, path)
+            expected = [gen.uniform(-1.0, 1.0, first), gen.uniform(0.0, 1.0, 5),
+                        gen.uniform(0.2, 1.0, 3), gen.standard_normal(4)]
+            for got, want in zip([draw] + later, expected):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_a_stream_that_has_drawn_draws_from_its_own_state(self):
+        r = Rng(11, (2,))
+        head = r.standard_normal(3)
+        tail = r.uniform(0.0, 1.0, 6)
+        gen = generator_at(11, (2,))
+        assert head.tobytes() == gen.standard_normal(3).tobytes()
+        assert tail.tobytes() == gen.uniform(0.0, 1.0, 6).tobytes()
+
+    def test_a_keyed_first_draw_builds_no_philox(self, monkeypatch):
+        Rng(1).uniform(0.0, 1.0, 2)    # this thread's Philox exists from here on
+        built = []
+        philox = np.random.Philox
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        r = Rng(2024, (0, 1, 7))
+        r.uniform(0.0, 1.0, (1, 50, 20))
+        assert built == []
+        r.uniform(0.0, 1.0, 1)    # the second draw builds the stream's own
+        assert len(built) == 1
+
+    def test_threads_drawing_interleaved_get_one_thread_bits(self):
+        # Each thread sets and draws from its own Philox, so a switch
+        # between a state set and its draw moves no bits.
+        workers = 4
+        streams = [[(7, (t, j)) for j in range(40)] for t in range(workers)]
+        alone = [[Rng(s, p).uniform(-1.0, 1.0, (4, 3)).tobytes() for s, p in rows]
+                 for rows in streams]
+        barrier = threading.Barrier(workers, timeout=60)
+        got, generators = [[] for _ in range(workers)], [None] * workers
+
+        def draw(t):
+            for seed, path in streams[t]:
+                barrier.wait()
+                got[t].append(Rng(seed, path).uniform(-1.0, 1.0, (4, 3)).tobytes())
+            generators[t] = rng._keyed()[0]
+
+        run_in_threads(draw, workers)
+        assert got == alone
+        assert len({id(g) for g in generators}) == workers
+
+
+def run_in_threads(target, workers):
+    """Run ``target(t)`` on ``workers`` threads that switch every
+    microsecond; each must finish within a minute."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=target, args=(t,)) for t in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)

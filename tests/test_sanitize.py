@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from privsan import rng as rng_module
 from privsan import sanitize
 from privsan.bounds import compute_norm_bound
 from privsan.errors import DegenerateMatrix, DimensionMismatch, InsufficientData, RankDeficient
@@ -26,6 +28,7 @@ from privsan.sanitize import (
     sanitize_nrp,
 )
 from privsan.verify import bounded_projection_for_check, subspace_projection_for_check
+from test_rng import run_in_threads
 
 CERT = compute_norm_bound(0.5, 0.1, 1.0)
 # Each bounded entry distribution draws iid Uniform[low, high) entries.
@@ -562,3 +565,104 @@ class TestPreservationPaths:
             pts, bounded_projection_for_check(pts, m, rng.child(1)), gamma)
         assert f_sub >= 0.5
         assert f_bnd >= 0.5
+
+
+class GeneratorDraws:
+    """A stream drawing straight from numpy's generator for ``(seed,
+    path)``, built the plain way: the draws the stream had at the
+    parent, whatever route ``Rng`` takes."""
+
+    def __init__(self, seed, path):
+        self.gen = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(seed, spawn_key=path)))
+
+    def uniform(self, low, high, size):
+        return self.gen.uniform(low, high, size)
+
+
+def projected(t, m, certificate, stream, distribution=EntryDistribution.UNIT_UNIFORM):
+    """sanitize_nrp's values for the matrix ``stream`` draws next."""
+    betas = None if certificate is None else [certificate.frobenius_bound]
+    a = sample_bounded_matrices(1, t.values.size, m, distribution, stream, betas)[0]
+    return matvec_rows(a.T[None], t.values[None])[0]
+
+
+@pytest.mark.filterwarnings("error")
+class TestKeyedFirstDraw:
+    """sanitize_nrp on a fresh stream takes its matrix from the stream's
+    key; the stream's later draws continue after the matrix."""
+
+    T = dt(Rng(70).uniform(0.0, 1.0, 50))
+
+    @pytest.mark.parametrize("certificate", [CERT, None])
+    @pytest.mark.parametrize("distribution", list(EntryDistribution))
+    def test_the_next_draw_continues_after_the_matrix(self, certificate, distribution):
+        r = Rng(71, (3, 2**33))
+        out = sanitize_nrp(self.T, 20, certificate, r, distribution)
+        assert "generator" not in vars(r)
+        expected = projected(self.T, 20, certificate, GeneratorDraws(71, (3, 2**33)), distribution)
+        assert out.values.tobytes() == expected.tobytes()
+        gen = GeneratorDraws(71, (3, 2**33)).gen
+        gen.random(50 * 20)
+        assert r.uniform(0.0, 1.0, 5).tobytes() == gen.uniform(0.0, 1.0, 5).tobytes()
+
+    def test_a_stream_that_drew_before_the_call_keeps_its_bits(self):
+        r = Rng(72, (1,))
+        r.uniform(0.0, 1.0, 3)
+        out = sanitize_nrp(self.T, 20, CERT, r)
+        stream = GeneratorDraws(72, (1,))
+        stream.uniform(0.0, 1.0, 3)
+        assert out.values.tobytes() == projected(self.T, 20, CERT, stream).tobytes()
+
+    def test_an_all_zero_keyed_draw_is_redrawn_on_the_streams_generator(self, monkeypatch):
+        def zeroed(keys, low, high, shape):
+            return np.zeros((len(keys), *shape))
+
+        monkeypatch.setattr(rng_module, "fresh_uniform", zeroed)
+        r = Rng(73, (0, 5))
+        out = sanitize_nrp(self.T, 20, CERT, r)
+        assert "generator" in vars(r)
+        stream = GeneratorDraws(73, (0, 5))
+        stream.uniform(0.0, 1.0, 50 * 20)    # the draw that came out all zero
+        assert out.values.tobytes() == projected(self.T, 20, CERT, stream).tobytes()
+
+    def test_planted_zero_draws_are_redrawn_then_give_up(self):
+        out = sanitize_nrp(self.T, 20, CERT, ZeroedDraws(Rng(74), [[0]]))
+        stream = GeneratorDraws(74, ())
+        stream.uniform(0.0, 1.0, 50 * 20)
+        assert out.values.tobytes() == projected(self.T, 20, CERT, stream).tobytes()
+        stream = ZeroedDraws(Rng(74), [[0]] * SAMPLE_RETRIES)
+        with pytest.raises(DegenerateMatrix):
+            sanitize_nrp(self.T, 20, CERT, stream)
+        assert stream.draws == SAMPLE_RETRIES
+
+    def test_a_call_on_a_fresh_stream_builds_no_philox(self, monkeypatch):
+        sanitize_nrp(self.T, 20, CERT, Rng(75))    # this thread's Philox exists from here on
+        built = []
+        philox = np.random.Philox
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        root = Rng(76).child(1)
+        for j in range(20):
+            sanitize_nrp(self.T, 20, CERT, root.child(j))
+        assert built == []
+
+    def test_threads_sanitizing_interleaved_streams_get_one_thread_bits(self):
+        workers = 4
+        roots = [Rng(77).child(t) for t in range(workers)]
+        alone = [[sanitize_nrp(self.T, 20, CERT, root.child(j)).values.tobytes()
+                  for j in range(30)] for root in roots]
+        barrier = threading.Barrier(workers, timeout=60)
+        got = [[] for _ in range(workers)]
+
+        def run(t):
+            for j in range(30):
+                barrier.wait()
+                got[t].append(sanitize_nrp(self.T, 20, CERT, roots[t].child(j)).values.tobytes())
+
+        run_in_threads(run, workers)
+        assert got == alone
