@@ -92,10 +92,16 @@ def row_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     2**-511 or a product of norms that overflows) is computed again from
     both rows scaled by powers of two, which puts each row's largest
     entry in [1/2, 1); the cosine does not depend on the scale.  numpy
-    may warn about such a pair's overflow before it is computed again.
-    Every other pair is the plain dot over the product of norms."""
-    dots, na, nb = row_dots(a, b), row_norms(a), row_norms(b)
-    den = na * nb
+    may warn about such a pair's overflow before it is computed again;
+    where its warnings are raised as errors, the call is made again with
+    them off.  Every other pair is the plain dot over the product of
+    norms."""
+    try:
+        dots, na, nb = row_dots(a, b), row_norms(a), row_norms(b)
+        den = na * nb
+    except (RuntimeWarning, FloatingPointError):
+        with np.errstate(all="ignore"):
+            return row_cosines(a, b)
     low = np.minimum(na, nb)
     if low.min(initial=np.inf) < _NORM_MIN or den.max(initial=0.0) == np.inf:
         redo = np.flatnonzero((low < _NORM_MIN) | (den == np.inf))

@@ -8,10 +8,17 @@ reconstructed cloud.  Resemblance's k-nearest-neighbor sets are exact.
 so a caller can find the actual cloud's sets once for several
 reconstructions.
 
-``knn_indices`` screens in float32 and ranks in float64.  Let y be the
+``knn_indices`` has two routes to the same sets, and both rank their
+candidates by one float64 distance with one tie rule.  Let y be the
 cloud scaled by a power of two so that its largest entry lies in
 [1/2, 1) (exact), and c the centred cloud, scaled likewise and rounded
-to float32.  One sgemm per block of ``KNN_BLOCK`` rows writes
+to float32.  The candidates of a row get float64 distances
+(sq_i + sq_j) - 2 y_i.y_j from y, clamped at 0 and ranked by
+(distance, column), so ties keep the lowest indices.  That distance
+moves from the exact one by at most F_i = 2 gamma_{d+2} (|y_i| + Y)^2
+with u = 2^-53 and Y the largest |y|, taken in c's scale.
+
+The screen.  One sgemm per block of ``KNN_BLOCK`` rows writes
 s_ij = |c_j|^2 - 2 c_i.c_j into a reused float32 buffer; the minima of
 its column groups bound each row's k-th distance from above.  Rounding
 moves s_ij + |c_i|^2 from the exact scaled |y_i - y_j|^2 by at most
@@ -21,19 +28,52 @@ moves s_ij + |c_i|^2 from the exact scaled |y_i - y_j|^2 by at most
 where r_i = |c_i| and R is the largest r: gamma_{d+1} bounds the
 (d+1)-term product in any summation order, 3u the cast to float32 and
 the rounded norm, and the factor 2 the second-order and underflow terms
-(R >= 1/2).  The refine's float64 distance (sq_i + sq_j) - 2 y_i.y_j
-moves from the exact one by at most F_i = 2 gamma_{d+2} (|y_i| + Y)^2
-with u = 2^-53 and Y the largest |y|, taken in c's scale.  If G_i is
-row i's k-th smallest group minimum, k columns have s_ij <= G_i, so the
-row's k-th refine distance is at most G_i + |c_i|^2 + E_i + F_i, and
-every column among its k nearest has s_ij <= G_i + 2 (E_i + F_i): the
-row's threshold, rounded up to float32.  The columns under it get
-float64 distances from y, clamped at 0 and ranked by (distance, column),
-so ties keep the lowest indices.  A row with more than 4k candidates
-takes its exact full row instead, ``KNN_BLOCK // 4`` rows at a time: a
-far outlier can shrink a tight cluster below float32's resolution.
-Each block is screened and ranked, full rows too, before the next one:
-memory is O(``KNN_BLOCK`` x N + N d + N k), not N x N.
+(R >= 1/2).  If G_i is row i's k-th smallest group minimum, k columns
+have s_ij <= G_i, so the row's k-th refine distance is at most
+G_i + |c_i|^2 + E_i + F_i, and every column among its k nearest has
+s_ij <= G_i + 2 (E_i + F_i): the row's threshold, rounded up to float32.
+The columns under it are its candidates.  A row with more than 4k
+candidates takes its exact full row instead, ``KNN_BLOCK // 4`` rows at
+a time: a far outlier can shrink a tight cluster below float32's
+resolution.  Each block is screened and ranked, full rows too, before
+the next one: memory is O(``KNN_BLOCK`` x N + N d + N k), not N x N.
+
+The pivot route, for clouds of tight clusters such as a round's agents.
+Every 4k-th row is a pivot.  One sgemm per block of ``KNN_BLOCK`` rows
+against the pivots' rows of the screen's float32 copy gives s_ip, and
+each row joins the cluster of the pivot with the least one; a pivot
+joins its own.  In c's scale, with M_i = 2 (E_i + F_i), the exact
+distance from row i to pivot p lies in
+
+    [sqrt(max(s_ip + |c_i|^2 - M_i, 0)), sqrt(s_ip + |c_i|^2 + M_i)].
+
+Cluster a's radius r_a is the largest upper bound of its rows (0 for the
+pivot), and m_a their largest M_i.  With pivot a as row i, take near_ac
+and far_ac as the lower and upper bounds of its distance from pivot c
+(both 0 for c = a), and W_a as the least far_ac + r_c such that the
+clusters c with far_ac + r_c <= W_a hold at least k + 1 rows.  By the
+triangle inequality through pivot a, every row of a has at least k
+other rows within U_a = r_a + W_a, so its k-th refine distance is at
+most U_a^2 + F_i, and each column among its k nearest is within
+V_a = sqrt(U_a^2 + 2 m_a) of it.  A row of cluster c is at least
+near_ac - r_a - r_c from each row of a, so c survives when
+near_ac <= V_a + r_a + r_c; the clusters that make up W_a survive.
+Every column left out has a refine distance above U_a^2 + F_i, so
+ranking a's rows against the surviving clusters' rows, in column order,
+finds the sets the full rows would.  Each bound takes M_i, or 2 m_a,
+where the argument needs at most E_i or 2 F_i, and so carries a surplus
+of at least M_i / 2 >= E_i >= 2^-21 R^2 in squared distance: far more
+than the few float64 roundings of the bound, each a relative 2^-53 of a
+number below 64 (R^2 + M_i), can take from it.
+
+A cluster whose surviving clusters hold more than N // 16 rows goes to
+the screen, decided before any of its rows is ranked; so does every row
+of a cloud with N // 16 < 4k, whose clusters average more rows than
+that.  The screen then takes only those rows, and a cloud without
+clusters pays one N x N/4k sgemm and an (N/4k)^2 pass for the pivots.
+The route never holds an N x N/4k array: a row block's float32
+distances to the pivots, ``KNN_BLOCK // 4`` pivots' float64 bounds and
+a cluster's ranks, at most ``KNN_BLOCK`` x N/16 float64s.
 
 The distance-preservation fraction counts its pairs over the same row
 blocks.
@@ -52,7 +92,7 @@ from .errors import EmptyDataset, InsufficientPoints
 from .linalg import as_matrix, check_finite, check_shape, row_cosines, zero_pad
 from .sanitize import DataTuple, SanitizedTuple
 
-KNN_BLOCK = 256    # rows per block of the kNN screen; bounds its memory
+KNN_BLOCK = 256    # rows per block of the kNN routes; bounds their memory
 _FAR = 2.0**100    # screen value of padding columns and of each row's own column
 
 
@@ -178,11 +218,19 @@ def _exponent(a: np.ndarray) -> int:
     return int(np.frexp(max(a.max(), -a.min()))[1])
 
 
-def _smallest(d: np.ndarray, k: int) -> np.ndarray:
+def _smallest(d: np.ndarray, k: int, buf: np.ndarray | None = None) -> np.ndarray:
     """(rows x k) positions of each row's k smallest entries of ``d``: the
-    entries below the k-th value, then the lowest positions tied at it."""
-    kth = np.partition(d, k - 1, axis=1)[:, k - 1:k]
-    keep = d <= kth
+    entries below the k-th value, then the lowest positions tied at it.
+    ``buf``, a float64 array of ``d``'s shape, may supply the bytes of the
+    partition's copy of ``d`` and then of the mask."""
+    if buf is None:
+        kth = np.partition(d, k - 1, axis=1)[:, k - 1:k]
+        keep = d <= kth
+    else:
+        np.copyto(buf, d)
+        buf.partition(k - 1, axis=1)
+        kth = buf[:, k - 1:k].copy()
+        keep = np.less_equal(d, kth, out=buf.reshape(-1).view(bool)[:d.size].reshape(d.shape))
     tied = np.count_nonzero(keep, axis=1) > k
     if tied.any():
         below = d[tied] < kth[tied]
@@ -192,49 +240,139 @@ def _smallest(d: np.ndarray, k: int) -> np.ndarray:
     return (np.flatnonzero(keep) % d.shape[1]).reshape(-1, k)
 
 
-def _screen(y: np.ndarray, sq: np.ndarray, k: int) -> Iterator[tuple[np.ndarray, ...]]:
-    """The float32 screen of the cloud ``y`` with squared row norms ``sq``.
-    Per ``KNN_BLOCK``-row block it yields the screened rows; their
-    candidate columns in column order, padded with the row's own column
-    to one array; the rows with more than ``4 k`` candidate groups or
-    candidates, which take their full row instead; and the block buffer,
-    ``KNN_BLOCK // 2`` x N float64s or more, free until the next block.
-
-    Column j of a screened row falls in group j % groups of the
-    (``KNN_BLOCK`` x width x groups) buffer; the pads past N read _FAR."""
+def _float32_cloud(y: np.ndarray, sq: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
+    """The float32 copies that both routes read, of the cloud ``y`` with
+    squared row norms ``sq``: ``lhs`` rows [c_i, 1]; ``rhs`` rows
+    [-2 c_j, |c_j|^2], padded with rows [0, _FAR] to the screen's
+    width x groups; the float64 |c_i|^2; and each row's margin
+    2 (E_i + F_i) in c's scale (module docstring)."""
     n, dim = y.shape
     width = _group_width(n, k)
-    groups = -(-n // width)
-    cap = 4 * k
     c = y - np.mean(y, axis=0)
     es = _exponent(c)
-    lhs = np.empty((n, dim + 1), dtype=np.float32)    # rows [c_i, 1]
+    lhs = np.empty((n, dim + 1), dtype=np.float32)
     lhs[:, :dim] = np.ldexp(c, -es, out=c)
     lhs[:, dim] = 1.0
     del c
     a = lhs[:, :dim]
     na = np.einsum("ij,ij->i", a, a, dtype=np.float64)
-    rhs = np.empty((width * groups, dim + 1), dtype=np.float32)    # rows [-2 c_j, |c_j|^2]
+    rhs = np.empty((width * -(-n // width), dim + 1), dtype=np.float32)
     np.multiply(a, np.float32(-2.0), out=rhs[:n, :dim])
     rhs[:n, dim] = na
     rhs[n:, :dim] = 0.0
     rhs[n:, dim] = _FAR
     rn, yn = np.sqrt(na), np.sqrt(sq)
-    # 2 (E_i + F_i) in c's scale (module docstring); an overflow to inf lets every column through.
+    # An overflow to inf lets every column through.
     with np.errstate(over="ignore"):
         margin = (4 * _gamma(dim + 4, 2.0**-24) * (rn + rn.max()) ** 2
                   + np.ldexp(4 * _gamma(dim + 2, 2.0**-53) * (yn + yn.max()) ** 2, -2 * es))
+    return lhs, rhs, na, margin
+
+
+def _rank(y: np.ndarray, sq: np.ndarray, cols: np.ndarray, mine: np.ndarray,
+          k: int) -> np.ndarray:
+    """(rows x k) columns of the ascending ``cols`` nearest to each of its
+    rows at positions ``mine``, by the screen route's float64 distance
+    and with its tie rule."""
+    rows = cols[mine]
+    ranked = np.einsum("cd,rd->rc", y[cols], y[rows])
+    ranked *= -2.0
+    ranked += sq[rows, None] + sq[cols]    # (sq_i + sq_j) - 2 y_i.y_j: addition commutes
+    ranked[np.arange(mine.size), mine] = np.inf
+    np.maximum(ranked, 0.0, out=ranked)
+    return cols[_smallest(ranked, k)]
+
+
+def _pivot_route(y: np.ndarray, sq: np.ndarray, k: int, copies: tuple[np.ndarray, ...],
+                 out: np.ndarray) -> np.ndarray:
+    """Rank into ``out`` the rows of every pivot cluster whose surviving
+    clusters hold at most ``n // 16`` rows, and return the other rows, in
+    order, for the screen (module docstring)."""
+    lhs, rhs, na, margin = copies
+    n = len(y)
+    cap = n // 16
+    if cap < 4 * k:    # the clusters average 4k rows, more than the cap
+        return np.arange(n)
+    pivots = np.arange(0, n, 4 * k)
+    count = pivots.size
+    towards = rhs[pivots].T    # columns [-2 c_p, |c_p|^2]
+    # Each row's nearest pivot, and a bound above its distance from it.
+    owner = np.empty(n, dtype=np.intp)
+    reach = np.empty(n)
+    for lo in range(0, n, KNN_BLOCK):
+        s = np.matmul(lhs[lo:lo + KNN_BLOCK], towards)
+        owner[lo:lo + KNN_BLOCK] = nearest = s.argmin(axis=1)
+        reach[lo:lo + KNN_BLOCK] = s[np.arange(s.shape[0]), nearest]
+    reach += na
+    reach += margin
+    np.sqrt(np.maximum(reach, 0.0, out=reach), out=reach)
+    owner[pivots] = np.arange(count)
+    reach[pivots] = 0.0
+    size = np.bincount(owner, minlength=count)
+    radius, slack = np.zeros(count), np.zeros(count)
+    np.maximum.at(radius, owner, reach)
+    np.maximum.at(slack, owner, margin)
+    del reach
+    dense = np.zeros(count, dtype=bool)
+    first = min(k, count - 1)
+    for lo in range(0, count, KNN_BLOCK // 4):
+        block = np.arange(lo, min(lo + KNN_BLOCK // 4, count))
+        at = np.arange(block.size)
+        with np.errstate(over="ignore"):    # a margin may overflow; inf keeps every cluster
+            d = np.matmul(lhs[pivots[block]], towards).astype(np.float64)
+            d += na[pivots[block], None]
+            m = margin[pivots[block], None]
+            far = np.sqrt(np.maximum(d + m, 0.0))
+            near = np.sqrt(np.maximum(d - m, 0.0))
+            far[at, block] = near[at, block] = 0.0
+            far += radius
+            # The k + 1 clusters nearest by far hold at least k + 1 rows.
+            nearby = np.argpartition(far, first, axis=1)[:, :first + 1]
+            nearby = np.take_along_axis(nearby, np.argsort(far[at[:, None], nearby], axis=1),
+                                        axis=1)
+            last = nearby[at, np.argmax(np.cumsum(size[nearby], axis=1) > k, axis=1)]
+            bound = np.sqrt((radius[block] + far[at, last]) ** 2 + 2 * slack[block])
+            keep = near <= (bound + radius[block])[:, None] + radius
+        dense[block] = keep @ size > cap
+        for i in np.flatnonzero(~dense[block]):
+            cols = np.flatnonzero(keep[i][owner])    # the surviving clusters' rows
+            mine = np.flatnonzero(owner[cols] == block[i])
+            for r in range(0, mine.size, KNN_BLOCK):
+                out[cols[mine[r:r + KNN_BLOCK]]] = _rank(y, sq, cols, mine[r:r + KNN_BLOCK], k)
+    return np.flatnonzero(dense[owner])
+
+
+def _screen(y: np.ndarray, sq: np.ndarray, k: int, subset: np.ndarray | None = None,
+            copies: tuple[np.ndarray, ...] | None = None) -> Iterator[tuple[np.ndarray, ...]]:
+    """The float32 screen of the rows ``subset`` (default all) of the cloud
+    ``y`` with squared row norms ``sq``; ``copies`` are its
+    :func:`_float32_cloud`.  Per ``KNN_BLOCK``-row block it yields the
+    screened rows; their candidate columns in column order, padded with
+    the row's own column to one array; the rows with more than ``4 k``
+    candidate groups or candidates, which take their full row instead;
+    and the block buffer, ``KNN_BLOCK // 2`` x N float64s or more, free
+    until the next block.
+
+    Column j of a screened row falls in group j % groups of the
+    (``KNN_BLOCK`` x width x groups) buffer; the pads past N read _FAR."""
+    n = len(y)
+    width = _group_width(n, k)
+    groups = -(-n // width)
+    cap = 4 * k
+    lhs, rhs, _, margin = copies if copies is not None else _float32_cloud(y, sq, k)
+    subset = np.arange(n) if subset is None else subset
     entries = min(KNN_BLOCK, n) * width * groups
     scratch = np.empty(max(-(-entries // 2), KNN_BLOCK // 2 * n))
     buf = scratch.view(np.float32)[:entries].reshape(-1, width, groups)
-    for lo in range(0, n, KNN_BLOCK):
-        size = min(KNN_BLOCK, n - lo)
+    for lo in range(0, subset.size, KNN_BLOCK):
+        sub = subset[lo:lo + KNN_BLOCK]
+        size = sub.size
         block = np.arange(size)
-        s = np.matmul(lhs[lo:lo + size], rhs.T, out=buf[:size].reshape(size, -1))
-        s[block, lo + block] = _FAR
+        s = np.matmul(lhs[sub], rhs.T, out=buf[:size].reshape(size, -1))
+        s[block, sub] = _FAR
         minima = buf[:size].min(axis=1)
         kth = np.partition(minima, k - 1, axis=1)[:, k - 1]
-        t = np.minimum(kth + margin[lo:lo + size], _FAR / 2).astype(np.float32)
+        t = np.minimum(kth + margin[sub], _FAR / 2).astype(np.float32)
         t = np.nextafter(t, np.float32(np.inf))    # at or above the float64 threshold
         hit = minima <= t[:, None]
         count = np.count_nonzero(hit, axis=1)
@@ -250,19 +388,20 @@ def _screen(y: np.ndarray, sq: np.ndarray, k: int) -> Iterator[tuple[np.ndarray,
         w, i = np.divmod(rest, slots.shape[1])
         count = np.bincount(r, minlength=size)
         many |= count > cap
-        rows = np.flatnonzero(~many)
-        count = count[rows]
+        rows = sub[~many]
+        count = count[~many]
         slots = np.arange(count.max(initial=0)) < count[:, None]
-        cand = np.repeat(lo + rows[:, None], slots.shape[1], axis=1)
+        cand = np.repeat(rows[:, None], slots.shape[1], axis=1)
         cand[slots] = (w * groups + picked[r, i])[~many[r]]
-        yield lo + rows, cand, lo + np.flatnonzero(many), scratch
+        yield rows, cand, sub[many], scratch
 
 
 def knn_indices(x, k: int) -> np.ndarray:
     """(N x k) indices of each row's k nearest other rows of the (N x d)
     cloud ``x``; rows tied at the k-th distance keep the lowest indices.
 
-    One pass over the row blocks of :func:`_screen`; see the module docstring."""
+    The pivot route, then one pass over the row blocks of
+    :func:`_screen` for the rows it leaves; see the module docstring."""
     x = as_matrix(x)
     n, dim = x.shape
     if k < 1:
@@ -272,8 +411,12 @@ def knn_indices(x, k: int) -> np.ndarray:
     out = np.empty((n, k), dtype=np.intp)
     y = np.ldexp(x, -_exponent(x))
     sq = np.sum(np.square(y), axis=1)
+    copies = _float32_cloud(y, sq, k)
+    dense = _pivot_route(y, sq, k, copies, out)
+    if not dense.size:
+        return out
     gathered = np.empty(max(2**15, 4 * k * dim))    # reused; holds one row of 4k candidates
-    for rows, cand, full, scratch in _screen(y, sq, k):
+    for rows, cand, full, scratch in _screen(y, sq, k, dense, copies):
         if rows.size:
             ranked = np.empty(cand.shape)
             step = max(1, gathered.size // cand[0].size // dim)
@@ -293,7 +436,7 @@ def knn_indices(x, k: int) -> np.ndarray:
             d = _squared_distances(y, sq, i, out=dist[:i.size], gram=gram[:i.size])
             np.maximum(d, 0.0, out=d)
             d[np.arange(i.size), i] = np.inf
-            out[i] = _smallest(d, k)
+            out[i] = _smallest(d, k, gram[:i.size])
     return out
 
 

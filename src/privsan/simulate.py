@@ -457,24 +457,30 @@ def peak_bytes(cfg: ExperimentConfig) -> int:
     It counts the round's agent matrices and gram; six (tuples x n)
     float64 arrays: the round's values, the sanitized rows, the
     reconstruction, a metric's difference of the two and the kNN's two
-    float64 copies of a cloud; the kNN's screen buffers, 2 ``KNN_BLOCK``
-    x tuples x 8 bytes, and both clouds' (tuples x k) indices; for nrp
-    and asup, two chunks of draws (a chunk and the product's or the QR's
-    copy of it); and the attack's draws: the expected-inverse map's and
-    their SVD factors, or a few ``ATTACK_CHUNK``s of draws and, per
-    tuple, a stream and, while the first draws' keys are hashed, its
-    (seed, path) pair, key columns and uint64 key (under 512 bytes
-    together)."""
+    float64 copies of a cloud; the kNN's block, ``KNN_BLOCK`` x tuples
+    float64s, which holds the screen's buffer and a block's temporaries,
+    or the pivot pass's arrays of a pivot block, its cluster ranks and
+    the float32 pivot distances of a row block, which are fewer; the
+    pivot pass's three per-row arrays (each row's pivot, its reach and
+    the rows it leaves to the screen); both clouds' (tuples x k) indices; for nrp and asup, two
+    chunks of draws (a chunk and the product's or the QR's copy of it);
+    and the random-inverse attack's draws: a few ``ATTACK_CHUNK``s of
+    draws and, per tuple, a stream and, while the first draws' keys are
+    hashed, its (seed, path) pair, key columns and uint64 key (under 512
+    bytes together).  The expected-inverse map's draws and their SVD
+    factors are freed before the round is drawn, so the estimate is the
+    larger of them and the round."""
     n, q, m = cfg.input_dim, cfg.param_dim, cfg.target_dim
     tuples = cfg.agent_count * cfg.observations_per_agent
     # (entries per draw, draws per round) of the mechanisms that draw
     entries, draws = {"nrp": (n * m, tuples), "nrp-unbounded": (n * m, cfg.agent_count),
                       "asup": (n * n, tuples)}.get(cfg.sanitizer, (0, 0))
     chunk = min(max(san.DRAW_CHUNK, entries), draws * entries)
-    attack = {"expected-inverse": 4 * cfg.inverse_samples * n * m,
-              "random-inverse": 5 * atk.ATTACK_CHUNK * n * m + 64 * tuples}.get(cfg.attack, 0)
-    return 8 * (cfg.agent_count * n * q + q * q + 6 * tuples * n
-                + 2 * met.KNN_BLOCK * tuples + 2 * tuples * cfg.k_neighbors + 2 * chunk + attack)
+    attack = 5 * atk.ATTACK_CHUNK * n * m + 64 * tuples if cfg.attack == "random-inverse" else 0
+    linear_map = 4 * cfg.inverse_samples * n * m if cfg.attack == "expected-inverse" else 0
+    return 8 * max(linear_map, cfg.agent_count * n * q + q * q + 6 * tuples * n
+                   + met.KNN_BLOCK * tuples + 3 * tuples + 2 * tuples * cfg.k_neighbors
+                   + 2 * chunk + attack)
 
 
 def _run_points(points: list[ExperimentConfig]) -> list[list[RepetitionMetrics]]:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,6 +68,19 @@ class TestCosineAtTheEndsOfTheRange:
         assert cos[0] == pytest.approx(np.sqrt(0.4), rel=1e-15)
         assert u[0] == cos[0]
         assert cosine([1e300, 1e300], [1e300, 0.0]) == pytest.approx(np.sqrt(0.5), rel=1e-15)
+
+    def test_huge_rows_when_warnings_are_errors(self):
+        # The class's filter ignores numpy's overflow warnings; here they
+        # are raised as errors, and numpy's own error mode as well.
+        ignored = utility_scores(np.full((1, 50), 1e200), np.full((1, 20), 3e199))
+        for errors in ("warn", "raise"):
+            with warnings.catch_warnings(), np.errstate(all=errors):
+                warnings.simplefilter("error", RuntimeWarning)
+                cos, u = utility_scores(np.full((1, 50), 1e200), np.full((1, 20), 3e199))
+                tiny = cosine(np.full(5, 1e-170), np.full(5, 1e-170))
+            assert cos[0] == pytest.approx(np.sqrt(0.4), rel=1e-15)
+            assert (cos.tobytes(), u.tobytes()) == (ignored[0].tobytes(), ignored[1].tobytes())
+            assert tiny == pytest.approx(1.0, rel=1e-15)
 
     def test_tiny_rows(self):
         assert cosine(np.full(5, 1e-170), np.full(5, 1e-170)) == pytest.approx(1.0, rel=1e-15)

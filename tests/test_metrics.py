@@ -28,6 +28,7 @@ from privsan.metrics import (
 )
 from privsan.rng import Rng
 from privsan.sanitize import DataTuple, SanitizedTuple
+from privsan.simulate import ExperimentConfig, generate_synthetic
 
 
 def dt(values, agent="a0"):
@@ -389,6 +390,79 @@ class TestResemblance:
     def test_overlap_refuses_zero_rows(self):
         with pytest.raises(EmptyDataset):
             knn_overlap(np.zeros((0, 2), dtype=np.intp), np.zeros((0, 2), dtype=np.intp))
+
+
+def pivot_routed(cloud, k):
+    """Rows of ``cloud`` whose kNN sets the pivot route finds."""
+    y = np.ldexp(cloud, -metrics._exponent(cloud))
+    sq = np.sum(y * y, axis=1)
+    out = np.empty((len(cloud), k), dtype=np.intp)
+    dense = metrics._pivot_route(y, sq, k, metrics._float32_cloud(y, sq, k), out)
+    return np.setdiff1d(np.arange(len(cloud)), dense)
+
+
+def screened_only(cloud, k, monkeypatch):
+    """``knn_indices`` with every row sent to the float32 screen."""
+    with monkeypatch.context() as patch:
+        patch.setattr(metrics, "_pivot_route", lambda y, *args: np.arange(len(y)))
+        return knn_indices(cloud, k)
+
+
+class TestPivotRoute:
+    """Which rows the pivot route takes, counted without timing; the
+    arrays must equal the screen's, row for row."""
+
+    def test_agent_major_round_takes_the_pivot_route(self, monkeypatch):
+        cloud = generate_synthetic(ExperimentConfig(agent_count=60), Rng(3).child(0)).values
+        assert cloud.shape == (3000, 50)
+        assert pivot_routed(cloud, 10).size == len(cloud)
+        assert np.array_equal(knn_indices(cloud, 10), screened_only(cloud, 10, monkeypatch))
+
+    def test_gaussian_blob_takes_the_screen(self):
+        cloud = Rng(25).generator.standard_normal((3000, 50))
+        assert pivot_routed(cloud, 10).size == 0
+
+    def test_half_clustered_cloud_splits_between_the_routes(self, monkeypatch):
+        # An agent-major round and, beside it, a Gaussian blob of as many rows.
+        rows = generate_synthetic(ExperimentConfig(agent_count=30), Rng(4).child(0)).values
+        blob = Rng(26).generator.standard_normal(rows.shape) * 0.1 + 2.0
+        cloud = np.concatenate([rows, blob])
+        assert np.array_equal(pivot_routed(cloud, 10), np.arange(len(rows)))
+        assert np.array_equal(knn_indices(cloud, 10), screened_only(cloud, 10, monkeypatch))
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(hst.data())
+    def test_clustered_clouds_match_exact_oracle(self, data):
+        # Integer clusters in a few far-apart groups: group corners
+        # anywhere in [0, 2**24), cluster centres within a few spreads of
+        # their corner and members within a spread of their centre.  After
+        # centring, float32 resolves the cloud to about one unit, so the
+        # clusters of a group sit at the edge of the rounding bound.  A
+        # spread of 1 makes every member a duplicate and 2-3 an integer
+        # lattice, which ties most rows at the k-th distance.  A cluster
+        # holds one row, fewer than k rows or 4k-6k rows, in agent-major
+        # or shuffled order, with or without one far outlier.  With
+        # dim <= 3 and coordinates below 2**26 every float64 distance is
+        # exact, so the lowest tied indices must win.
+        k = data.draw(hst.integers(1, 5), label="k")
+        dim = data.draw(hst.integers(1, 3), label="dim")
+        count = data.draw(hst.sampled_from([56, 40, 8, 3, 2]), label="clusters")
+        size = hst.sampled_from([6 * k, 5 * k, 4 * k, 6 * k, 1, max(1, k - 1)])
+        sizes = data.draw(hst.lists(size, min_size=count, max_size=count), label="sizes")
+        spread = data.draw(hst.sampled_from([1, 2, 3, 40]), label="spread")
+        groups = data.draw(hst.sampled_from([count, 4, 1]), label="groups")
+        gen = np.random.default_rng(data.draw(hst.integers(0, 2**32 - 1), label="seed"))
+        corners = gen.integers(0, 2**24, (groups, dim))[gen.integers(0, groups, count)]
+        centres = corners + gen.integers(0, 8 * spread + 8, (count, dim))
+        cloud = np.repeat(centres, sizes, axis=0) + gen.integers(0, spread, (sum(sizes), dim))
+        if data.draw(hst.booleans(), label="outlier"):
+            cloud = np.concatenate([cloud, np.full((1, dim), 2**25 + 2**24)])
+        if data.draw(hst.booleans(), label="shuffled"):
+            cloud = cloud[gen.permutation(len(cloud))]
+        if len(cloud) <= k:
+            return
+        expected = [sorted(found) for found in oracle_knn_exact(cloud, k)]
+        assert knn_indices(cloud.astype(float), k).tolist() == expected
 
 
 class TestPreservationFraction:
