@@ -9,7 +9,7 @@ so a caller can find the actual cloud's sets once for several
 reconstructions.
 
 ``knn_indices`` has two routes to the same sets, and both rank their
-candidates by one float64 distance with one tie rule.  Let y be the
+candidates by one float64 distance.  Let y be the
 cloud scaled by a power of two so that its largest entry lies in
 [1/2, 1) (exact), and c the centred cloud, scaled likewise and rounded
 to float32.  The candidates of a row get float64 distances
@@ -58,13 +58,25 @@ most U_a^2 + F_i, and each column among its k nearest is within
 V_a = sqrt(U_a^2 + 2 m_a) of it.  A row of cluster c is at least
 near_ac - r_a - r_c from each row of a, so c survives when
 near_ac <= V_a + r_a + r_c; the clusters that make up W_a survive.
-Every column left out has a refine distance above U_a^2 + F_i, so
-ranking a's rows against the surviving clusters' rows, in column order,
-finds the sets the full rows would.  Each bound takes M_i, or 2 m_a,
-where the argument needs at most E_i or 2 F_i, and so carries a surplus
-of at least M_i / 2 >= E_i >= 2^-21 R^2 in squared distance: far more
-than the few float64 roundings of the bound, each a relative 2^-53 of a
-number below 64 (R^2 + M_i), can take from it.
+Every column left out is further than V_a, so its distance, however
+it is rounded, lies above U_a^2 + 3 F_i: more than 2 F_i above the k-th
+refine distance, which is at most U_a^2 + F_i.
+
+a's rows are ranked against the surviving clusters' rows by the refine
+distance, its products taken by BLAS.  Two evaluations of one distance,
+each within F_i of the exact one, differ by at most 2 F_i.  So if a
+row's (k+1)-th distance among the survivors exceeds its k-th by more
+than 4 F_i, every evaluation, the screen's and the full rows' included,
+puts the same k columns below all the others, and the row keeps them
+(the gap and 4 F_i are themselves rounded by a few ulps, which the
+factor 2 in F_i covers).
+A row whose set rounding could decide, such as one tied at its k-th
+distance or in a cluster below float64's resolution, goes to the screen
+and takes the route it would take without the pivots.  Each bound takes
+M_i, or 2 m_a, where the argument needs at most E_i, 2 F_i or, for V_a,
+4 F_i, and so carries a surplus of at least E_i >= 2^-21 R^2 in squared
+distance: far more than the few float64 roundings of the bound, each a
+relative 2^-53 of a number below 64 (R^2 + M_i), can take from it.
 
 A cluster whose surviving clusters hold more than N // 16 rows goes to
 the screen, decided before any of its rows is ranked; so does every row
@@ -73,7 +85,8 @@ that.  The screen then takes only those rows, and a cloud without
 clusters pays one N x N/4k sgemm and an (N/4k)^2 pass for the pivots.
 The route never holds an N x N/4k array: a row block's float32
 distances to the pivots, ``KNN_BLOCK // 4`` pivots' float64 bounds and
-a cluster's ranks, at most ``KNN_BLOCK`` x N/16 float64s.
+a cluster's ranks and their partition, at most 2 ``KNN_BLOCK`` x N/16
+float64s.
 
 The distance-preservation fraction counts its pairs over the same row
 blocks.
@@ -218,25 +231,19 @@ def _exponent(a: np.ndarray) -> int:
     return int(np.frexp(max(a.max(), -a.min()))[1])
 
 
-def _smallest(d: np.ndarray, k: int, buf: np.ndarray | None = None) -> np.ndarray:
+def _smallest(d: np.ndarray, k: int) -> np.ndarray:
     """(rows x k) positions of each row's k smallest entries of ``d``: the
-    entries below the k-th value, then the lowest positions tied at it.
-    ``buf``, a float64 array of ``d``'s shape, may supply the bytes of the
-    partition's copy of ``d`` and then of the mask."""
-    if buf is None:
-        kth = np.partition(d, k - 1, axis=1)[:, k - 1:k]
-        keep = d <= kth
-    else:
-        np.copyto(buf, d)
-        buf.partition(k - 1, axis=1)
-        kth = buf[:, k - 1:k].copy()
-        keep = np.less_equal(d, kth, out=buf.reshape(-1).view(bool)[:d.size].reshape(d.shape))
-    tied = np.count_nonzero(keep, axis=1) > k
-    if tied.any():
-        below = d[tied] < kth[tied]
-        need = k - np.count_nonzero(below, axis=1)
-        at = keep[tied] & ~below
-        keep[tied] = below | (at & (np.cumsum(at, axis=1) <= need[:, None]))
+    entries below the k-th value, then the lowest positions tied at it."""
+    kth = np.partition(d, k - 1, axis=1)[:, [k - 1]]    # a copy: the partition is freed
+    keep = d <= kth
+    count = np.count_nonzero(keep, axis=1)
+    tied = np.flatnonzero(count > k)
+    step = max(1, 2**15 // d.shape[1])    # tied rows at a time, in bounded memory
+    for lo in range(0, tied.size, step):
+        t = tied[lo:lo + step]
+        at = d[t] == kth[t]
+        rank = np.cumsum(at, axis=1)    # drop the count - k highest positions tied
+        keep[t] &= ~at | (rank <= (rank[:, -1] - count[t] + k)[:, None])
     return (np.flatnonzero(keep) % d.shape[1]).reshape(-1, k)
 
 
@@ -269,25 +276,32 @@ def _float32_cloud(y: np.ndarray, sq: np.ndarray, k: int) -> tuple[np.ndarray, .
     return lhs, rhs, na, margin
 
 
-def _rank(y: np.ndarray, sq: np.ndarray, cols: np.ndarray, mine: np.ndarray,
-          k: int) -> np.ndarray:
-    """(rows x k) columns of the ascending ``cols`` nearest to each of its
-    rows at positions ``mine``, by the screen route's float64 distance
-    and with its tie rule."""
+def _rank(y: np.ndarray, sq: np.ndarray, cols: np.ndarray, mine: np.ndarray, k: int,
+          top: float) -> tuple[np.ndarray, np.ndarray]:
+    """(clear rows x k) columns of the ascending ``cols`` nearest to each
+    of its rows at positions ``mine`` whose set rounding cannot decide,
+    by the float64 distance of the screen route, and the mask of those
+    clear rows (module docstring); ``top`` is the largest row norm."""
     rows = cols[mine]
-    ranked = np.einsum("cd,rd->rc", y[cols], y[rows])
-    ranked *= -2.0
-    ranked += sq[rows, None] + sq[cols]    # (sq_i + sq_j) - 2 y_i.y_j: addition commutes
+    ranked = np.matmul(y[rows] * -2.0, y[cols].T)
+    ranked += sq[rows, None] + sq[cols]
     ranked[np.arange(mine.size), mine] = np.inf
     np.maximum(ranked, 0.0, out=ranked)
-    return cols[_smallest(ranked, k)]
+    part = np.partition(ranked, (k - 1, k), axis=1)
+    # 4 F_i in y's scale: twice what two evaluations of a distance may differ by
+    apart = 8 * _gamma(y.shape[1] + 2, 2.0**-53) * (np.sqrt(sq[rows]) + top) ** 2
+    clear = part[:, k] - part[:, k - 1] > apart
+    keep = ranked <= part[:, k - 1:k]
+    keep[~clear] = False    # a clear row keeps exactly k columns
+    return cols[np.flatnonzero(keep) % cols.size].reshape(-1, k), clear
 
 
 def _pivot_route(y: np.ndarray, sq: np.ndarray, k: int, copies: tuple[np.ndarray, ...],
                  out: np.ndarray) -> np.ndarray:
     """Rank into ``out`` the rows of every pivot cluster whose surviving
-    clusters hold at most ``n // 16`` rows, and return the other rows, in
-    order, for the screen (module docstring)."""
+    clusters hold at most ``n // 16`` rows, unless rounding could decide
+    a row's set, and return the other rows, in order, for the screen
+    (module docstring)."""
     lhs, rhs, na, margin = copies
     n = len(y)
     cap = n // 16
@@ -314,6 +328,7 @@ def _pivot_route(y: np.ndarray, sq: np.ndarray, k: int, copies: tuple[np.ndarray
     np.maximum.at(slack, owner, margin)
     del reach
     dense = np.zeros(count, dtype=bool)
+    unclear, top = [], math.sqrt(sq.max())
     first = min(k, count - 1)
     for lo in range(0, count, KNN_BLOCK // 4):
         block = np.arange(lo, min(lo + KNN_BLOCK // 4, count))
@@ -338,8 +353,12 @@ def _pivot_route(y: np.ndarray, sq: np.ndarray, k: int, copies: tuple[np.ndarray
             cols = np.flatnonzero(keep[i][owner])    # the surviving clusters' rows
             mine = np.flatnonzero(owner[cols] == block[i])
             for r in range(0, mine.size, KNN_BLOCK):
-                out[cols[mine[r:r + KNN_BLOCK]]] = _rank(y, sq, cols, mine[r:r + KNN_BLOCK], k)
-    return np.flatnonzero(dense[owner])
+                part = mine[r:r + KNN_BLOCK]
+                found, clear = _rank(y, sq, cols, part, k, top)
+                out[cols[part[clear]]] = found
+                if not clear.all():
+                    unclear.append(cols[part[~clear]])
+    return np.sort(np.concatenate([np.flatnonzero(dense[owner]), *unclear]))
 
 
 def _screen(y: np.ndarray, sq: np.ndarray, k: int, subset: np.ndarray | None = None,
@@ -436,7 +455,7 @@ def knn_indices(x, k: int) -> np.ndarray:
             d = _squared_distances(y, sq, i, out=dist[:i.size], gram=gram[:i.size])
             np.maximum(d, 0.0, out=d)
             d[np.arange(i.size), i] = np.inf
-            out[i] = _smallest(d, k, gram[:i.size])
+            out[i] = _smallest(d, k)
     return out
 
 

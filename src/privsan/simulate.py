@@ -458,16 +458,17 @@ def peak_bytes(cfg: ExperimentConfig) -> int:
     float64 arrays: the round's values, the sanitized rows, the
     reconstruction, a metric's difference of the two and the kNN's two
     float64 copies of a cloud; the kNN's block, ``KNN_BLOCK`` x tuples
-    float64s, which holds the screen's buffer and a block's temporaries,
-    or the pivot pass's arrays of a pivot block, its cluster ranks and
-    the float32 pivot distances of a row block, which are fewer; the
-    pivot pass's three per-row arrays (each row's pivot, its reach and
-    the rows it leaves to the screen); both clouds' (tuples x k) indices; for nrp and asup, two
-    chunks of draws (a chunk and the product's or the QR's copy of it);
-    and the random-inverse attack's draws: a few ``ATTACK_CHUNK``s of
-    draws and, per tuple, a stream and, while the first draws' keys are
-    hashed, its (seed, path) pair, key columns and uint64 key (under 512
-    bytes together).  The expected-inverse map's draws and their SVD
+    float64s: the screen's buffer, half of it, and a full-row batch's
+    partition, mask and tie temporaries, a quarter of it at most, or
+    the pivot pass's arrays of a pivot block, its cluster ranks and the
+    float32 pivot distances of a row block, which are fewer; the pivot
+    pass's three per-row arrays (each row's pivot, its reach and the
+    rows it leaves to the screen); both clouds' (tuples x k) indices;
+    for nrp and asup, two chunks of draws (a chunk and the product's or
+    the QR's copy of it); and the random-inverse attack's draws: a few
+    ``ATTACK_CHUNK``s of draws and, per tuple, a stream and, while the
+    first draws' keys are hashed, its (seed, path) pair, key columns and
+    uint64 key (under 512 bytes together).  The expected-inverse map's draws and their SVD
     factors are freed before the round is drawn, so the estimate is the
     larger of them and the round."""
     n, q, m = cfg.input_dim, cfg.param_dim, cfg.target_dim

@@ -326,6 +326,22 @@ class TestResemblance:
         for i, row in zip(sample, d):
             assert set(found[i]) == set(np.argsort(row, kind="stable")[:k]), i
 
+    def test_tied_full_rows_stay_within_the_peak_estimate(self):
+        # An integer lattice and one far point: every row takes its full
+        # row and most tie at their k-th distance.  The bound is the kNN's
+        # share of simulate.peak_bytes: two float64 copies of the cloud,
+        # KNN_BLOCK x N float64s, three per-row arrays and the result.
+        k, n, dim = 10, 4000, 50
+        cloud = Rng(27).generator.integers(0, 3, (n, dim)).astype(float)
+        cloud[0] = 1e6
+        tracemalloc.start()
+        try:
+            knn_indices(cloud, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (2 * n * dim + KNN_BLOCK * n + 3 * n + n * k), peak
+
     def test_blocks_mixing_screened_and_full_rows(self):
         # Half the points sit 1e-9 apart around the origin, below the
         # float32 screen's resolution at the normal points' scale, so they
@@ -429,6 +445,20 @@ class TestPivotRoute:
         cloud = np.concatenate([rows, blob])
         assert np.array_equal(pivot_routed(cloud, 10), np.arange(len(rows)))
         assert np.array_equal(knn_indices(cloud, 10), screened_only(cloud, 10, monkeypatch))
+
+    @pytest.mark.parametrize("spread,screened", [(1e-5, (1, 299)), (1e-7, (300, 300))])
+    def test_rows_that_rounding_decides_take_the_screen(self, spread, screened, monkeypatch):
+        # Thirty far-apart clusters of 30 rows: twenty 0.1 wide and ten so
+        # tight that rounding decides some of their rows' float64
+        # distances (at 1e-5) or all of them (at 1e-7).  Those rows go to
+        # the screen and get what the screen alone would give them.
+        gen = Rng(28).generator
+        cloud = np.repeat(gen.standard_normal((30, 5)) * 10, 30, axis=0)
+        cloud += gen.standard_normal(cloud.shape) * np.repeat([0.1, spread], [600, 300])[:, None]
+        routed = pivot_routed(cloud, 6)
+        assert np.array_equal(routed[:600], np.arange(600))
+        assert screened[0] <= len(cloud) - routed.size <= screened[1]
+        assert np.array_equal(knn_indices(cloud, 6), screened_only(cloud, 6, monkeypatch))
 
     @settings(max_examples=100, deadline=None, database=None)
     @given(hst.data())
