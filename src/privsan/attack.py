@@ -18,13 +18,13 @@ one-row calls; ``known_matrix`` is array-only.
 
 ``random_inverse`` runs on the calling thread, in chunks of
 ``ATTACK_CHUNK`` rows.  Row j's matrix comes only from its own stream:
-the first draws take the batched route of :mod:`~privsan.rng` (the
-rows' keys are hashed once per call), which gives the bits of each
-stream's own generator.  Its reconstruction (B^T)^+ s = Q R^{-T} s
-comes from one reduced QR of that draw, so row j equals a one-row call
-bit for bit.  The
-full-rank mask of R is :func:`~privsan.linalg.triangular_full_rank`'s,
-which equals ``full_rank``'s (the argument is in its docstring).
+every draw takes the batched route of :mod:`~privsan.rng` (the first
+draws' keys are hashed once per call, a retry's with its rows), which
+gives the bits of each stream's own generator.  Its reconstruction
+(B^T)^+ s = Q R^{-T} s comes from one reduced QR of that draw, so row j
+equals a one-row call bit for bit.  The full-rank mask of R is
+:func:`~privsan.linalg.triangular_full_rank`'s, which equals
+``full_rank``'s (the argument is in its docstring).
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .rng import Rng, philox_keys
 from .sanitize import (
     EntryDistribution,
     SanitizedTuple,
-    sample_bounded_matrix,
     sample_fresh_matrices,
 )
 
@@ -65,18 +64,11 @@ class ReconstructionResult:
         object.__setattr__(self, "reconstructed", as_vector(self.reconstructed))
 
 
-def _family_sample(n: int, m: int, distribution: EntryDistribution, rng: Rng) -> np.ndarray:
-    return sample_bounded_matrix(n, m, distribution, rng)
-
-
 def _draws(n: int, m: int, distribution: EntryDistribution, streams: list[Rng],
-           attempt: int, keys: np.ndarray | None = None) -> np.ndarray:
-    """The stacked draws of ``streams[i].child(attempt)``.  With ``keys``,
-    those children's :func:`~privsan.rng.philox_keys`, the draws take the
-    batched route and build no child unless its draw is all zero;
-    without, each child draws from its own generator."""
-    if keys is None:
-        return np.stack([_family_sample(n, m, distribution, r.child(attempt)) for r in streams])
+           attempt: int, keys: np.ndarray) -> np.ndarray:
+    """The stacked draws of ``streams[i].child(attempt)``, whose
+    :func:`~privsan.rng.philox_keys` are ``keys``; they take the batched
+    route and build no child unless its draw is all zero."""
     return sample_fresh_matrices(n, m, distribution, keys,
                                  lambda i: streams[i].child(attempt))
 
@@ -101,8 +93,8 @@ def random_inverse(s: np.ndarray, n: int, distribution: EntryDistribution,
     replaced from ``child(1)``, ``child(2)``, ... (bounded retries).  The
     ``child(0)`` keys of all rows are hashed once per call, a (rows x 2)
     uint64 array, and the first draws come from them a chunk at a time;
-    the retries draw from each child's own generator.  A non-finite entry
-    raises ValueError, and a stream count other than the row count
+    a retry hashes only its rows' keys.  A non-finite entry raises
+    ValueError, and a stream count other than the row count
     DimensionMismatch."""
     s = as_matrix(s)
     if len(streams) != len(s):
@@ -115,9 +107,11 @@ def random_inverse(s: np.ndarray, n: int, distribution: EntryDistribution,
     for lo in range(0, len(streams), ATTACK_CHUNK):
         todo = np.arange(lo, min(lo + ATTACK_CHUNK, len(streams)))
         for attempt in range(ATTACK_RETRIES):
-            recon, full = _qr_reconstruct(
-                _draws(n, m, distribution, [streams[j] for j in todo], attempt,
-                       keys[todo] if attempt == 0 else None), s[todo])
+            rows = [streams[j] for j in todo]
+            drawn = keys[todo] if attempt == 0 else philox_keys(
+                [(r.seed, r.path + (attempt,)) for r in rows])
+            recon, full = _qr_reconstruct(_draws(n, m, distribution, rows, attempt, drawn),
+                                          s[todo])
             out[todo[full]] = recon
             todo = todo[~full]
             if todo.size == 0:

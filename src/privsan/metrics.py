@@ -36,7 +36,7 @@ The columns under it are its candidates.  A row with more than 4k
 candidates takes its exact full row instead, ``KNN_BLOCK // 4`` rows at
 a time: a far outlier can shrink a tight cluster below float32's
 resolution.  Each block is screened and ranked, full rows too, before
-the next one: memory is O(``KNN_BLOCK`` x N + N d + N k), not N x N.
+the next one, in one buffer that ``knn_indices`` owns.
 
 The pivot route, for clouds of tight clusters such as a round's agents.
 Every 4k-th row is a pivot.  One sgemm per block of ``KNN_BLOCK`` rows
@@ -83,19 +83,16 @@ the screen, decided before any of its rows is ranked; so does every row
 of a cloud with N // 16 < 4k, whose clusters average more rows than
 that.  The screen then takes only those rows, and a cloud without
 clusters pays one N x N/4k sgemm and an (N/4k)^2 pass for the pivots.
-The route never holds an N x N/4k array: a row block's float32
-distances to the pivots, ``KNN_BLOCK // 4`` pivots' float64 bounds and
-a cluster's ranks and their partition, at most 2 ``KNN_BLOCK`` x N/16
-float64s.
+``knn_peak_bytes`` counts both routes' memory, O(``KNN_BLOCK`` x N +
+N d + N k), not N x N; no other module does.
 
 The distance-preservation fraction counts its pairs over the same row
-blocks.
+blocks, and ``preservation_peak_bytes`` counts their memory.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -361,66 +358,69 @@ def _pivot_route(y: np.ndarray, sq: np.ndarray, k: int, copies: tuple[np.ndarray
     return np.sort(np.concatenate([np.flatnonzero(dense[owner]), *unclear]))
 
 
-def _screen(y: np.ndarray, sq: np.ndarray, k: int, subset: np.ndarray | None = None,
-            copies: tuple[np.ndarray, ...] | None = None) -> Iterator[tuple[np.ndarray, ...]]:
-    """The float32 screen of the rows ``subset`` (default all) of the cloud
-    ``y`` with squared row norms ``sq``; ``copies`` are its
-    :func:`_float32_cloud`.  Per ``KNN_BLOCK``-row block it yields the
+def _screen(sub: np.ndarray, k: int, copies: tuple[np.ndarray, ...],
+            buf: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The float32 screen of the rows ``sub``, at most ``KNN_BLOCK``, of
+    the cloud whose :func:`_float32_cloud` copies are ``copies``: the
     screened rows; their candidate columns in column order, padded with
-    the row's own column to one array; the rows with more than ``4 k``
-    candidate groups or candidates, which take their full row instead;
-    and the block buffer, ``KNN_BLOCK // 2`` x N float64s or more, free
-    until the next block.
+    the row's own column to one array; and the rows with more than
+    ``4 k`` candidate groups or candidates, which take their full row.
+    Column j of a row falls in group j % groups of the (rows x width x
+    groups) float32 products it writes into ``buf``; pads read _FAR."""
+    lhs, rhs, _, margin = copies
+    width = _group_width(len(lhs), k)
+    groups = len(rhs) // width
+    size = sub.size
+    block = np.arange(size)
+    grid = buf.view(np.float32)[:size * len(rhs)].reshape(size, width, groups)
+    s = np.matmul(lhs[sub], rhs.T, out=grid.reshape(size, -1))
+    s[block, sub] = _FAR
+    minima = grid.min(axis=1)
+    kth = np.partition(minima, k - 1, axis=1)[:, k - 1]
+    t = np.minimum(kth + margin[sub], _FAR / 2).astype(np.float32)
+    t = np.nextafter(t, np.float32(np.inf))    # at or above the float64 threshold
+    hit = minima <= t[:, None]
+    count = np.count_nonzero(hit, axis=1)
+    many = count > 4 * k
+    count[many] = 0
+    hit[many] = False
+    slots = np.arange(count.max()) < count[:, None]
+    picked = np.zeros(slots.shape, dtype=np.intp)
+    picked[slots] = np.flatnonzero(hit) % groups
+    under = (grid[block[:, None], :, picked] <= t[:, None, None]) & slots[:, :, None]
+    # Read as (rows x width x picked groups), candidates come out in column order.
+    r, rest = np.divmod(np.flatnonzero(under.transpose(0, 2, 1)), under[0].size)
+    w, i = np.divmod(rest, slots.shape[1])
+    count = np.bincount(r, minlength=size)
+    many |= count > 4 * k
+    rows = sub[~many]
+    count = count[~many]
+    slots = np.arange(count.max(initial=0)) < count[:, None]
+    cand = np.repeat(rows[:, None], slots.shape[1], axis=1)
+    cand[slots] = (w * groups + picked[r, i])[~many[r]]
+    return rows, cand, sub[many]
 
-    Column j of a screened row falls in group j % groups of the
-    (``KNN_BLOCK`` x width x groups) buffer; the pads past N read _FAR."""
-    n = len(y)
-    width = _group_width(n, k)
-    groups = -(-n // width)
-    cap = 4 * k
-    lhs, rhs, _, margin = copies if copies is not None else _float32_cloud(y, sq, k)
-    subset = np.arange(n) if subset is None else subset
-    entries = min(KNN_BLOCK, n) * width * groups
-    scratch = np.empty(max(-(-entries // 2), KNN_BLOCK // 2 * n))
-    buf = scratch.view(np.float32)[:entries].reshape(-1, width, groups)
-    for lo in range(0, subset.size, KNN_BLOCK):
-        sub = subset[lo:lo + KNN_BLOCK]
-        size = sub.size
-        block = np.arange(size)
-        s = np.matmul(lhs[sub], rhs.T, out=buf[:size].reshape(size, -1))
-        s[block, sub] = _FAR
-        minima = buf[:size].min(axis=1)
-        kth = np.partition(minima, k - 1, axis=1)[:, k - 1]
-        t = np.minimum(kth + margin[sub], _FAR / 2).astype(np.float32)
-        t = np.nextafter(t, np.float32(np.inf))    # at or above the float64 threshold
-        hit = minima <= t[:, None]
-        count = np.count_nonzero(hit, axis=1)
-        many = count > cap
-        count[many] = 0
-        hit[many] = False
-        slots = np.arange(count.max()) < count[:, None]
-        picked = np.zeros(slots.shape, dtype=np.intp)
-        picked[slots] = np.flatnonzero(hit) % groups
-        under = (buf[block[:, None], :, picked] <= t[:, None, None]) & slots[:, :, None]
-        # Read as (rows x width x picked groups), candidates come out in column order.
-        r, rest = np.divmod(np.flatnonzero(under.transpose(0, 2, 1)), under[0].size)
-        w, i = np.divmod(rest, slots.shape[1])
-        count = np.bincount(r, minlength=size)
-        many |= count > cap
-        rows = sub[~many]
-        count = count[~many]
-        slots = np.arange(count.max(initial=0)) < count[:, None]
-        cand = np.repeat(rows[:, None], slots.shape[1], axis=1)
-        cand[slots] = (w * groups + picked[r, i])[~many[r]]
-        yield rows, cand, sub[many], scratch
+
+def knn_peak_bytes(n: int, dim: int, k: int) -> int:
+    """Upper estimate of the bytes :func:`knn_indices` holds at once on an
+    (n x dim) cloud: two float64 copies of the cloud; ``KNN_BLOCK`` x n
+    float64s: the block buffer, half of them (a block's screen products
+    or a full-row batch's distances and product), and a full-row batch's
+    partition, mask and tie temporaries, a quarter at most, or else the
+    pivot route's fewer arrays (a row block's float32 distances to the
+    pivots, ``KNN_BLOCK // 4`` pivots' bounds, a cluster's ranks and
+    their partition); the route's three per-row arrays (each row's
+    pivot, its reach and the rows it leaves to the screen); and the
+    (n x k) result."""
+    return 8 * (2 * n * dim + KNN_BLOCK * n + 3 * n + n * k)
 
 
 def knn_indices(x, k: int) -> np.ndarray:
     """(N x k) indices of each row's k nearest other rows of the (N x d)
     cloud ``x``; rows tied at the k-th distance keep the lowest indices.
 
-    The pivot route, then one pass over the row blocks of
-    :func:`_screen` for the rows it leaves; see the module docstring."""
+    The pivot route, then one pass of :func:`_screen` over the row
+    blocks of the rows it leaves; see the module docstring."""
     x = as_matrix(x)
     n, dim = x.shape
     if k < 1:
@@ -433,9 +433,13 @@ def knn_indices(x, k: int) -> np.ndarray:
     copies = _float32_cloud(y, sq, k)
     dense = _pivot_route(y, sq, k, copies, out)
     if not dense.size:
-        return out
+        return out    # no row reaches the screen, so no block buffer
+    entries = min(KNN_BLOCK, n) * len(copies[1])
+    scratch = np.empty(max(-(-entries // 2), KNN_BLOCK // 2 * n))
+    dist, gram = scratch[:KNN_BLOCK // 2 * n].reshape(2, KNN_BLOCK // 4, n)
     gathered = np.empty(max(2**15, 4 * k * dim))    # reused; holds one row of 4k candidates
-    for rows, cand, full, scratch in _screen(y, sq, k, dense, copies):
+    for start in range(0, dense.size, KNN_BLOCK):
+        rows, cand, full = _screen(dense[start:start + KNN_BLOCK], k, copies, scratch)
         if rows.size:
             ranked = np.empty(cand.shape)
             step = max(1, gathered.size // cand[0].size // dim)
@@ -449,7 +453,6 @@ def knn_indices(x, k: int) -> np.ndarray:
             ranked[cand == rows[:, None]] = np.inf    # the pads
             np.maximum(ranked, 0.0, out=ranked)
             out[rows] = np.take_along_axis(cand, _smallest(ranked, k), axis=1)
-        dist, gram = scratch[:KNN_BLOCK // 2 * n].reshape(2, KNN_BLOCK // 4, n)
         for lo in range(0, full.size, KNN_BLOCK // 4):
             i = full[lo:lo + KNN_BLOCK // 4]
             d = _squared_distances(y, sq, i, out=dist[:i.size], gram=gram[:i.size])
@@ -481,6 +484,12 @@ def resemblance(actual, recon, k: int = 10) -> float:
     index set in the actual cloud and in the reconstructed cloud."""
     a, r = _paired(actual, recon)
     return knn_overlap(knn_indices(a, k), knn_indices(r, k))
+
+
+def preservation_peak_bytes(point_count: int) -> int:
+    """Bytes :func:`distance_preservation_fraction` holds beyond its inputs,
+    at most: four float64 ``KNN_BLOCK``-row blocks of distances."""
+    return 32 * KNN_BLOCK * point_count
 
 
 def distance_preservation_fraction(points, projected, gamma: float) -> float:

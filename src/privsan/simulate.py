@@ -453,24 +453,19 @@ def _repetition(points: list[ExperimentConfig], r: int) -> list[RepetitionMetric
 
 
 def peak_bytes(cfg: ExperimentConfig) -> int:
-    """Upper estimate of the bytes one repetition of ``cfg`` holds at once.
-    It counts the round's agent matrices and gram; six (tuples x n)
-    float64 arrays: the round's values, the sanitized rows, the
-    reconstruction, a metric's difference of the two and the kNN's two
-    float64 copies of a cloud; the kNN's block, ``KNN_BLOCK`` x tuples
-    float64s: the screen's buffer, half of it, and a full-row batch's
-    partition, mask and tie temporaries, a quarter of it at most, or
-    the pivot pass's arrays of a pivot block, its cluster ranks and the
-    float32 pivot distances of a row block, which are fewer; the pivot
-    pass's three per-row arrays (each row's pivot, its reach and the
-    rows it leaves to the screen); both clouds' (tuples x k) indices;
-    for nrp and asup, two chunks of draws (a chunk and the product's or
-    the QR's copy of it); and the random-inverse attack's draws: a few
-    ``ATTACK_CHUNK``s of draws and, per tuple, a stream and, while the
-    first draws' keys are hashed, its (seed, path) pair, key columns and
-    uint64 key (under 512 bytes together).  The expected-inverse map's draws and their SVD
-    factors are freed before the round is drawn, so the estimate is the
-    larger of them and the round."""
+    """Upper estimate of the bytes one repetition of ``cfg`` holds at once:
+    the round's agent matrices and gram; four (tuples x n) float64
+    arrays: the round's values, the sanitized rows, the reconstruction
+    and a metric's difference of the two; the actual cloud's (tuples x
+    k) indices; the reconstruction's kNN, by
+    :func:`~privsan.metrics.knn_peak_bytes`; for nrp and asup, two
+    chunks of draws (a chunk and the product's or the QR's copy of it);
+    and the random-inverse attack's draws: a few ``ATTACK_CHUNK``s of
+    draws and, per tuple, a stream and, while its keys are hashed, its
+    (seed, path) pair, key columns and uint64 key (under 512 bytes
+    together).  The expected-inverse map's draws and SVD factors are
+    freed before the round is drawn, so the estimate is the larger of
+    them and the round."""
     n, q, m = cfg.input_dim, cfg.param_dim, cfg.target_dim
     tuples = cfg.agent_count * cfg.observations_per_agent
     # (entries per draw, draws per round) of the mechanisms that draw
@@ -479,9 +474,9 @@ def peak_bytes(cfg: ExperimentConfig) -> int:
     chunk = min(max(san.DRAW_CHUNK, entries), draws * entries)
     attack = 5 * atk.ATTACK_CHUNK * n * m + 64 * tuples if cfg.attack == "random-inverse" else 0
     linear_map = 4 * cfg.inverse_samples * n * m if cfg.attack == "expected-inverse" else 0
-    return 8 * max(linear_map, cfg.agent_count * n * q + q * q + 6 * tuples * n
-                   + met.KNN_BLOCK * tuples + 3 * tuples + 2 * tuples * cfg.k_neighbors
-                   + 2 * chunk + attack)
+    return max(8 * linear_map, 8 * (cfg.agent_count * n * q + q * q + 4 * tuples * n
+                                     + tuples * cfg.k_neighbors + 2 * chunk + attack)
+               + met.knn_peak_bytes(tuples, n, cfg.k_neighbors))
 
 
 def _run_points(points: list[ExperimentConfig]) -> list[list[RepetitionMetrics]]:

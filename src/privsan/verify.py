@@ -17,7 +17,7 @@ import numpy as np
 from .bounds import jl_min_dimension, nrp_equivalent_dimension
 from .errors import NonPositiveResult, RankDeficient
 from .linalg import RESAMPLE_RETRIES, as_matrix, r_diagonal_signs
-from .metrics import KNN_BLOCK, distance_preservation_fraction
+from .metrics import distance_preservation_fraction, preservation_peak_bytes
 from .rng import Rng
 from .sanitize import EntryDistribution, sample_bounded_matrix
 
@@ -107,10 +107,10 @@ def preservation_trials(gamma: float, point_count: int, trials: int,
 
 def trial_peak_bytes(gamma: float, point_count: int) -> int:
     """Upper estimate of the bytes one preservation trial holds at once:
-    four float64 copies each of an n x m projection matrix, of the
-    (points x n) points and of a ``KNN_BLOCK``-row block of distances."""
+    four float64 copies each of an n x m projection matrix and of the
+    (points x n) points, and the preservation fraction's row blocks."""
     m = jl_min_dimension(point_count, gamma)
-    return 32 * (2 * m * m + point_count * 2 * m + KNN_BLOCK * point_count)
+    return 32 * (2 * m * m + point_count * 2 * m) + preservation_peak_bytes(point_count)
 
 
 @dataclass(frozen=True)

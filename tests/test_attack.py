@@ -17,7 +17,7 @@ from privsan.attack import (
     random_inverse,
 )
 from privsan.errors import DimensionMismatch, SingularSample
-from privsan.rng import Rng
+from privsan.rng import Rng, philox_keys
 from privsan.sanitize import (
     EntryDistribution,
     SanitizedTuple,
@@ -38,7 +38,7 @@ def plant_draws(monkeypatch, planted):
     draws = attack._draws
     drawn, used = [], []
 
-    def planted_draws(n, m, distribution, streams, attempt, keys=None):
+    def planted_draws(n, m, distribution, streams, attempt, keys):
         b = draws(n, m, distribution, streams, attempt, keys)
         for i, r in enumerate(streams):
             drawn.append((r.seed, *r.path, attempt))
@@ -55,8 +55,9 @@ def plant_draws(monkeypatch, planted):
 def first_draws_from_child(monkeypatch, index):
     """Patch the draw seam so that every draw is ``child(index)``'s."""
     draws = attack._draws
-    monkeypatch.setattr(attack, "_draws", lambda n, m, distribution, streams, attempt, keys=None:
-                        draws(n, m, distribution, streams, index))
+    monkeypatch.setattr(attack, "_draws", lambda n, m, distribution, streams, attempt, keys:
+                        draws(n, m, distribution, streams, index,
+                              philox_keys([(r.seed, r.path + (index,)) for r in streams])))
 
 
 def inv2(m):

@@ -19,7 +19,13 @@ from privsan import cli
 from privsan.cli import main
 from privsan.errors import InfeasibleBound
 from privsan.rng import Rng
-from privsan.simulate import ADVERSARIES, DISTRIBUTIONS, FLOAT_LIMIT, MECHANISMS
+from privsan.simulate import (
+    ADVERSARIES,
+    DISTRIBUTIONS,
+    FLOAT_LIMIT,
+    MECHANISMS,
+    ExperimentConfig,
+)
 from privsan.verify import PreservationTrial
 
 from lookalike import generate_lookalike
@@ -442,6 +448,46 @@ class TestTimingCommand:
         finally:
             tracemalloc.stop()
         assert peak <= cli.timing.measure_peak_bytes(grid) <= 3 * peak
+
+
+class TestRefusalThresholds:
+    """The byte estimates behind exit 2, pinned as integers: a change to
+    them moves the threshold at which a config is refused, and must say
+    so here.  The configs are those of the benchmark workloads, of
+    ``configs/`` and of every sanitizer at the built-in defaults."""
+
+    ABLATION = {"agent_count": 200, "observations_per_agent": 8, "target_dim": 20,
+                "min_utility": 0.5, "sanitizer": "nrp"}
+    SWEEP_600 = {"observations_per_agent": 1, "target_dim": 20, "min_utility": 0.5,
+                 "agent_count": 600}
+
+    @pytest.mark.parametrize("config,expected", [
+        ({}, 54_534_304),
+        ({**ABLATION, "adversary": "random-inverse"}, 17_404_704),
+        ({**SWEEP_600, "sanitizer": "nrp"}, 18_993_504),
+        ({**SWEEP_600, "sanitizer": "brp"}, 14_799_200),
+        ({**SWEEP_600, "sanitizer": "pca"}, 14_799_200),
+        ({**SWEEP_600, "sanitizer": "asup"}, 18_993_504),
+    ])
+    def test_workload_estimate(self, config, expected):
+        assert cli.peak_bytes(ExperimentConfig(**config)) == expected
+
+    @pytest.mark.parametrize("sanitizer", sorted(MECHANISMS))
+    def test_sanitizer_estimate_at_the_defaults(self, sanitizer):
+        expected = {"nrp": 54_534_304, "nrp-unbounded": 53_540_000, "brp": 50_340_000,
+                    "pca": 50_340_000, "asup": 54_534_304, "identity": 50_340_000}
+        assert cli.peak_bytes(ExperimentConfig(sanitizer=sanitizer)) == expected[sanitizer]
+
+    @pytest.mark.parametrize("name,expected", [("ablation", 15_625_504), ("sweep", 8_146_400)])
+    def test_config_file_estimate(self, name, expected):
+        path = Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"
+        config = json.loads(path.read_text(encoding="utf-8"))
+        assert cli.peak_bytes(ExperimentConfig(**config)) == expected
+
+    @pytest.mark.parametrize("gamma,points,expected", [(0.2, 100, 97_799_936),
+                                                       (0.1, 1000, 3_255_800_384)])
+    def test_trial_estimate(self, gamma, points, expected):
+        assert cli.verify.trial_peak_bytes(gamma, points) == expected
 
 
 class TestAdversaryMatrix:

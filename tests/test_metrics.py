@@ -22,6 +22,7 @@ from privsan.metrics import (
     distance_preservation_fraction,
     knn_indices,
     knn_overlap,
+    knn_peak_bytes,
     resemblance,
     utility,
     zero_pad,
@@ -328,9 +329,8 @@ class TestResemblance:
 
     def test_tied_full_rows_stay_within_the_peak_estimate(self):
         # An integer lattice and one far point: every row takes its full
-        # row and most tie at their k-th distance.  The bound is the kNN's
-        # share of simulate.peak_bytes: two float64 copies of the cloud,
-        # KNN_BLOCK x N float64s, three per-row arrays and the result.
+        # row and most tie at their k-th distance.  The bound is the
+        # kernel's own count, which simulate.peak_bytes adds to a round's.
         k, n, dim = 10, 4000, 50
         cloud = Rng(27).generator.integers(0, 3, (n, dim)).astype(float)
         cloud[0] = 1e6
@@ -340,7 +340,7 @@ class TestResemblance:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * (2 * n * dim + KNN_BLOCK * n + 3 * n + n * k), peak
+        assert peak <= knn_peak_bytes(n, dim, k), peak
 
     def test_blocks_mixing_screened_and_full_rows(self):
         # Half the points sit 1e-9 apart around the origin, below the
@@ -351,7 +351,11 @@ class TestResemblance:
         cloud = np.concatenate([gen.standard_normal((300, 6)),
                                 gen.standard_normal((300, 6)) * 1e-9])[gen.permutation(600)]
         y = np.ldexp(cloud, -metrics._exponent(cloud))
-        for rows, cand, full, _ in metrics._screen(y, np.sum(y * y, axis=1), k):
+        copies = metrics._float32_cloud(y, np.sum(y * y, axis=1), k)
+        buf = np.empty(KNN_BLOCK * len(copies[1]), dtype=np.float32)
+        for lo in range(0, len(cloud), KNN_BLOCK):
+            rows, _, full = metrics._screen(np.arange(lo, min(lo + KNN_BLOCK, len(cloud))), k,
+                                            copies, buf)
             assert rows.size and full.size
         d = ((cloud[:, None, :] - cloud[None, :, :]) ** 2).sum(axis=2)
         np.fill_diagonal(d, np.inf)
