@@ -210,34 +210,47 @@ def triangular_full_rank(r: np.ndarray) -> np.ndarray:
     such as the R of a QR, with the SVD run only on the matrices a
     cheaper screen does not accept.  The mask equals ``full_rank(r)``.
 
-    The screen inverts the stack and accepts R when
-    ||R||_F^2 ||X||_F^2 k eps < c = RANK_SCREEN, X the computed inverse.
-    In exact arithmetic s_max <= ||R||_F and 1 / s_min <= ||R^-1||_F, so
-    s_max^2 / s_min^2 * k eps <= c < 1.  Rounding cannot flip that:
+    The screen accepts R when ||R||_F^2 ||X||_F^2 k eps < c = RANK_SCREEN,
+    X the :func:`triangular_inverse` of R.  In exact arithmetic s_max <=
+    ||R||_F and 1 / s_min <= ||R^-1||_F, so s_max^2 / s_min^2 * k eps <=
+    c < 1.  Rounding cannot flip that:
 
-    * ``inv`` factors R by partial pivoting, which finds R triangular
-      already (its multipliers are 0), and back-substitutes.  That is
-      backward stable: column i of X solves (R + dR_i) x = e_i with
-      |dR_i| <= k eps |R|.  So ||R^-1 - X||_F <= ||R^-1||_F k eps
-      ||R||_F ||X||_F, and on acceptance ||R||_F ||X||_F < sqrt(c / (k
-      eps)), which puts ||R^-1||_F within a factor 1 + sqrt(c k eps)
-      (about 1 + 1e-8 at k = 500) of ||X||_F.
+    * Back-substitution is backward stable in any summation order
+      (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+      Thm 8.5): column i of X solves (R + dR_i) x = e_i with |dR_i| <=
+      gamma_k |R|, gamma_k = k eps / (1 - k eps).  So ||R^-1 - X||_F <=
+      ||R^-1||_F gamma_k ||R||_F ||X||_F, and on acceptance ||R||_F
+      ||X||_F < sqrt(c / (k eps)), which puts ||R^-1||_F within a factor
+      1 + sqrt(c k eps) (about 1 + 1e-8 at k = 500) of ||X||_F.
     * The SVD moves each singular value by at most p(k) eps s_max, with
       p(k) a low-degree polynomial: far below s_min >= s_max sqrt(k eps
       / c), about 30 s_max sqrt(k eps).  So the SVD's own s_min^2 /
       s_max^2 stays above about k eps / c, 1e3 times full_rank's
       threshold.
 
-    A rejected matrix, or every matrix of a stack whose ``inv`` raises
-    LinAlgError (an exactly zero pivot), goes to ``full_rank``; a
-    non-finite inverse or norm fails the test and goes there too."""
-    try:
-        x = np.linalg.inv(r)
-    except np.linalg.LinAlgError:
-        return full_rank(r)
-    with np.errstate(over="ignore", invalid="ignore"):
+    Each matrix is screened on its own: a zero or subnormal pivot, or
+    any other non-finite inverse or norm, fails the test, and only the
+    matrices that fail it go to ``full_rank``."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x = triangular_inverse(r)
         ok = (np.einsum("ijk,ijk->i", r, r) * np.einsum("ijk,ijk->i", x, x)
               * (r.shape[-1] * np.finfo(float).eps) < RANK_SCREEN)
     if not ok.all():
         ok[~ok] = full_rank(r[~ok])
     return ok
+
+
+def triangular_inverse(r: np.ndarray) -> np.ndarray:
+    """The inverse of each k x k upper triangular matrix of a stack, by
+    back-substitution over the whole stack, a row of every inverse per
+    step; row i has nonzeros only from column i on.  Each matrix's
+    inverse depends on that matrix alone: a zero pivot gives inf or NaN
+    entries in its own inverse only, with numpy's divide, overflow and
+    invalid warnings, which the caller may silence."""
+    k = r.shape[-1]
+    x = np.zeros_like(r)
+    eye = np.eye(k)
+    for i in range(k - 1, -1, -1):
+        done = (r[:, i, None, i + 1:] @ x[:, i + 1:, i:])[:, 0]
+        x[:, i, i:] = (eye[i, i:] - done) / r[:, i, i, None]
+    return x

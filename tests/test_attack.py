@@ -41,11 +41,13 @@ def plant_draws(monkeypatch, planted):
     def planted_draws(n, m, distribution, streams, attempt, keys):
         b = draws(n, m, distribution, streams, attempt, keys)
         for i, r in enumerate(streams):
-            drawn.append((r.seed, *r.path, attempt))
+            # Not drawn[-1]: a caller on another thread may append between.
+            entry = (r.seed, *r.path, attempt)
+            drawn.append(entry)
             p = planted(r, attempt)
             if p is not None:
                 b[i] = p
-                used.append(drawn[-1])
+                used.append(entry)
         return b
 
     monkeypatch.setattr(attack, "_draws", planted_draws)
@@ -377,3 +379,21 @@ class TestRankScreen:
         assert used == [(85, 3, 0)]
         redrawn = sample_bounded_matrix(n, m, self.UNIT, streams[3].child(1))
         assert np.allclose(out[3], np.linalg.pinv(redrawn.T) @ s[3], rtol=1e-12, atol=0.0)
+
+    def test_an_exactly_singular_draw_alone_runs_the_svd(self, monkeypatch):
+        # A zero column puts an exactly zero pivot in R.  The screen rejects
+        # that R alone: one SVD of one matrix, not of the whole stack.
+        n, m, rows = 20, 8, ATTACK_CHUNK
+        planted = sample_bounded_matrix(n, m, self.UNIT, Rng(86))
+        planted[:, 3] = 0.0
+        assert np.linalg.qr(planted)[1][3, 3] == 0.0
+        _, used = plant_draws(
+            monkeypatch, lambda r, attempt: planted if r.path[-1] == 5 and attempt == 0 else None)
+        s = Rng(87).standard_normal((rows, m))
+        streams = [Rng(88).child(j) for j in range(rows)]
+        calls = self.count_full_rank(monkeypatch)
+        out = random_inverse(s, n, self.UNIT, streams)
+        assert calls == [1]
+        assert used == [(88, 5, 0)]
+        redrawn = sample_bounded_matrix(n, m, self.UNIT, streams[5].child(1))
+        assert np.allclose(out[5], np.linalg.pinv(redrawn.T) @ s[5], rtol=1e-12, atol=0.0)

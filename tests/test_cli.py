@@ -463,7 +463,7 @@ class TestRefusalThresholds:
 
     @pytest.mark.parametrize("config,expected", [
         ({}, 54_534_304),
-        ({**ABLATION, "adversary": "random-inverse"}, 17_404_704),
+        ({**ABLATION, "adversary": "random-inverse"}, 20_284_704),
         ({**SWEEP_600, "sanitizer": "nrp"}, 18_993_504),
         ({**SWEEP_600, "sanitizer": "brp"}, 14_799_200),
         ({**SWEEP_600, "sanitizer": "pca"}, 14_799_200),

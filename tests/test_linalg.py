@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from privsan import linalg
+from privsan.attack import ATTACK_CHUNK
 from privsan.errors import DimensionMismatch, RankDeficient, ZeroNormInput
 from privsan.linalg import (
     RESAMPLE_RETRIES,
@@ -17,6 +19,7 @@ from privsan.linalg import (
     row_dots,
     row_norms,
     triangular_full_rank,
+    triangular_inverse,
 )
 from privsan.metrics import utility_scores
 from privsan.rng import Rng
@@ -250,22 +253,72 @@ class TestTriangularFullRank:
         assert full_rank(r).tolist() == [True, True, False, True]
         assert triangular_full_rank(r).tolist() == full_rank(r).tolist()
 
-    def test_exactly_singular_r_sends_the_stack_to_full_rank(self):
+    @staticmethod
+    def count_full_rank(monkeypatch):
+        calls = []
+        full_rank_ = linalg.full_rank
+
+        def counted(a):
+            calls.append(len(a))
+            return full_rank_(a)
+
+        monkeypatch.setattr(linalg, "full_rank", counted)
+        return calls
+
+    def test_exactly_singular_r_goes_to_full_rank_alone(self, monkeypatch):
+        # The zero pivot makes only its own inverse non-finite: the SVD
+        # runs on it and on the rejected condition-1e9 matrix, not on the
+        # other two.
         r = self.mixed_stack()
         r[1, 2, 2] = 0.0
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.inv(r)
+        calls = self.count_full_rank(monkeypatch)
         assert triangular_full_rank(r).tolist() == full_rank(r).tolist()
+        assert calls == [2]
         assert full_rank(r).tolist() == [True, False, False, True]
 
-    def test_non_finite_inverse_goes_to_full_rank(self):
-        # A subnormal pivot inverts to inf; full_rank drops the matrix.
+    def test_subnormal_pivot_goes_to_full_rank(self):
+        # A subnormal pivot back-substitutes to inf; full_rank drops the matrix.
         r = self.mixed_stack()
         r[0] = np.diag([1.0, 1.0, 1e-310])
-        with np.errstate(over="ignore", divide="ignore"):
-            assert not np.isfinite(np.linalg.inv(r[:1])).all()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(triangular_inverse(r[:1])).all()
         assert triangular_full_rank(r).tolist() == full_rank(r).tolist()
         assert full_rank(r).tolist() == [False, True, False, True]
+
+    def test_back_substitution_residual_is_within_k_eps(self):
+        # The premise of the screen's proof (Higham, Thm 8.5): the
+        # computed inverse X of each R satisfies |R X - I| <= k eps |R| |X|
+        # entrywise.  The residual is formed in extended precision, so
+        # that its own rounding stays far below the bound.
+        k = 20
+        r = np.linalg.qr(Rng(26).uniform(0.0, 1.0, (2 * ATTACK_CHUNK, 50, k)))[1]
+        x = triangular_inverse(r)
+        rl, xl = r.astype(np.longdouble), x.astype(np.longdouble)
+        residual = np.abs(rl @ xl - np.eye(k, dtype=np.longdouble))
+        bound = k * np.finfo(float).eps * (np.abs(rl) @ np.abs(xl))
+        assert np.all(residual <= bound)
+
+    @settings(max_examples=30, deadline=None)
+    @given(hst.data())
+    @pytest.mark.filterwarnings("error")
+    def test_mask_equals_full_rank_on_mixed_stacks(self, data):
+        # Stacks of 1 to 2 ATTACK_CHUNK upper triangular R mixing
+        # well-conditioned matrices, condition numbers 1e4 ... 1e12 about
+        # the threshold, exactly zero pivots and subnormal pivots.  Every
+        # warning is an error, so the screen's own errstate must cover the
+        # divide, overflow and invalid steps of such pivots.
+        k = data.draw(hst.integers(1, 24), label="k")
+        count = data.draw(hst.integers(1, 2 * ATTACK_CHUNK), label="count")
+        gen = np.random.default_rng(data.draw(hst.integers(0, 2**32 - 1), label="seed"))
+        u, s, vt = np.linalg.svd(gen.uniform(-1.0, 1.0, (count, 2 * k, k)), full_matrices=False)
+        kind = gen.integers(0, 4, count)
+        near = kind == 1
+        s[near, -1] = s[near, 0] * 10.0 ** gen.uniform(-12.0, -4.0, near.sum())
+        r = np.linalg.qr((u * s[:, None, :]) @ vt)[1]
+        pivot = gen.integers(0, k, count)
+        for j in np.flatnonzero(kind >= 2):
+            r[j, pivot[j], pivot[j]] = 0.0 if kind[j] == 2 else 1e-310
+        assert triangular_full_rank(r).tolist() == full_rank(r).tolist()
 
     @settings(max_examples=40, deadline=None)
     @given(hst.data())
