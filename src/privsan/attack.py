@@ -75,10 +75,9 @@ class ReconstructionResult:
 def _draws(n: int, m: int, distribution: EntryDistribution, streams: list[Rng],
            attempt: int, keys: np.ndarray) -> np.ndarray:
     """The stacked draws of ``streams[i].child(attempt)``, whose
-    :func:`~privsan.rng.philox_keys` are ``keys``; they take the batched
-    route and build no child unless its draw is all zero."""
-    return sample_fresh_matrices(n, m, distribution, keys,
-                                 lambda i: streams[i].child(attempt))
+    :func:`~privsan.rng.philox_keys` are ``keys``, by the batched route;
+    ``streams`` and ``attempt`` name them for a caller that replaces some."""
+    return sample_fresh_matrices(n, m, distribution, keys)
 
 
 def _qr_reconstruct(b: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -158,11 +157,14 @@ def expected_inverse_map(n: int, m: int, distribution: EntryDistribution,
     n x m map of the expectation-based linear reconstruction, estimated
     once per repetition and applied to every tuple.  The draws take the
     batched route: the children's keys are hashed in one pass, and no
-    child is built unless its draw is all zero."""
+    child is built.  A map of m > n raises DimensionMismatch, as
+    :func:`random_inverse` does."""
     if samples < 1:
         raise ValueError("samples must be positive")
+    if m > n:
+        raise DimensionMismatch(f"sanitized dim {m} exceeds ambient dim {n}")
     keys = philox_keys([(rng.seed, rng.path + (j,)) for j in range(samples)])
-    draws = sample_fresh_matrices(n, m, distribution, keys, rng.child)
+    draws = sample_fresh_matrices(n, m, distribution, keys)
     if not full_rank(draws).all():
         raise SingularSample("sampled matrix has rank-deficient Gram matrix")
     return np.linalg.pinv(np.swapaxes(draws, 1, 2)).sum(axis=0) / samples

@@ -466,11 +466,16 @@ def knn_overlap(actual_knn: np.ndarray, recon_knn: np.ndarray) -> float:
     """Mean fraction of each row's k neighbors in ``actual_knn`` that it
     also has in ``recon_knn``; both are :func:`knn_indices` results.
     Arrays that are not 2-d or differ in shape raise DimensionMismatch,
-    and arrays with no entries raise EmptyDataset."""
+    arrays with no entries raise EmptyDataset, and a row that repeats an
+    index, whose pairs would count more than k times, raises ValueError."""
     check_shape(actual_knn, (None, None), "actual kNN indices")
     check_shape(recon_knn, np.shape(actual_knn), "reconstructed kNN indices")
     if np.size(actual_knn) == 0:
         raise EmptyDataset("no kNN indices")
+    for knn in (actual_knn, recon_knn):
+        ordered = np.sort(knn, axis=1)
+        if (ordered[:, 1:] == ordered[:, :-1]).any():
+            raise ValueError("a row of kNN indices repeats an index")
     shared = np.empty(len(actual_knn), dtype=np.intp)
     for lo in range(0, len(actual_knn), KNN_BLOCK):
         rows = slice(lo, lo + KNN_BLOCK)

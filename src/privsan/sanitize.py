@@ -23,9 +23,9 @@ A per-tuple call costs mostly fixed overhead, not arithmetic, so its
 draw avoids building a generator: on a fresh stream, ``_nrp``'s first
 draw is :meth:`~privsan.rng.Rng.uniform`'s keyed draw, taken on the
 calling thread's Philox from the stream's key, with the bits of the
-stream's own generator.  A draw that comes out all zero is redrawn on
-that generator, built then and started after the keyed draw, so the
-redraw rule and every later draw of the stream are unchanged.
+stream's own generator.  Every bounded-entry draw passes one check,
+:func:`_nonzero`: an all-zero matrix, which a stream draws with
+probability at most 2^-53, raises DegenerateMatrix and is not redrawn.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from .linalg import (
 )
 from .rng import Rng, fresh_uniform
 
-SAMPLE_RETRIES = 8
 # Draw entries per chunk of nrp and asup (2 MiB of float64), whatever the
 # matrix shape: the mechanisms hold one chunk of draws, not the round's.
 DRAW_CHUNK = 2**18
@@ -107,15 +106,14 @@ class ProjectionMatrix:
 def sample_bounded_matrices(count: int, n: int, m: int, distribution: EntryDistribution,
                             rng: Rng, betas: np.ndarray | None = None) -> np.ndarray:
     """``count`` n x m matrices with iid entries from a bounded
-    distribution, in one draw from ``rng``; all-zero matrices are
-    redrawn (bounded retries).  With ``betas`` matrix i is rescaled so
-    its Frobenius norm equals ``betas[i]``.  ``distribution`` may be an
+    distribution, in one draw from ``rng``; an all-zero matrix raises
+    DegenerateMatrix.  With ``betas`` matrix i is rescaled so its
+    Frobenius norm equals ``betas[i]``.  ``distribution`` may be an
     :class:`EntryDistribution` or its string value.  With ``count=1``, on a
     fresh stream at a :func:`sanitize_nrp` call's address, it replays
     that call's matrix.  Betas are checked as :func:`nrp` checks them."""
     betas = _checked_betas(betas, count)
-    a = _uniform(count, n, m, distribution, rng)
-    _redraw_zeros(a, _zero_matrices(a), distribution, rng)
+    a = _nonzero(_uniform(count, n, m, distribution, rng))
     if betas is not None:
         a *= (betas / row_norms(a))[:, None, None]
     return a
@@ -142,27 +140,13 @@ def _uniform(count: int, n: int, m: int, distribution: EntryDistribution,
     return rng.uniform(*_entry_range(distribution), (count, n, m))
 
 
-def _zero_matrices(a: np.ndarray) -> np.ndarray:
-    """Indices of the all-zero matrices of the stack ``a``.  A stack with
-    no zero entry has none, and one flat count says so far faster than
-    a reduction over each matrix."""
-    if np.count_nonzero(a) == a.size:
-        return np.empty(0, dtype=np.intp)
-    return np.flatnonzero(~a.any(axis=(1, 2)))
-
-
-def _redraw_zeros(a: np.ndarray, zero: np.ndarray, distribution: EntryDistribution,
-                  rng: Rng) -> None:
-    """Redraw, in place, the matrices ``a[zero]`` in one draw, then those
-    still all zero, until ``SAMPLE_RETRIES`` draws in all were taken."""
-    _, n, m = a.shape
-    for _ in range(SAMPLE_RETRIES - 1):
-        if zero.size == 0:
-            return
-        a[zero] = _uniform(zero.size, n, m, distribution, rng)
-        zero = zero[~a[zero].any(axis=(1, 2))]
-    if zero.size:
-        raise DegenerateMatrix(f"all-zero draws {SAMPLE_RETRIES} times in a row")
+def _nonzero(a: np.ndarray) -> np.ndarray:
+    """The stack of matrices ``a``, unless one of them is all zero:
+    DegenerateMatrix.  A stack with no zero entry has none, and one flat
+    count says so far faster than a reduction over each matrix."""
+    if np.count_nonzero(a) != a.size and not a.any(axis=(1, 2)).all():
+        raise DegenerateMatrix("drew an all-zero matrix")
+    return a
 
 
 def sample_bounded_matrix(n: int, m: int, distribution: EntryDistribution, rng: Rng) -> np.ndarray:
@@ -170,17 +154,12 @@ def sample_bounded_matrix(n: int, m: int, distribution: EntryDistribution, rng: 
 
 
 def sample_fresh_matrices(n: int, m: int, distribution: EntryDistribution,
-                          keys: np.ndarray, stream) -> np.ndarray:
-    """One n x m matrix per fresh stream, stacked: matrix i equals
-    ``sample_bounded_matrix(n, m, distribution, stream(i))``, where
-    ``keys[i]`` is that stream's :func:`~privsan.rng.philox_keys` key.
-    The first draws come from :func:`~privsan.rng.fresh_uniform`; only a
-    draw that is all zero builds ``stream(i)`` and is drawn again on it,
-    so :func:`_redraw_zeros` stays the one redraw rule."""
-    a = fresh_uniform(keys, *_entry_range(distribution), (n, m))
-    for i in _zero_matrices(a):
-        a[i] = sample_bounded_matrix(n, m, distribution, stream(i))
-    return a
+                          keys: np.ndarray) -> np.ndarray:
+    """One n x m matrix per fresh stream, stacked, drawn by
+    :func:`~privsan.rng.fresh_uniform`: matrix i equals
+    ``sample_bounded_matrix(n, m, distribution, stream)`` for the stream
+    whose :func:`~privsan.rng.philox_keys` key is ``keys[i]``."""
+    return _nonzero(fresh_uniform(keys, *_entry_range(distribution), (n, m)))
 
 
 def sample_orthonormal_matrix(n: int, m: int, rng: Rng) -> np.ndarray:
@@ -236,9 +215,9 @@ def _nrp(y: np.ndarray, m: int, rng: Rng, distribution: EntryDistribution,
 
     The matrices are drawn ``DRAW_CHUNK`` entries at a time, and each
     chunk's rows are projected before the next chunk is drawn.  A chunked
-    Philox draw equals one draw, and all-zero matrices are redrawn after
-    the last chunk, in row order, so every bit is that of projecting by
-    one :func:`sample_bounded_matrices` draw."""
+    Philox draw equals one draw, so every bit is that of projecting by one
+    :func:`sample_bounded_matrices` draw, and a chunk that holds an
+    all-zero matrix raises DegenerateMatrix as that draw would."""
     rows, n = y.shape
     if not (1 <= m <= n):
         raise DimensionMismatch(f"need 1 <= m <= {n}, got {m}")
@@ -248,21 +227,10 @@ def _nrp(y: np.ndarray, m: int, rng: Rng, distribution: EntryDistribution,
     count, r = rows // rows_per_matrix, rows_per_matrix
     per = max(1, DRAW_CHUNK // (n * m))
     out = np.empty((rows, m))
-    zero = []
     for lo in range(0, count, per):
-        a = _uniform(min(per, count - lo), n, m, distribution, rng)
+        a = _nonzero(_uniform(min(per, count - lo), n, m, distribution, rng))
         hi = lo + len(a)
-        found = _zero_matrices(a)
-        if found.size:
-            zero.append(lo + found)
-            a[found] = 1.0    # a stand-in: its rows are projected again below
         out[lo * r:hi * r] = _project(a, y[lo * r:hi * r], None if betas is None else betas[lo:hi])
-    if zero:
-        zero = np.concatenate(zero)
-        a = np.empty((zero.size, n, m))
-        _redraw_zeros(a, np.arange(zero.size), distribution, rng)
-        at = (zero[:, None] * r + np.arange(r)).ravel()
-        out[at] = _project(a, y[at], None if betas is None else betas[zero])
     return out
 
 

@@ -304,6 +304,11 @@ class TestOtherAttacks:
             acc += b @ np.linalg.inv(b.T @ b)
         assert np.allclose(lm, acc / 16, atol=1e-9)
 
+    def test_expected_inverse_map_refuses_a_wide_map(self):
+        # As random_inverse refuses the same shape (test_dim_check).
+        with pytest.raises(DimensionMismatch):
+            expected_inverse_map(3, 5, EntryDistribution.UNIT_UNIFORM, 4, Rng(14))
+
     def test_attack_linear_applies_map(self):
         lm = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
         out = attack_linear(st([3.0, 4.0]), lm)

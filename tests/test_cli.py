@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from privsan import cli
+from privsan import cli, sanitize
 from privsan.cli import main
 from privsan.errors import InfeasibleBound
 from privsan.rng import Rng
@@ -241,6 +241,25 @@ class TestRunCommand:
         monkeypatch.setattr(cli, "run_experiment", fail)
         cfg = write_cfg(tmp_path)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
+
+    def test_an_all_zero_draw_exits_3(self, tmp_path, monkeypatch, capsys):
+        # The run's first bounded-entry draw holds one all-zero matrix; it
+        # is refused, and no draw is taken after it.
+        uniform = sanitize._uniform
+        calls = []
+
+        def zero_first(*args):
+            a = uniform(*args)
+            if not calls:
+                a[0] = 0.0
+            calls.append(args)
+            return a
+
+        monkeypatch.setattr(sanitize, "_uniform", zero_first)
+        cfg = write_cfg(tmp_path, {"repetitions": 1})
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
+        assert "all-zero" in capsys.readouterr().err
+        assert len(calls) == 1
 
     def test_unwritable_result_file_exits_3(self, tmp_path, capsys):
         # The result files are written after the work is done, so a file

@@ -411,6 +411,19 @@ class TestResemblance:
         with pytest.raises(EmptyDataset):
             knn_overlap(np.zeros((0, 2), dtype=np.intp), np.zeros((0, 2), dtype=np.intp))
 
+    def test_overlap_refuses_a_row_that_repeats_an_index(self):
+        # Counted once per pair, zeros((2, 3)) against itself would give 3.0.
+        zeros = np.zeros((2, 3), dtype=np.intp)
+        with pytest.raises(ValueError, match="repeats"):
+            knn_overlap(zeros, zeros)
+        distinct = np.array([[0, 1, 2], [1, 2, 0]])
+        repeated = distinct.copy()
+        repeated[1, 2] = 1
+        for pair in ((distinct, repeated), (repeated, distinct)):
+            with pytest.raises(ValueError, match="repeats"):
+                knn_overlap(*pair)
+        assert knn_overlap(distinct, distinct) == 1.0
+
 
 def pivot_routed(cloud, k):
     """Rows of ``cloud`` whose kNN sets the pivot route finds."""

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privsan import rng, sanitize
+from privsan.attack import expected_inverse_map, random_inverse
+from privsan.errors import DegenerateMatrix
 from privsan.rng import Rng, fresh_uniform, philox_keys
 from privsan.sanitize import EntryDistribution, sample_bounded_matrices, sample_fresh_matrices
 
@@ -91,7 +93,7 @@ class TestFreshDraws:
         # of Generator.uniform(low, 1.0), so no stream's draws move.
         low = 0.0 if distribution is EntryDistribution.UNIT_UNIFORM else -1.0
         keys = philox_keys(self.STREAMS)
-        batched = sample_fresh_matrices(6, 4, distribution, keys, lambda i: pytest.fail())
+        batched = sample_fresh_matrices(6, 4, distribution, keys)
         for (seed, path), a in zip(self.STREAMS, batched):
             expected = Rng(seed, path).generator.uniform(low, 1.0, (6, 4))
             assert a.tobytes() == expected.tobytes()
@@ -99,29 +101,24 @@ class TestFreshDraws:
             expected = Rng(seed, path).generator.uniform(low, 1.0, (3, 6, 4))
             assert per_stream.tobytes() == expected.tobytes()
 
-    def test_an_all_zero_draw_is_drawn_again_on_its_stream(self, monkeypatch):
-        # Only the all-zero draw builds its stream, and it gets that
-        # stream's sample_bounded_matrix.
+    def test_an_all_zero_draw_is_refused(self, monkeypatch):
+        # On the batched route and on both attacks that take it.
         unit = EntryDistribution.UNIT_UNIFORM
         streams = [Rng(5).child(j) for j in range(3)]
         keys = philox_keys([(r.seed, r.path) for r in streams])
-        built = []
 
         def zero_second(keys, low, high, shape):
             u = fresh_uniform(keys, low, high, shape)
             u[1] = 0.0
             return u
 
-        def stream(i):
-            built.append(i)
-            return streams[i]
-
         monkeypatch.setattr(sanitize, "fresh_uniform", zero_second)
-        a = sample_fresh_matrices(4, 2, unit, keys, stream)
-        assert built == [1]
-        for j, r in enumerate(streams):
-            expected = sanitize.sample_bounded_matrix(4, 2, unit, Rng(r.seed, r.path))
-            assert a[j].tobytes() == expected.tobytes()
+        with pytest.raises(DegenerateMatrix):
+            sample_fresh_matrices(4, 2, unit, keys)
+        with pytest.raises(DegenerateMatrix):
+            random_inverse(np.ones((3, 2)), 4, unit, streams)
+        with pytest.raises(DegenerateMatrix):
+            expected_inverse_map(4, 2, unit, 3, Rng(5))
 
 
 class TestChild:

@@ -16,7 +16,6 @@ from privsan.metrics import distance_preservation_fraction, zero_pad
 from privsan.rng import Rng
 from privsan.sanitize import (
     DataTuple,
-    SAMPLE_RETRIES,
     EntryDistribution,
     ProjectionMatrix,
     bounded_projection,
@@ -204,28 +203,15 @@ class TestBetas:
                 draw()
 
 
-class TestBoundedRedraws:
-    def test_all_zero_matrix_is_redrawn_from_the_same_stream(self):
-        a = sample_bounded_matrices(3, 4, 2, EntryDistribution.UNIT_UNIFORM,
-                                    ZeroedDraws(Rng(30), [[1]]))
-        stream = Rng(30)
-        expected = stream.uniform(0.0, 1.0, (3, 4, 2))
-        expected[1] = stream.uniform(0.0, 1.0, (1, 4, 2))[0]
-        assert a.tobytes() == expected.tobytes()
-
-    def test_all_zero_draws_give_up_after_the_retries(self):
-        zeros = [[0]] * (SAMPLE_RETRIES - 1)
-        assert sample_bounded_matrix(4, 2, EntryDistribution.SYMMETRIC_UNIFORM,
-                                     ZeroedDraws(Rng(31), zeros)).any()
+class TestAllZeroDraws:
+    # An all-zero matrix is refused on the draw that makes it: no
+    # further draw is taken.
+    @pytest.mark.parametrize("distribution", list(EntryDistribution))
+    def test_an_all_zero_matrix_is_refused(self, distribution):
+        stream = ZeroedDraws(Rng(30), [[1]])
         with pytest.raises(DegenerateMatrix):
-            sample_bounded_matrix(4, 2, EntryDistribution.SYMMETRIC_UNIFORM,
-                                  ZeroedDraws(Rng(31), zeros + [[0]]))
-
-    def test_every_draw_taken_is_checked(self):
-        stream = ZeroedDraws(Rng(31), [[0]] * SAMPLE_RETRIES)
-        with pytest.raises(DegenerateMatrix):
-            sample_bounded_matrix(4, 2, EntryDistribution.SYMMETRIC_UNIFORM, stream)
-        assert stream.draws == SAMPLE_RETRIES
+            sample_bounded_matrices(3, 4, 2, distribution, stream)
+        assert stream.draws == 1
 
 
 class PlantedDraws:
@@ -272,20 +258,30 @@ class TestChunkedDraws:
 
     CHUNK_BYTES = sanitize.DRAW_CHUNK * 8
 
-    def test_nrp_redraws_zero_matrices_after_the_last_chunk(self):
+    def nrp_rounds(self):
         n, m, r = 50, 20, 2
         per = sanitize.DRAW_CHUNK // (n * m)
         count = 2 * per + 5    # three chunks
-        planted = [1, count - 1]    # in the first chunk and in the last
         y = Rng(60).uniform(0.0, 1.0, (count * r, n))
         betas = Rng(61).uniform(0.1, 2.0, count)
-        chunked = PlantedDraws(Rng(62), planted)
+        return y, m, betas, r, per
+
+    def test_nrp_chunks_equal_one_draw(self):
+        y, m, betas, r, _ = self.nrp_rounds()
+        chunked = Rng(62)
         out = sanitize.nrp(y, m, chunked, EntryDistribution.UNIT_UNIFORM, betas, r)
-        whole = PlantedDraws(Rng(62), planted)
-        a = sample_bounded_matrices(count, n, m, EntryDistribution.UNIT_UNIFORM, whole, betas)
-        assert a[planted].all()    # redrawn
+        whole = Rng(62)
+        a = sample_bounded_matrices(len(betas), y.shape[1], m, EntryDistribution.UNIT_UNIFORM,
+                                    whole, betas)
         assert out.tobytes() == matvec_rows(np.swapaxes(a, 1, 2), y).tobytes()
-        assert chunked.rng.uniform(0.0, 1.0, 8).tobytes() == whole.rng.uniform(0.0, 1.0, 8).tobytes()
+        assert chunked.uniform(0.0, 1.0, 8).tobytes() == whole.uniform(0.0, 1.0, 8).tobytes()
+
+    def test_nrp_refuses_an_all_zero_matrix_in_a_middle_chunk(self):
+        y, m, betas, r, per = self.nrp_rounds()
+        planted = PlantedDraws(Rng(62), [per + 3])
+        with pytest.raises(DegenerateMatrix):
+            sanitize.nrp(y, m, planted, EntryDistribution.UNIT_UNIFORM, betas, r)
+        assert planted.seen == 2 * per    # no chunk is drawn after it
 
     def test_asup_redraws_deficient_frames_after_the_last_chunk(self):
         n, private = 50, range(12)
@@ -614,27 +610,25 @@ class TestKeyedFirstDraw:
         stream.uniform(0.0, 1.0, 3)
         assert out.values.tobytes() == projected(self.T, 20, CERT, stream).tobytes()
 
-    def test_an_all_zero_keyed_draw_is_redrawn_on_the_streams_generator(self, monkeypatch):
+    def test_an_all_zero_keyed_draw_is_refused(self, monkeypatch):
         def zeroed(keys, low, high, shape):
             return np.zeros((len(keys), *shape))
 
         monkeypatch.setattr(rng_module, "fresh_uniform", zeroed)
         r = Rng(73, (0, 5))
-        out = sanitize_nrp(self.T, 20, CERT, r)
-        assert "generator" in vars(r)
-        stream = GeneratorDraws(73, (0, 5))
-        stream.uniform(0.0, 1.0, 50 * 20)    # the draw that came out all zero
-        assert out.values.tobytes() == projected(self.T, 20, CERT, stream).tobytes()
+        with pytest.raises(DegenerateMatrix):
+            sanitize_nrp(self.T, 20, CERT, r)
+        assert "generator" not in vars(r)
+        # The stream resumes after the keyed draw, as after any matrix.
+        gen = GeneratorDraws(73, (0, 5)).gen
+        gen.random(50 * 20)
+        assert r.uniform(0.0, 1.0, 5).tobytes() == gen.uniform(0.0, 1.0, 5).tobytes()
 
-    def test_planted_zero_draws_are_redrawn_then_give_up(self):
-        out = sanitize_nrp(self.T, 20, CERT, ZeroedDraws(Rng(74), [[0]]))
-        stream = GeneratorDraws(74, ())
-        stream.uniform(0.0, 1.0, 50 * 20)
-        assert out.values.tobytes() == projected(self.T, 20, CERT, stream).tobytes()
-        stream = ZeroedDraws(Rng(74), [[0]] * SAMPLE_RETRIES)
+    def test_a_planted_all_zero_draw_is_refused(self):
+        stream = ZeroedDraws(Rng(74), [[0]])
         with pytest.raises(DegenerateMatrix):
             sanitize_nrp(self.T, 20, CERT, stream)
-        assert stream.draws == SAMPLE_RETRIES
+        assert stream.draws == 1
 
     def test_a_call_on_a_fresh_stream_builds_no_philox(self, monkeypatch):
         sanitize_nrp(self.T, 20, CERT, Rng(75))    # this thread's Philox exists from here on
