@@ -214,6 +214,29 @@ class TestAllZeroDraws:
         assert stream.draws == 1
 
 
+class TestBoundedRedraws:
+    # No draw is retried: the first all-zero draw gives up, and a draw
+    # with no all-zero matrix is returned as the stream drew it.
+    def test_all_zero_draws_give_up_after_the_retries(self):
+        a = sample_bounded_matrix(4, 2, EntryDistribution.SYMMETRIC_UNIFORM,
+                                  ZeroedDraws(Rng(31), []))
+        assert a.tobytes() == Rng(31).uniform(-1.0, 1.0, (1, 4, 2))[0].tobytes()
+        with pytest.raises(DegenerateMatrix):
+            sample_bounded_matrix(4, 2, EntryDistribution.SYMMETRIC_UNIFORM,
+                                  ZeroedDraws(Rng(31), [[0]]))
+
+    def test_every_draw_taken_is_checked(self):
+        # Every matrix of the draw is checked, the last one too; zero
+        # entries alone do not make a matrix all zero.
+        stream = ZeroedDraws(Rng(31), [[2]])
+        with pytest.raises(DegenerateMatrix):
+            sample_bounded_matrices(3, 4, 2, EntryDistribution.SYMMETRIC_UNIFORM, stream)
+        assert stream.draws == 1
+        a = sample_bounded_matrices(3, 4, 2, EntryDistribution.SYMMETRIC_UNIFORM,
+                                    ZeroedDraws(Rng(31), [(2, slice(1, None))]))
+        assert not a[2, 1:].any() and a[2, 0].all()
+
+
 class PlantedDraws:
     """A stream that zeroes the matrices at ``positions`` in the sequence
     of matrices its stacked draws yield, or with ``column`` only their
