@@ -1,6 +1,7 @@
-"""Dense numeric kernels: cosine similarity, norms, orthonormalization
-and the full-rank test of a matrix to be inverted, with a cheaper
-screen in front of it for the triangular R of a QR.
+"""Dense numeric kernels: cosine similarity, norms, the sign-fixed QR
+that draws random frames, and the full-rank test of a matrix to be
+inverted, with a cheaper screen in front of it for the triangular R of
+a QR.
 
 All functions are pure and operate on float64 numpy arrays.  Vectors are
 1-d arrays, matrices 2-d row-major arrays, stacks 3-d.  Inputs from
@@ -16,10 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, RankDeficient, ZeroNormInput
-from .rng import Rng
-
-RESAMPLE_RETRIES = 8
+from .errors import DimensionMismatch, ZeroNormInput
 
 
 def as_vector(x) -> np.ndarray:
@@ -136,48 +134,16 @@ def frobenius_norm(a) -> float:
     return float(np.linalg.norm(as_matrix(a), ord="fro"))
 
 
-def orthonormalize(a, rng: Rng | None = None) -> np.ndarray:
-    """Return an n x m matrix Q with orthonormal columns spanning col(a),
-    or one per matrix of a (count x n x m) stack.
-
-    Requires rows >= cols.  Rank-deficient inputs are replaced by fresh
-    Gaussian draws from ``rng`` (see :func:`replace_deficient`).
-    """
-    if np.ndim(a) == 2:
-        return orthonormalize(as_matrix(a)[None], rng)[0]
-    _, n, m = np.shape(a)
-    if n < m:
-        raise DimensionMismatch(f"need rows >= cols, got {n} x {m}")
-    return replace_deficient(*sign_fixed_qr(a), rng)
-
-
-def replace_deficient(q: np.ndarray, full: np.ndarray, rng: Rng | None = None) -> np.ndarray:
-    """The (count x n x m) stack of frames ``q``, in which every frame whose
-    ``full`` is False is replaced, in place, by the :func:`sign_fixed_qr` of
-    a fresh n x m Gaussian draw from ``rng``: one draw for all of them in
-    stack order, then one for those still deficient (bounded retries).
-    Without an ``rng`` a deficient frame raises RankDeficient immediately."""
-    _, n, m = q.shape
-    for _ in range(RESAMPLE_RETRIES):
-        if full.all():
-            return q
-        if rng is None:
-            raise RankDeficient("input is numerically rank deficient")
-        bad = np.flatnonzero(~full)
-        q[bad], full[bad] = sign_fixed_qr(rng.standard_normal((bad.size, n, m)))
-    if full.all():
-        return q
-    raise RankDeficient(f"no full-rank sample after {RESAMPLE_RETRIES} retries")
-
-
-def sign_fixed_qr(a) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced QR of each stacked matrix with diag(R) made nonnegative,
-    which makes the factor unique and, for Gaussian input, uniformly
-    distributed over frames; plus a mask of the full-rank matrices."""
+def sign_fixed_qr(a) -> np.ndarray:
+    """The Q of the reduced QR of a matrix, or of each of a stack, with
+    its columns' signs flipped so diag(R) is nonnegative, which makes the
+    factor unique and, for Gaussian input, uniformly distributed over
+    frames (Mezzadri, Notices AMS 2007).  Householder QR gives Q
+    orthonormal columns whatever the rank of the input, so no rank test
+    is made."""
     q, r = np.linalg.qr(a)
-    signs, full = r_diagonal_signs(r)
-    q *= signs[..., None, :]    # in place: a second stack would raise asup's peak memory
-    return q, full
+    q *= r_diagonal_signs(r)[0][..., None, :]    # in place: a second stack would raise asup's peak memory
+    return q
 
 
 def r_diagonal_signs(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -44,8 +44,6 @@ from .linalg import (
     check_shape,
     frobenius_norm,
     matvec_rows,
-    orthonormalize,
-    replace_deficient,
     row_norms,
     sign_fixed_qr,
 )
@@ -163,8 +161,12 @@ def sample_fresh_matrices(n: int, m: int, distribution: EntryDistribution,
 
 
 def sample_orthonormal_matrix(n: int, m: int, rng: Rng) -> np.ndarray:
-    """Uniformly distributed n x m matrix with orthonormal columns."""
-    return orthonormalize(rng.standard_normal((n, m)), rng)
+    """Uniformly distributed n x m matrix with orthonormal columns: the
+    :func:`~privsan.linalg.sign_fixed_qr` of one n x m Gaussian draw.
+    Requires rows >= cols."""
+    if n < m:
+        raise DimensionMismatch(f"need rows >= cols, got {n} x {m}")
+    return sign_fixed_qr(rng.standard_normal((n, m)))
 
 
 def bounded_projection(n: int, m: int, certificate: NormBoundCertificate | None,
@@ -268,11 +270,10 @@ def asup(y: np.ndarray, noise_scale: float, private_indices, rng: Rng) -> np.nda
     The noise is zero past k = max(private) + 1, so the rotation Q z
     reads only Q's first k columns: the sign-fixed reduced QR of the
     first k columns of each row's n x n Gaussian draw.  The full draw is
-    still made, so the stream is that of forming all of Q.  Frames found
-    rank deficient are redrawn after the last chunk, in row order, as
-    :func:`~privsan.linalg.orthonormalize` redraws them, so every bit is
-    that of one draw of all the rotations.  A non-finite entry of ``y``
-    raises ValueError."""
+    still made, so the stream is that of forming all of Q.  Every frame is
+    kept as drawn (see :func:`~privsan.linalg.sign_fixed_qr`), so every
+    bit is that of one draw of all the rotations.  A non-finite entry of
+    ``y`` raises ValueError."""
     check_finite(y, "rows")
     if not (0 <= noise_scale < np.inf):
         raise ValueError("noise_scale must be finite and nonnegative")
@@ -287,18 +288,12 @@ def asup(y: np.ndarray, noise_scale: float, private_indices, rng: Rng) -> np.nda
     z[:, idx] = noise_scale * rng.standard_normal((rows, len(idx)))
     per = max(1, DRAW_CHUNK // (n * n))
     out = np.empty_like(y, dtype=float)
-    bad = []
     for lo in range(0, rows, per):
         # The copy lets the n x n draw go before the QR runs.
         g = np.ascontiguousarray(rng.standard_normal((min(per, rows - lo), n, n))[:, :, :k])
-        q, full = sign_fixed_qr(g)
+        q = sign_fixed_qr(g)
         hi = lo + len(q)
         np.add(y[lo:hi], matvec_rows(q, z[lo:hi]), out=out[lo:hi])
-        bad.append(lo + np.flatnonzero(~full))
-    bad = np.concatenate(bad)
-    if bad.size:
-        q = replace_deficient(np.empty((bad.size, n, k)), np.zeros(bad.size, dtype=bool), rng)
-        out[bad] = y[bad] + matvec_rows(q, z[bad])
     return out
 
 

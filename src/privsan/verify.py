@@ -16,16 +16,10 @@ import numpy as np
 
 from .bounds import jl_min_dimension, nrp_equivalent_dimension
 from .errors import NonPositiveResult, RankDeficient
-from .linalg import RESAMPLE_RETRIES, as_matrix, r_diagonal_signs
+from .linalg import as_matrix, r_diagonal_signs
 from .metrics import distance_preservation_fraction, preservation_peak_bytes
 from .rng import Rng
-from .sanitize import EntryDistribution, sample_bounded_matrix
-
-# (mean, standard deviation) of one entry of each bounded distribution.
-_ENTRY_MOMENTS = {
-    EntryDistribution.UNIT_UNIFORM: (0.5, (1.0 / 12.0) ** 0.5),
-    EntryDistribution.SYMMETRIC_UNIFORM: (0.0, (1.0 / 3.0) ** 0.5),
-}
+from .sanitize import EntryDistribution, _entry_range, sample_bounded_matrix
 
 
 def subspace_projection_for_check(points: np.ndarray, m: int, rng: Rng) -> np.ndarray:
@@ -36,16 +30,18 @@ def subspace_projection_for_check(points: np.ndarray, m: int, rng: Rng) -> np.nd
     The frame is Q D from the QR G = Q R of an n x m Gaussian draw, with
     D the signs of diag(R), as :func:`~privsan.sanitize.sample_orthonormal_matrix`
     draws it.  Q is never formed: x Q = x G R^-1, one product and one
-    m x m solve.  A rank-deficient draw is redrawn from ``rng``."""
+    m x m solve, which needs R nonsingular: a draw whose R fails
+    :func:`~privsan.linalg.r_diagonal_signs`' rank test raises
+    RankDeficient and is not redrawn.  An n x m Gaussian fails it with
+    probability about (1e-12 sqrt(n))^(n - m + 1)."""
     x = as_matrix(points)
     n = x.shape[1]
-    for _ in range(RESAMPLE_RETRIES + 1):
-        g = rng.standard_normal((n, m))
-        r = np.linalg.qr(g, mode="r")
-        signs, full = r_diagonal_signs(r)
-        if full:
-            return np.linalg.solve(r.T, (x @ g).T).T * (signs * np.sqrt(n / m))
-    raise RankDeficient(f"no full-rank sample after {RESAMPLE_RETRIES} retries")
+    g = rng.standard_normal((n, m))
+    r = np.linalg.qr(g, mode="r")
+    signs, full = r_diagonal_signs(r)
+    if not full:
+        raise RankDeficient("the Gaussian draw's R is numerically singular")
+    return np.linalg.solve(r.T, (x @ g).T).T * (signs * np.sqrt(n / m))
 
 
 def bounded_projection_for_check(points: np.ndarray, m: int, rng: Rng,
@@ -56,7 +52,8 @@ def bounded_projection_for_check(points: np.ndarray, m: int, rng: Rng,
     projection scaled by 1/sqrt(m)."""
     x = as_matrix(points)
     n = x.shape[1]
-    mu, sigma = _ENTRY_MOMENTS[EntryDistribution(distribution)]
+    lo, hi = _entry_range(distribution)
+    mu, sigma = (lo + hi) / 2, (hi - lo) * (1 / 12) ** 0.5    # the entry's mean and std
     a = sample_bounded_matrix(n, m, distribution, rng)
     a = (a - mu) / (sigma * np.sqrt(m))
     return x @ a

@@ -7,22 +7,23 @@ from hypothesis import strategies as hst
 
 from privsan import linalg
 from privsan.attack import ATTACK_CHUNK
-from privsan.errors import DimensionMismatch, RankDeficient, ZeroNormInput
+from privsan.errors import DimensionMismatch, ZeroNormInput
 from privsan.linalg import (
-    RESAMPLE_RETRIES,
     cosine,
     frobenius_norm,
     full_rank,
     matvec_rows,
-    orthonormalize,
+    r_diagonal_signs,
     row_cosines,
     row_dots,
     row_norms,
+    sign_fixed_qr,
     triangular_full_rank,
     triangular_inverse,
 )
 from privsan.metrics import utility_scores
 from privsan.rng import Rng
+from privsan.sanitize import sample_orthonormal_matrix
 
 
 class TestCosine:
@@ -139,22 +140,21 @@ class TestFrobenius:
 
 
 class TestOrthonormalize:
+    """The random frames: the sign-fixed Q of a Gaussian draw."""
+
     def test_identity_slice_fixed_point(self):
         a = np.eye(4)[:, :2]
-        q = orthonormalize(a)
+        q = sign_fixed_qr(a)
         assert np.allclose(q, a, atol=1e-12)
 
     def test_gram_identity(self):
-        rng = Rng(7)
-        a = rng.standard_normal((3, 2))
-        q = orthonormalize(a, rng)
+        q = sample_orthonormal_matrix(3, 2, Rng(7))
         gram = np.array([[q[:, i] @ q[:, j] for j in range(2)] for i in range(2)])
         assert np.abs(gram - np.eye(2)).max() < 1e-9
 
     def test_span_preserved(self):
-        rng = Rng(8)
-        a = rng.standard_normal((6, 3))
-        q = orthonormalize(a, rng)
+        a = Rng(8).standard_normal((6, 3))
+        q = sign_fixed_qr(a)
         # Projector onto col(a) equals projector onto col(q).
         pa = a @ np.linalg.solve(a.T @ a, a.T)
         pq = q @ q.T
@@ -162,36 +162,29 @@ class TestOrthonormalize:
 
     def test_many_seeds(self):
         for seed in range(1000):
-            rng = Rng(seed)
-            q = orthonormalize(rng.standard_normal((12, 5)), rng)
+            q = sample_orthonormal_matrix(12, 5, Rng(seed))
             assert np.abs(q.T @ q - np.eye(5)).max() < 1e-9
 
     def test_rank_deficient_without_rng(self):
-        a = np.ones((4, 2))
-        with pytest.raises(RankDeficient):
-            orthonormalize(a)
-
-    def test_rank_deficient_resampled(self):
-        a = np.ones((4, 2))
-        q = orthonormalize(a, Rng(3))
-        assert np.abs(q.T @ q - np.eye(2)).max() < 1e-9
-
-    def test_rank_deficient_redraws_give_up_after_the_retries(self):
-        class OnesStream:
-            draws = 0
-
-            def standard_normal(self, size):
-                self.draws += 1
-                return np.ones(size)
-
-        stream = OnesStream()
-        with pytest.raises(RankDeficient):
-            orthonormalize(np.ones((4, 2)), stream)
-        assert stream.draws == RESAMPLE_RETRIES
+        # Householder QR gives orthonormal columns whatever the input's
+        # rank, so a frame needs no rank test and no redraw: each input
+        # below fails the 1e-12 test on diag(R) and still gives a Q with
+        # Q^T Q = I, alone or in a stack.
+        zero_column = Rng(5).standard_normal((6, 3))
+        zero_column[:, 1] = 0.0
+        dependent_square = Rng(6).standard_normal((4, 4))
+        dependent_square[:, 3] = dependent_square[:, 0] + dependent_square[:, 1]
+        inputs = [zero_column, np.outer(np.arange(1.0, 7.0), [1.0, 2.0, 3.0]),
+                  dependent_square, np.zeros((5, 2)), np.ones((4, 2))]
+        for a in inputs + [np.stack(inputs[:2])]:
+            assert not r_diagonal_signs(np.linalg.qr(a)[1])[1].any()
+            q = sign_fixed_qr(a)
+            assert q.shape == a.shape
+            assert np.abs(np.swapaxes(q, -1, -2) @ q - np.eye(a.shape[-1])).max() < 1e-12
 
     def test_wide_matrix_rejected(self):
         with pytest.raises(DimensionMismatch):
-            orthonormalize(np.ones((2, 4)))
+            sample_orthonormal_matrix(2, 4, Rng(9))
 
 
 class TestMatvecRows:
@@ -365,6 +358,6 @@ class TestRngDeterminism:
 
     def test_same_inputs_bitwise_identical_ops(self):
         a = Rng(9).standard_normal((5, 3))
-        q1 = orthonormalize(a.copy())
-        q2 = orthonormalize(a.copy())
+        q1 = sign_fixed_qr(a.copy())
+        q2 = sign_fixed_qr(a.copy())
         assert np.array_equal(q1, q2)

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from privsan import attack as atk
 from privsan import sanitize as san
 from privsan.bounds import compute_norm_bound
-from privsan.linalg import cosine, frobenius_norm, matvec_rows, orthonormalize, zero_pad
+from privsan.linalg import cosine, frobenius_norm, matvec_rows, sign_fixed_qr, zero_pad
 from privsan.metrics import utility, utility_scores
 from privsan.rng import Rng
 from privsan.sanitize import DataTuple, EntryDistribution, SanitizedTuple
@@ -150,11 +150,11 @@ def test_asup_rowwise(shape, scale, private_count):
     k = max(private) + 1
     z, g = asup_draws(fresh(1), rows, n, private, scale)
     for j in range(rows):
-        assert same_bits(batch[j], y[j] + orthonormalize(g[j][:, :k]) @ z[j][:k])
+        assert same_bits(batch[j], y[j] + sign_fixed_qr(g[j][:, :k]) @ z[j][:k])
     # A one-row call is that formula on the first row's draws.
     z, g = asup_draws(fresh(1), 1, n, private, scale)
     one = san.asup(y[:1], scale, private, fresh(1))[0]
-    assert same_bits(one, y[0] + orthonormalize(g[0][:, :k]) @ z[0][:k])
+    assert same_bits(one, y[0] + sign_fixed_qr(g[0][:, :k]) @ z[0][:k])
 
 
 @PROPERTY
@@ -168,7 +168,7 @@ def test_asup_equals_the_full_rotation(shape, scale, private):
     batch = san.asup(y, scale, private, Rng(seed).child(1))
     z, g = asup_draws(Rng(seed).child(1), rows, n, private, scale)
     for j in range(rows):
-        full = y[j] + orthonormalize(g[j]) @ z[j]
+        full = y[j] + sign_fixed_qr(g[j]) @ z[j]
         assert np.linalg.norm(batch[j] - full) <= 1e-13 * max(1.0, np.linalg.norm(z[j]))
 
 
@@ -223,7 +223,7 @@ def test_chunked_asup_equals_one_draw(n, private, scale, seed, data):
     batch = san.asup(y, scale, private, Rng(seed).child(1))
     k = max(private) + 1
     z, g = asup_draws(Rng(seed).child(1), rows, n, private, scale)
-    q = orthonormalize(np.ascontiguousarray(g[:, :, :k]))
+    q = sign_fixed_qr(np.ascontiguousarray(g[:, :, :k]))
     assert same_bits(batch, y + matvec_rows(q, np.ascontiguousarray(z[:, :k])))
 
 

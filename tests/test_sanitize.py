@@ -11,7 +11,7 @@ from privsan import rng as rng_module
 from privsan import sanitize
 from privsan.bounds import compute_norm_bound
 from privsan.errors import DegenerateMatrix, DimensionMismatch, InsufficientData, RankDeficient
-from privsan.linalg import cosine, frobenius_norm, matvec_rows, orthonormalize
+from privsan.linalg import cosine, frobenius_norm, matvec_rows, r_diagonal_signs, sign_fixed_qr
 from privsan.metrics import distance_preservation_fraction, zero_pad
 from privsan.rng import Rng
 from privsan.sanitize import (
@@ -265,14 +265,13 @@ class PlantedDraws:
 
 
 def one_draw_asup(y, scale, private, rng):
-    """asup from one draw of all the frames, redrawing deficient ones
-    through ``orthonormalize``."""
+    """asup from one draw of all the frames, each kept as drawn."""
     idx = sorted(private)
     k = idx[-1] + 1
     z = np.zeros((len(y), k))
     z[:, idx] = scale * rng.standard_normal((len(y), len(idx)))
     g = np.ascontiguousarray(rng.standard_normal((len(y),) + y.shape[1:] * 2)[:, :, :k])
-    return y + matvec_rows(orthonormalize(g, rng), z)
+    return y + matvec_rows(sign_fixed_qr(g), z)
 
 
 class TestChunkedDraws:
@@ -306,19 +305,31 @@ class TestChunkedDraws:
             sanitize.nrp(y, m, planted, EntryDistribution.UNIT_UNIFORM, betas, r)
         assert planted.seen == 2 * per    # no chunk is drawn after it
 
-    def test_asup_redraws_deficient_frames_after_the_last_chunk(self):
+    def test_asup_keeps_a_deficient_frame_in_a_middle_chunk(self):
+        # A draw whose first column is zero fails the rank test on diag(R);
+        # its frame is still orthonormal, and is kept: no frame is drawn
+        # again, and the chunks equal one draw.
         n, private = 50, range(12)
         per = sanitize.DRAW_CHUNK // (n * n)
         rows = 2 * per + 5
-        planted = [0, rows - 1]
+        planted = per + 3
         y = Rng(63).uniform(0.0, 1.0, (rows, n))
-        chunked = PlantedDraws(Rng(64), planted, column=True)
+        chunked = PlantedDraws(Rng(64), [planted], column=True)
         out = sanitize.asup(y, 0.3, private, chunked)
-        whole = PlantedDraws(Rng(64), planted, column=True)
+        assert chunked.seen == rows    # one frame per row, none drawn again
+        whole = PlantedDraws(Rng(64), [planted], column=True)
         expected = one_draw_asup(y, 0.3, private, whole)
-        assert whole.seen == rows + len(planted)    # the deficient frames were redrawn
+        assert whole.seen == rows
         assert out.tobytes() == expected.tobytes()
         assert chunked.rng.standard_normal(8).tobytes() == whole.rng.standard_normal(8).tobytes()
+        # The planted frame is the deficient one, kept as drawn.
+        stream = Rng(64)
+        stream.standard_normal((rows, len(private)))    # the noise
+        g = stream.standard_normal((rows, n, n))[planted, :, :len(private)]
+        g[:, 0] = 0.0
+        assert not r_diagonal_signs(np.linalg.qr(g)[1])[1]
+        q = sign_fixed_qr(g)
+        assert np.abs(q.T @ q - np.eye(len(private))).max() < 1e-12
 
     def test_nrp_memory_holds_a_few_chunks_of_draws(self):
         # Beyond the (rows x m) result, the peak is the chunk's draw and
@@ -522,26 +533,33 @@ class TestPreservationPaths:
         scale = np.sqrt(n / m) * np.linalg.norm(x, axis=1, keepdims=True)
         assert np.all(np.abs(proj - formed) <= 8 * np.finfo(float).eps * n * cond * scale)
 
-    def test_subspace_check_redraws_a_rank_deficient_frame(self):
-        # A zeroed Gaussian draw fails the rank test on diag(R) and is
-        # redrawn from the same stream, as sample_orthonormal_matrix does.
+    def test_subspace_check_refuses_a_rank_deficient_frame(self):
+        # A Gaussian draw with a zeroed column fails the rank test on
+        # diag(R).  The check solves with R, so it refuses after that one
+        # draw; sample_orthonormal_matrix forms Q and returns an
+        # orthonormal frame from the same draw.
         class ZeroedNormals:
-            def __init__(self, rng, zeroed):
-                self.rng, self.zeroed = rng, zeroed
+            draws = 0
+
+            def __init__(self, rng):
+                self.rng = rng
 
             def standard_normal(self, size):
+                self.draws += 1
                 draw = self.rng.standard_normal(size)
-                if self.zeroed:
-                    self.zeroed -= 1
-                    draw[..., -1] = 0.0
+                draw[..., -1] = 0.0
                 return draw
 
         x = Rng(37).standard_normal((3, 8))
-        proj = subspace_projection_for_check(x, 4, ZeroedNormals(Rng(38), 2))
-        formed = x @ sample_orthonormal_matrix(8, 4, ZeroedNormals(Rng(38), 2)) * np.sqrt(2.0)
-        np.testing.assert_allclose(proj, formed, rtol=0, atol=1e-12)
+        stream = ZeroedNormals(Rng(38))
         with pytest.raises(RankDeficient):
-            subspace_projection_for_check(x, 4, ZeroedNormals(Rng(38), 9))
+            subspace_projection_for_check(x, 4, stream)
+        assert stream.draws == 1
+        stream = ZeroedNormals(Rng(38))
+        q = sample_orthonormal_matrix(8, 4, stream)
+        assert stream.draws == 1
+        assert q.tobytes() == sign_fixed_qr(ZeroedNormals(Rng(38)).standard_normal((8, 4))).tobytes()
+        assert np.abs(q.T @ q - np.eye(4)).max() < 1e-12
 
     def test_bounded_unbiased_scaling(self):
         rng = Rng(26)
